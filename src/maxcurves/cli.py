@@ -352,17 +352,25 @@ def _add_model_args(sp):
     sp.add_argument("--t", type=int)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _common_flags(default=None) -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False, argument_default=default)
     common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "table"))
     common.add_argument("--cache-dir", help="results cache directory")
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--workers", type=int)
     common.add_argument("--lang-s-max", type=int)
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The global flags are accepted before and after the subcommand.  The
+    # subcommand's copy has SUPPRESS defaults, so it sets a flag only when
+    # the user gives it there and never overwrites one given before.
+    common = _common_flags(argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
         prog="maxcurves",
-        parents=[common],
+        parents=[_common_flags()],
         description="Explicit maximal-curve models over finite fields: "
                     "construction, exact point counts, cyclic quotients and "
                     "semigroup arithmetic.",

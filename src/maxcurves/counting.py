@@ -1,9 +1,10 @@
 """Exhaustive projective point enumeration and Hasse-Weil verdicts.
 
 Points are swept in normalized-representative order ((1:y:z), then (0:1:z),
-then (0:0:1)); fields small enough for discrete-log tables go through a
-vectorized numpy path, everything else through a scalar fallback.  Each
-vanishing point is classified smooth or singular via the three partials.
+then (0:0:1)) by a vectorized numpy sweep over the field's discrete-log
+tables, so the swept field must be within TABLE_CAP; larger fields raise
+CapError.  Each vanishing point is classified smooth or singular via the
+three partials.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -23,10 +24,9 @@ import numpy as np
 
 from .curves import CurveModel, HomPoly3, ProjMatrix
 from .errors import CapError
-from .fields import ExtField, FPoly, build_field, embed, poly_roots
+from .fields import TABLE_CAP, ExtField, FPoly, build_field, embed, poly_roots
 
 DEFAULT_ENUM_CAP = 1 << 26
-_SCALAR_POINT_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -109,34 +109,21 @@ def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, y_lo: int, y_hi: int):
     return ys[idx], zs[idx]
 
 
-def _scalar_affine_zeros(poly: HomPoly3, L: ExtField, y_lo: int, y_hi: int):
-    ys, zs = [], []
-    q = L.order
-    ev = poly.eval_i
-    for y in range(y_lo, y_hi):
-        for z in range(q):
-            if ev(1, y, z) == 0:
-                ys.append(y)
-                zs.append(z)
-    return ys, zs
-
-
 def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
                  chunks: int | None = None) -> list[tuple[int, int, int]]:
     """All normalized projective zeros of poly over L, in sweep order."""
     q = L.order
-    use_bulk = L.ensure_tables()
-    if not use_bulk and q * q > _SCALAR_POINT_CAP:
+    if not L.ensure_tables():
         raise CapError(
-            f"field of size {q} has no tables and the scalar sweep of {q * q} points is capped"
+            f"the {q}-element field exceeds the 2^{TABLE_CAP.bit_length() - 1} "
+            "discrete-log table cap"
         )
     if chunks is None:
-        chunks = max(1, min(q, (q * q) // (1 << 20))) if use_bulk else 1
+        chunks = max(1, min(q, (q * q) // (1 << 20)))
     bounds = [(q * i // chunks, q * (i + 1) // chunks) for i in range(chunks)]
-    fn = _bulk_affine_zeros if use_bulk else _scalar_affine_zeros
 
     def run(b):
-        return fn(poly, L, b[0], b[1])
+        return _bulk_affine_zeros(poly, L, b[0], b[1])
 
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

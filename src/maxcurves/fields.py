@@ -18,6 +18,7 @@ demand; the bulk enumeration code relies on them.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -756,8 +757,12 @@ def _x_poly(field: ExtField) -> FPoly:
     return FPoly._raw(field, [0, 1])
 
 
-def _split_roots(g: FPoly, _depth: int = 0) -> list[int]:
-    """Roots of a monic squarefree product of distinct linear factors."""
+def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
+    """Roots of a monic squarefree product of distinct linear factors.
+
+    The equal-degree splitting shifts are drawn from rng over the whole
+    field; the roots come back in no particular order.
+    """
     F = g.field
     d = g.degree()
     if d <= 0:
@@ -768,8 +773,7 @@ def _split_roots(g: FPoly, _depth: int = 0) -> list[int]:
         return [v for v in range(F.order) if g.eval_i(v) == 0]
     if _depth > 200:
         raise ConsistencyError("equal-degree splitting failed to converge")
-    # equal-degree splitting with a deterministic shift sequence
-    r = (_depth * 2654435761 + 1) % F.order
+    r = rng.randrange(F.order)
     x_shift = FPoly._raw(F, [r, 1])
     if F.p == 2:
         # trace map over F_2: sum of (rX)^(2^i)
@@ -784,8 +788,9 @@ def _split_roots(g: FPoly, _depth: int = 0) -> list[int]:
         h = x_shift.powmod((F.order - 1) // 2, g) - FPoly._raw(F, [1])
     d1 = g.gcd(h)
     if 0 < d1.degree() < g.degree():
-        return _split_roots(d1, _depth + 1) + _split_roots((g // d1).monic(), _depth + 1)
-    return _split_roots(g, _depth + 1)
+        return (_split_roots(d1, rng, _depth + 1)
+                + _split_roots((g // d1).monic(), rng, _depth + 1))
+    return _split_roots(g, rng, _depth + 1)
 
 
 def poly_roots(f, field: ExtField | None = None) -> list[tuple[FieldElement, int]]:
@@ -804,7 +809,7 @@ def poly_roots(f, field: ExtField | None = None) -> list[tuple[FieldElement, int
         raise ValueError("zero polynomial")
     xq = _x_poly(F).powmod(F.order, f)
     g = f.gcd(xq - _x_poly(F))
-    roots = sorted(_split_roots(g))
+    roots = sorted(_split_roots(g, random.Random(F.order)))
     out = []
     for r in roots:
         lin = FPoly._raw(F, [F.neg_i(r), 1])

@@ -8,7 +8,10 @@ For each divisor d of n the quotient curve is counted two ways:
 * for every d, by orbit counting: #quotient(F_q) = (1/d) sum_j N_j where
   N_j is the number of curve points P with Frobenius(P) = g^j(P).  Each N_j
   is evaluated by solving the semilinear Lang equation A^(q) = N A, which
-  identifies the twisted fixed locus with A . P^2(F_q).
+  identifies the twisted fixed locus with A . P^2(F_q).  The Fermat form
+  composed with A is, up to a scalar, a form over F_q (the twist of the
+  curve by Frobenius o g^j), so N_j is its F_q-point count from the same
+  plane sweep that counts every other model.
 
 Riemann-Hurwitz bookkeeping for the degree-d covering (totally ramified at
 exactly the three triangle points) pins the quotient genus to
@@ -23,13 +26,12 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from ._intfactor import divisors, euler_phi, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
 from .counting import count_projective_points
 from .curves import (
     CurveModel,
+    HomPoly3,
     ProjMatrix,
     frame_matrix,
     hermitian_fermat,
@@ -245,14 +247,6 @@ def _mat_scale(F: ExtField, a, c):
     return tuple(tuple(F.mul_i(c, x) for x in row) for row in a)
 
 
-def _mat_det(F: ExtField, a):
-    (x, y, z), (u, v, w), (r, s, t) = a
-    m = F.mul_i
-    pos = F.add_i(F.add_i(m(x, m(v, t)), m(y, m(w, r))), m(z, m(u, s)))
-    neg = F.add_i(F.add_i(m(z, m(v, r)), m(y, m(u, t))), m(x, m(w, s)))
-    return F.sub_i(pos, neg)
-
-
 def lang_twist_order(n: ProjMatrix) -> tuple[int, int, int]:
     """(projective order d1, best rescaling e, lift order s) for N over F_q.
 
@@ -333,7 +327,7 @@ def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> L
         a = theta_trace(c0)
         if all(x == 0 for row in a for x in row):
             continue
-        if _mat_det(L, a) != 0:
+        if ProjMatrix(L, a, check=False).det().value:
             return finish(a)
         basis.append(a)
     for _ in range(_LANG_COMBO_TRIES):
@@ -341,126 +335,36 @@ def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> L
         for b in basis:
             coeff = phi.apply_i(rng.randrange(Fq.order))
             combo = _mat_add(L, combo, _mat_scale(L, b, coeff))
-        if _mat_det(L, combo) != 0:
+        if ProjMatrix(L, combo, check=False).det().value:
             return finish(combo)
     raise ConsistencyError("no invertible Lang solution found (setup bug)")
 
 
-def _vec_rows(L: ExtField, values) -> np.ndarray:
-    """(n, k) coefficient matrix for an iterable of packed values."""
-    out = np.zeros((len(values), L.k), dtype=np.int64)
-    for i, v in enumerate(values):
-        raw = L.unpack(v)
-        out[i, : len(raw)] = raw
-    return out
-
-
-def _batch_reduce(L: ExtField, arr: np.ndarray) -> np.ndarray:
-    """Reduce (n, >=k) coefficient rows modulo the sparse field modulus."""
-    p, k, tail = L.p, L.k, L._tail
-    cur = arr
-    while cur.shape[1] > k:
-        m = cur.shape[1] - k
-        maxe = max((e for e, _ in tail), default=0)
-        nxt = np.zeros((cur.shape[0], max(k, maxe + m)), dtype=np.int64)
-        nxt[:, :k] += cur[:, :k]
-        high = cur[:, k:]
-        for e, c in tail:
-            nxt[:, e:e + m] -= c * high
-        nxt %= p
-        cur = nxt
-    if cur.shape[1] < k:
-        out = np.zeros((cur.shape[0], k), dtype=np.int64)
-        out[:, : cur.shape[1]] = cur
-        return out
-    return cur
-
-
-def _batch_rowmul(L: ExtField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise field products of two (n, k) coefficient matrices, via
-    Kronecker-packed big-integer multiplication per row."""
-    p, k = L.p, L.k
-    n = a.shape[0]
-    bound = (p - 1) * (p - 1) * k
-    w = 2 if bound < (1 << 16) else 4
-    dt = "<u2" if w == 2 else "<u4"
-    ab = a.astype(dt).tobytes()
-    bb = b.astype(dt).tobytes()
-    rowb = k * w
-    prodb = 2 * k * w
-    out = np.zeros((n, 2 * k - 1), dtype=np.int64)
-    for i in range(n):
-        ia = int.from_bytes(ab[i * rowb:(i + 1) * rowb], "little")
-        ib = int.from_bytes(bb[i * rowb:(i + 1) * rowb], "little")
-        prod = (ia * ib).to_bytes(prodb, "little")
-        out[i] = np.frombuffer(prod, dtype=dt, count=2 * k)[: 2 * k - 1]
-    out %= p
-    return _batch_reduce(L, out)
-
-
-def _batch_poly_eval(L: ExtField, poly, coords) -> np.ndarray:
-    """Evaluate a HomPoly3 over L on batched coordinates ((n, k) each);
-    returns the (n, k) coefficient rows of the values."""
-    n = coords[0].shape[0]
-    p = L.p
-    pow_cache: list[dict[int, np.ndarray]] = [{}, {}, {}]
-
-    def cpow(axis, e):
-        got = pow_cache[axis].get(e)
-        if got is not None:
-            return got
-        if e == 1:
-            r = coords[axis]
-        elif e % 2 == 0:
-            half = cpow(axis, e // 2)
-            r = _batch_rowmul(L, half, half)
-        else:
-            r = _batch_rowmul(L, cpow(axis, e - 1), coords[axis])
-        pow_cache[axis][e] = r
-        return r
-
-    acc = np.zeros((n, L.k), dtype=np.int64)
-    for (i, j, kk), c in poly.terms.items():
-        term = None
-        for axis, e in ((0, i), (1, j), (2, kk)):
-            if e:
-                pe = cpow(axis, e)
-                term = pe if term is None else _batch_rowmul(L, term, pe)
-        if term is None:
-            term = np.zeros((n, L.k), dtype=np.int64)
-            term[:, 0] = 1
-        acc = (acc + term @ L.mul_matrix(c)) % p
-    return acc
-
-
 def twisted_fixed_count(sol: LangSolution, model: CurveModel) -> int:
-    """#{P : Frobenius(P) = g(P)} on the model, evaluated as the number of
-    y in P^2(F_q) with F(A y) = 0, swept over normalized representatives."""
+    """#{P : Frobenius(P) = g(P)} on the model, counted by descent to F_q.
+
+    The twisted locus is A . P^2(F_q), so the count is the number of
+    y in P^2(F_q) with G(y) = F(A y) = 0.  Since A^(q) = N A and N preserves
+    F up to a scalar, G^(q) is a scalar multiple of G: rescaled by one of
+    its coefficients, G is fixed by the q-power Frobenius.  Its coefficients
+    are pulled back to F_q and the form is counted by the plane sweep.
+    Raises ConsistencyError if the rescaled G does not descend.
+    """
     Fq = sol.base
     if model.field is not Fq:
         raise ValueError("model must live over the twist's base field")
     L = sol.field
     phi = embed(Fq, L)
-    poly = model.poly.map_coefficients(phi)
-    q = Fq.order
-    phi_rows = _vec_rows(L, [phi.apply_i(v) for v in range(q)])
-    one_row = phi_rows[1]
-    zero_row = phi_rows[0]
-    n = q * q + q + 1
-    raw = [np.zeros((n, L.k), dtype=np.int64) for _ in range(3)]
-    raw[0][: q * q] = one_row
-    raw[1][: q * q] = np.repeat(phi_rows, q, axis=0)
-    raw[2][: q * q] = np.tile(phi_rows, (q, 1))
-    raw[1][q * q: q * q + q] = one_row
-    raw[2][q * q: q * q + q] = phi_rows
-    raw[2][n - 1] = one_row
-    amats = [[L.mul_matrix(sol.matrix[r][c]) for c in range(3)] for r in range(3)]
-    coords = []
-    for r in range(3):
-        u = sum(raw[c] @ amats[r][c] for c in range(3)) % L.p
-        coords.append(u)
-    vals = _batch_poly_eval(L, poly, coords)
-    return int(np.count_nonzero(np.all(vals == 0, axis=1)))
+    form = model.poly.map_coefficients(phi).compose_linear(
+        ProjMatrix(L, sol.matrix, check=False))
+    form = form.scale(L.inv_i(next(iter(form.terms.values()))))
+    terms = {}
+    for e, c in form.terms.items():
+        if L.frob_i(c, Fq.k) != c:
+            raise ConsistencyError("twisted form does not descend to F_q")
+        terms[e] = phi.preimage(FieldElement(L, c)).value
+    twist = CurveModel(HomPoly3(Fq, terms), f"{model.name}-twist", model.sqrt_q)
+    return count_projective_points(twist).total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from maxcurves.cache import ResultsCache, content_key
-from maxcurves.cli import main
+from maxcurves.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -185,6 +185,46 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     disabled = ResultsCache(None)
     disabled.put(payload, {"total": 7})
     assert disabled.get(payload) is None
+
+
+def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
+    payload = {"kind": "burnside", "sqrt_q": 5, "d": 3}
+    monkeypatch.setattr(ResultsCache, "SCHEMA", ResultsCache.SCHEMA - 1)
+    ResultsCache(tmp_path).put(payload, {"count": 56})
+    assert ResultsCache(tmp_path).get(payload) == {"count": 56}
+    monkeypatch.undo()
+    assert ResultsCache(tmp_path).get(payload) is None
+    # an entry stored without a schema, at the bare payload key, is a miss too
+    legacy = tmp_path / f"{content_key(payload)}.json"
+    legacy.write_text(json.dumps({"payload": payload, "value": {"count": 56}}))
+    assert ResultsCache(tmp_path).get(payload) is None
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_global_flags_either_side_of_the_subcommand(before):
+    flags = ["--no-cache", "--cache-dir", "/x", "--format", "csv"]
+    sub = ["field", "--p", "5", "--k", "3"]
+    args = build_parser().parse_args(flags + sub if before else sub + flags)
+    assert (args.no_cache, args.cache_dir, args.fmt) == (True, "/x", "csv")
+    plain = build_parser().parse_args(sub)
+    assert (plain.no_cache, plain.cache_dir, plain.fmt) == (False, None, None)
+
+
+def test_cache_dir_before_the_subcommand_is_used(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["--cache-dir", str(tmp_path), "--format", "csv",
+         "count", "--model", "hermitian", "--sqrt-q", "3"], capsys)
+    assert code == 0
+    assert out.startswith("key,value")
+    assert list(tmp_path.glob("*.json")), "cache file written"
+
+
+def test_census_sqrt_q_4(capsys):
+    code, out, _ = run_cli(["census", "--sqrt-q", "4", "--no-cache"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["d"], r["measured"]) for r in rows] == [(1, 65), (13, 17)]
+    assert all(r["verdict"] == "pass" for r in rows)
 
 
 @pytest.mark.parametrize("args", [

@@ -1,7 +1,11 @@
+import dataclasses
+import random
+
 import pytest
 
 from maxcurves import (
     CapError,
+    ConsistencyError,
     build_field,
     burnside_quotient_count,
     count_projective_points,
@@ -17,7 +21,13 @@ from maxcurves import (
     subgroup_action,
     twisted_fixed_count,
 )
-from maxcurves.quotients import _normalize_point, census_divisors, identity_matrix
+from maxcurves.curves import ProjMatrix
+from maxcurves.quotients import (
+    _mat_vec,
+    _normalize_point,
+    census_divisors,
+    identity_matrix,
+)
 
 
 def test_action_orders_and_rationality():
@@ -115,6 +125,52 @@ def test_twisted_counts_d3():
         assert twisted_fixed_count(sol, fermat) == 21
 
 
+def _twist_solution(sq, d, j):
+    act = hermitian_cyclic_action(sq)
+    u = subgroup_action(act, d).matrix.pow(j)
+    return lang_solve(u, seed=j), hermitian_fermat(sq, act.field)
+
+
+def _reference_twisted_count(sol, model):
+    # brute force in the lift field: evaluate the lifted form at A y for
+    # every normalized y in P^2(F_q)
+    L = sol.field
+    phi = embed(sol.base, L)
+    poly = model.poly.map_coefficients(phi)
+    q = sol.base.order
+    reps = [(1, y, z) for y in range(q) for z in range(q)]
+    reps += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
+    return sum(
+        poly.eval_i(*_mat_vec(L, sol.matrix, tuple(phi.apply_i(c) for c in y))) == 0
+        for y in reps
+    )
+
+
+@pytest.mark.parametrize("sq,d,j", [(2, 3, 1), (2, 3, 2)]
+                         + [(3, 7, j) for j in range(1, 7)]
+                         + [(5, 3, 1), (5, 3, 2)])
+def test_twisted_count_descent_matches_lift_field_reference(sq, d, j):
+    sol, fermat = _twist_solution(sq, d, j)
+    got = twisted_fixed_count(sol, fermat)
+    assert got == _reference_twisted_count(sol, fermat)
+    assert got == sq * sq - sq + 1  # g^j fixes only the triangle
+
+
+def test_twisted_count_rejects_a_non_lang_matrix():
+    # a dense invertible A that does not solve A^(q) = N A: F(A y) does not
+    # descend to F_q, and the count must refuse rather than sweep it
+    sol, fermat = _twist_solution(3, 7, 1)
+    L = sol.field
+    rng = random.Random(7)
+    while True:
+        rows = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
+        if ProjMatrix(L, rows, check=False).det().value:
+            break
+    bad = dataclasses.replace(sol, matrix=tuple(tuple(r) for r in rows))
+    with pytest.raises(ConsistencyError, match="does not descend"):
+        twisted_fixed_count(bad, fermat)
+
+
 def test_burnside_reports():
     r3 = burnside_quotient_count(5, 3)
     assert r3.n_js == (126, 21, 21)
@@ -153,6 +209,14 @@ def test_burnside_characteristic_two_prime_divisor():
     rep = burnside_quotient_count(8, 19)
     assert rep.count == 81 == rep.expected  # genus 1
     assert set(rep.n_js[1:]) == {57}  # q - sqrt_q + 1 again
+
+
+def test_burnside_sqrt_q_4():
+    # embedding F_16 into the lift field F_{2^52} needs equal-degree
+    # splitting of the F_16 modulus
+    rep = burnside_quotient_count(4, 13)
+    assert rep.count == 17 == rep.expected  # genus 0
+    assert set(rep.n_js[1:]) == {13}
 
 
 def test_action_nonprime_odd_sqrt_q():

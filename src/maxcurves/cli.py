@@ -57,7 +57,6 @@ class RunConfig:
 
     enum_cap: int = 1 << 26
     lang_s_max: int = 128
-    series_order: int = 256
     workers: int = 1
     cache_dir: str | None = None
     fmt: str = "json"
@@ -76,7 +75,7 @@ class RunConfig:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in ("enum_cap", "lang_s_max", "series_order", "workers"):
+            if key in ("enum_cap", "lang_s_max", "workers"):
                 setattr(cfg, key, int(value))
             elif key == "cache_dir":
                 cfg.cache_dir = value
@@ -109,44 +108,33 @@ CENSUS_COLUMNS = ("sqrt_q", "d", "genus", "expected", "measured", "dim_d", "meth
 # model registry
 # ---------------------------------------------------------------------------
 
+# tag -> (constructor, the flags it takes in order); every flag is required
+MODELS = {
+    "hermitian": (hermitian_canonical, ("sqrt_q",)),
+    "hermitian-fermat": (hermitian_fermat, ("sqrt_q",)),
+    "envelope": (envelope_model, ("sqrt_q",)),
+    "smooth-cyclic": (smooth_cyclic_model, ("sqrt_q",)),
+    "quotient-frame": (quotient_plane_model, ("sqrt_q",)),
+    "quotient-rational": (quotient_model_rational, ("sqrt_q",)),
+    "geer-vlugt": (geer_vlugt_curve, ("p", "m", "r")),
+    "artin-schreier": (artin_schreier_quotient, ("sqrt_q", "t")),
+    "fermat": (fermat_quotient, ("sqrt_q", "t")),
+    "char2-chain": (char2_chain_curve, ("sqrt_q",)),
+}
+MODEL_TAGS = tuple(MODELS)
+
+
 def make_model(tag: str, args) -> CurveModel:
-    need_sq = ("hermitian", "hermitian-fermat", "envelope", "smooth-cyclic",
-               "quotient-frame", "quotient-rational", "artin-schreier",
-               "fermat", "char2-chain")
-    if tag in need_sq and args.sqrt_q is None:
+    if tag not in MODELS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    build, flags = MODELS[tag]
+    if "sqrt_q" in flags and args.sqrt_q is None:
         raise ValueError(f"model {tag!r} needs --sqrt-q")
-    if tag == "hermitian":
-        return hermitian_canonical(args.sqrt_q)
-    if tag == "hermitian-fermat":
-        return hermitian_fermat(args.sqrt_q)
-    if tag == "envelope":
-        return envelope_model(args.sqrt_q)
-    if tag == "smooth-cyclic":
-        return smooth_cyclic_model(args.sqrt_q)
-    if tag == "quotient-frame":
-        return quotient_plane_model(args.sqrt_q)
-    if tag == "quotient-rational":
-        return quotient_model_rational(args.sqrt_q)
-    if tag == "artin-schreier":
-        if args.t is None:
-            raise ValueError("artin-schreier needs --t")
-        return artin_schreier_quotient(args.sqrt_q, args.t)
-    if tag == "fermat":
-        if args.t is None:
-            raise ValueError("fermat needs --t")
-        return fermat_quotient(args.sqrt_q, args.t)
-    if tag == "char2-chain":
-        return char2_chain_curve(args.sqrt_q)
-    if tag == "geer-vlugt":
-        if args.p is None or args.m is None or args.r is None:
-            raise ValueError("geer-vlugt needs --p, --m and --r")
-        return geer_vlugt_curve(args.p, args.m, args.r)
-    raise ValueError(f"unknown model tag {tag!r}")
-
-
-MODEL_TAGS = ("hermitian", "hermitian-fermat", "envelope", "smooth-cyclic",
-              "quotient-frame", "quotient-rational", "geer-vlugt",
-              "artin-schreier", "fermat", "char2-chain")
+    if any(getattr(args, f) is None for f in flags):
+        names = [f"--{f}" for f in flags if f != "sqrt_q"]
+        listed = ", ".join(names[:-1]) + " and " + names[-1] if len(names) > 1 else names[0]
+        raise ValueError(f"{tag} needs {listed}")
+    return build(*(getattr(args, f) for f in flags))
 
 
 # ---------------------------------------------------------------------------

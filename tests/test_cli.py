@@ -139,6 +139,28 @@ def test_usage_errors(capsys):
     assert code == 2  # 6 is not a prime power
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["--model", "hermitian"], "--sqrt-q"),
+    (["--model", "hermitian-fermat"], "--sqrt-q"),
+    (["--model", "envelope"], "--sqrt-q"),
+    (["--model", "smooth-cyclic"], "--sqrt-q"),
+    (["--model", "quotient-frame"], "--sqrt-q"),
+    (["--model", "quotient-rational"], "--sqrt-q"),
+    (["--model", "char2-chain"], "--sqrt-q"),
+    (["--model", "artin-schreier", "--t", "2"], "--sqrt-q"),
+    (["--model", "artin-schreier", "--sqrt-q", "5"], "--t"),
+    (["--model", "fermat", "--t", "2"], "--sqrt-q"),
+    (["--model", "fermat", "--sqrt-q", "5"], "--t"),
+    (["--model", "geer-vlugt", "--m", "4", "--r", "1"], "--p"),
+    (["--model", "geer-vlugt", "--p", "3", "--r", "1"], "--m"),
+    (["--model", "geer-vlugt", "--p", "3", "--m", "4"], "--r"),
+])
+def test_model_missing_flag(args, flag, capsys):
+    code, out, err = run_cli(["construct", *args, "--no-cache"], capsys)
+    assert code == 2 and out == ""
+    assert "needs" in err and flag in err
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# knobs\nlang_s_max = 1\nformat = json\n")
@@ -152,6 +174,12 @@ def test_config_file(tmp_path, capsys):
     code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(bad)],
                            capsys)
     assert code == 2 and "unknown key" in err
+    # series_order was parsed and never read; it is no longer a key
+    dead = tmp_path / "dead.cfg"
+    dead.write_text("series_order = 256\n")
+    code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(dead)],
+                           capsys)
+    assert code == 2 and "unknown key 'series_order'" in err
 
 
 def test_model_serialization_is_reproducible():

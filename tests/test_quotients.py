@@ -21,9 +21,9 @@ from maxcurves import (
     subgroup_action,
     twisted_fixed_count,
 )
+from maxcurves import quotients
 from maxcurves.curves import ProjMatrix
 from maxcurves.quotients import (
-    _mat_vec,
     _normalize_point,
     census_divisors,
     identity_matrix,
@@ -77,7 +77,7 @@ def test_lang_solve_identity():
     F = build_field(5, 2)
     sol = lang_solve(identity_matrix(F))
     assert sol.s == 1
-    assert sol.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert sol.matrix == identity_matrix(sol.field)
     assert sol.verify_sample()
 
 
@@ -89,12 +89,9 @@ def test_lang_solve_order3_twist():
     assert sol.verify_sample(n_samples=30)
     # residual identity holds exactly: A^(q) = N A entrywise
     L = sol.field
-    lhs = tuple(tuple(L.frob_i(x, 2) for x in row) for row in sol.matrix)
-    phi = embed(act.field, L)
-    nl = [[phi.apply_i(x) for x in row] for row in sol.twist]
-    from maxcurves.quotients import _mat_mul
-
-    assert lhs == _mat_mul(L, nl, sol.matrix)
+    lhs = tuple(tuple(L.frob_i(x, 2) for x in row) for row in sol.matrix.rows)
+    nl = sol.twist.map_entries(embed(act.field, L))
+    assert lhs == (nl @ sol.matrix).rows
 
 
 def test_lang_locus_is_a_translated_plane():
@@ -104,16 +101,37 @@ def test_lang_locus_is_a_translated_plane():
     sol = lang_solve(subgroup_action(act, 3).matrix, seed=2)
     L = sol.field
     phi = embed(act.field, L)
-    from maxcurves.quotients import _mat_vec
-
     q = act.field.order
     reps = [(1, y, z) for y in range(q) for z in range(q)]
     reps += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
     images = {
-        _normalize_point(L, _mat_vec(L, sol.matrix, tuple(phi.apply_i(c) for c in pt)))
+        _normalize_point(L, sol.matrix.apply_i(tuple(phi.apply_i(c) for c in pt)))
         for pt in reps
     }
     assert len(images) == q * q + q + 1
+
+
+@pytest.mark.parametrize("sq,d", [(2, 3), (3, 7), (4, 13), (5, 7)])
+def test_lang_solve_every_twist(sq, d):
+    # each column of A is a traced vector of the F_q-space v^(q) = N v;
+    # A must be invertible, solve the equation exactly and be reproducible
+    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    for j in range(1, d):
+        u = g.matrix.pow(j)
+        sol = lang_solve(u, seed=j)
+        L = sol.field
+        assert sol.matrix.det().value != 0
+        nl = sol.twist.map_entries(embed(sol.base, L))
+        assert sol.matrix.frobenius(sol.base.k) == nl @ sol.matrix
+        assert sol.verify_sample()
+        assert lang_solve(u, seed=j).matrix == sol.matrix
+
+
+def test_lang_solve_reports_exhausted_draws(monkeypatch):
+    monkeypatch.setattr(quotients, "_LANG_TRIES", 0)
+    g7 = subgroup_action(hermitian_cyclic_action(3), 7)
+    with pytest.raises(ConsistencyError, match="0 draws"):
+        lang_solve(g7.matrix)
 
 
 def test_twisted_counts_d3():
@@ -141,7 +159,7 @@ def _reference_twisted_count(sol, model):
     reps = [(1, y, z) for y in range(q) for z in range(q)]
     reps += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
     return sum(
-        poly.eval_i(*_mat_vec(L, sol.matrix, tuple(phi.apply_i(c) for c in y))) == 0
+        poly.eval_i(*sol.matrix.apply_i(tuple(phi.apply_i(c) for c in y))) == 0
         for y in reps
     )
 
@@ -166,7 +184,7 @@ def test_twisted_count_rejects_a_non_lang_matrix():
         rows = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
         if ProjMatrix(L, rows, check=False).det().value:
             break
-    bad = dataclasses.replace(sol, matrix=tuple(tuple(r) for r in rows))
+    bad = dataclasses.replace(sol, matrix=ProjMatrix(L, rows))
     with pytest.raises(ConsistencyError, match="does not descend"):
         twisted_fixed_count(bad, fermat)
 
@@ -217,6 +235,17 @@ def test_burnside_sqrt_q_4():
     rep = burnside_quotient_count(4, 13)
     assert rep.count == 17 == rep.expected  # genus 0
     assert set(rep.n_js[1:]) == {13}
+
+
+def test_burnside_lefschetz_oracle(monkeypatch):
+    # every off-diagonal N_j is q - sqrt_q + 1; a count off by one must
+    # stop the orbit count rather than average into a wrong quotient
+    count = quotients.twisted_fixed_count
+    monkeypatch.setattr(quotients, "twisted_fixed_count",
+                        lambda sol, model: count(sol, model) + 1)
+    quotients._burnside_cached.cache_clear()
+    with pytest.raises(ConsistencyError, match=r"N_1 = 8, expected .* = 7"):
+        burnside_quotient_count(3, 7)
 
 
 def test_action_nonprime_odd_sqrt_q():

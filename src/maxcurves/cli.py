@@ -55,7 +55,6 @@ from .verification import run_battery
 class RunConfig:
     """Runtime knobs; file values are overridden by command-line flags."""
 
-    enum_cap: int = 1 << 26
     lang_s_max: int = 128
     workers: int = 1
     cache_dir: str | None = None
@@ -75,7 +74,7 @@ class RunConfig:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in ("enum_cap", "lang_s_max", "workers"):
+            if key in ("lang_s_max", "workers"):
                 setattr(cfg, key, int(value))
             elif key == "cache_dir":
                 cfg.cache_dir = value
@@ -201,8 +200,7 @@ def _cached_count(model, k, cfg, cache):
     got = cache.get(payload)
     if got is not None:
         return got
-    report = count_projective_points(model, k, enum_cap=cfg.enum_cap,
-                                     workers=cfg.workers).to_dict()
+    report = count_projective_points(model, k, workers=cfg.workers).to_dict()
     cache.put(payload, report)
     return report
 

@@ -26,8 +26,6 @@ from .curves import CurveModel, HomPoly3, ProjMatrix
 from .errors import CapError
 from .fields import TABLE_CAP, ExtField, FPoly, build_field, embed, poly_roots
 
-DEFAULT_ENUM_CAP = 1 << 26
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -68,6 +66,11 @@ class MaximalityVerdict:
 
 def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
     base = model.field
+    if base.order**k > TABLE_CAP:
+        raise CapError(
+            f"the {base.order**k}-element field exceeds the "
+            f"2^{TABLE_CAP.bit_length() - 1} discrete-log table cap"
+        )
     if k == 1:
         return model.poly, base
     L = build_field(base.p, base.k * k, cap=None)
@@ -85,9 +88,9 @@ def _np_tables(L: ExtField):
     return exp, log, unp
 
 
-def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, y_lo: int, y_hi: int):
+def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, y_lo: int, y_hi: int):
     """Packed (y, z) pairs with poly(1, y, z) = 0, y in [y_lo, y_hi)."""
-    exp, log, unp = _np_tables(L)
+    exp, log, unp = tables
     n = L.group_order
     q = L.order
     ys = np.repeat(np.arange(y_lo, y_hi, dtype=np.int64), q)
@@ -111,19 +114,18 @@ def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, y_lo: int, y_hi: int):
 
 def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
                  chunks: int | None = None) -> list[tuple[int, int, int]]:
-    """All normalized projective zeros of poly over L, in sweep order."""
+    """All normalized projective zeros of poly over L, in sweep order.
+
+    L is within TABLE_CAP (_lift_poly checks it), so its tables build.
+    """
     q = L.order
-    if not L.ensure_tables():
-        raise CapError(
-            f"the {q}-element field exceeds the 2^{TABLE_CAP.bit_length() - 1} "
-            "discrete-log table cap"
-        )
+    tables = _np_tables(L)
     if chunks is None:
         chunks = max(1, min(q, (q * q) // (1 << 20)))
     bounds = [(q * i // chunks, q * (i + 1) // chunks) for i in range(chunks)]
 
     def run(b):
-        return _bulk_affine_zeros(poly, L, b[0], b[1])
+        return _bulk_affine_zeros(poly, L, tables, b[0], b[1])
 
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -202,7 +204,6 @@ def _translation(F: ExtField, pt) -> ProjMatrix:
 # ---------------------------------------------------------------------------
 
 def count_projective_points(model: CurveModel, k: int = 1, *,
-                            enum_cap: int = DEFAULT_ENUM_CAP,
                             workers: int = 1,
                             chunks: int | None = None) -> CountReport:
     """Exact census of model points over the degree-k extension of its field.
@@ -212,8 +213,6 @@ def count_projective_points(model: CurveModel, k: int = 1, *,
     available when every rational singular point is ordinary.
     """
     base = model.field
-    if base.order**k > enum_cap:
-        raise CapError(f"extension size {base.order}^{k} exceeds enumeration cap")
     poly, L = _lift_poly(model, k)
     zeros = _sweep_zeros(poly, L, workers=workers, chunks=chunks)
     parts = [poly.partial(i) for i in range(3)]
@@ -245,16 +244,9 @@ def count_projective_points(model: CurveModel, k: int = 1, *,
     )
 
 
-def singular_points(model: CurveModel, k: int = 1, *,
-                    enum_cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, int, int]]:
+def singular_points(model: CurveModel, k: int = 1) -> list[tuple[int, int, int]]:
     """Normalized points over F_{q^k} where the model and all partials vanish."""
-    base = model.field
-    if base.order**k > enum_cap:
-        raise CapError(f"extension size {base.order}^{k} exceeds enumeration cap")
-    poly, L = _lift_poly(model, k)
-    zeros = _sweep_zeros(poly, L)
-    parts = [poly.partial(i) for i in range(3)]
-    return [pt for pt in zeros if all(pp.eval_i(*pt) == 0 for pp in parts)]
+    return list(count_projective_points(model, k).singular_points)
 
 
 def hasse_weil_bounds(q: int, g: int) -> tuple[int, int]:

@@ -598,13 +598,12 @@ def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
         raise ValueError("need 1 <= r <= m/2")
     field = build_field(p, m)
     sqrt_q = p ** (m // 2)
-    b = None
-    for v in range(1, field.order):
-        if field.add_i(field.pow_i(v, sqrt_q), v) == 0:
-            b = v
-            break
-    if b is None:
+    # b is the least nonzero root; poly_roots returns them sorted
+    roots = poly_roots(FPoly(field, [0, 1] + [0] * (sqrt_q - 2) + [1]))  # X^s + X
+    nonzero = [r.value for r, _ in roots if r.value]
+    if not nonzero:
         raise ConsistencyError("no b with b^s + b = 0 found")
+    b = nonzero[0]
     deg = sqrt_q + 1
     terms = {(deg, 0, 0): field.neg_i(b)}
     for i in range(r + 1):

@@ -8,9 +8,9 @@ the canonical "lexicographically least" ordering used whenever a
 deterministic choice of root or generator is needed.
 
 Embeddings between fields of the same characteristic are computed by finding
-the least root of the source modulus in the target field.  Root finding uses
-gcd with X^|F| - X followed by exhaustive search on the split part at desk
-scale, and equal-degree splitting in fields too large to enumerate.
+the least root of the source modulus in the target field.  Root finding
+isolates the distinct roots by a gcd with X^|F| - X and separates them by
+seeded equal-degree splitting (Cantor-Zassenhaus), in every field.
 
 Fields with at most TABLE_CAP elements can build discrete-log tables on
 demand; the bulk enumeration code relies on them.  All arithmetic is exact.
@@ -28,8 +28,6 @@ from .errors import CapError, ConsistencyError
 
 DEFAULT_ELEM_CAP = 1 << 40
 TABLE_CAP = 1 << 18
-ENUM_CAP = 1 << 21      # hard guard for element iteration
-EXHAUST_CAP = 1 << 16   # above this, root finding splits instead of scanning
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +351,6 @@ class ExtField:
             return FieldElement(self, v % self.p)
         return FieldElement(self, self.pack([c % self.p for c in v]))
 
-    def elements(self):
-        """Iterate over all elements; guarded by ENUM_CAP."""
-        if self.order > ENUM_CAP:
-            raise CapError(f"enumeration of F_{self.p}^{self.k} beyond cap")
-        return (FieldElement(self, v) for v in range(self.order))
-
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, rng.randrange(self.order))
 
@@ -526,8 +518,6 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field is other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
         return NotImplemented
 
     def __bool__(self):
@@ -769,8 +759,6 @@ def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
         return []
     if d == 1:
         return [F.mul_i(F.neg_i(g.coeffs[0]), F.inv_i(g.coeffs[1]))]
-    if F.order <= EXHAUST_CAP:
-        return [v for v in range(F.order) if g.eval_i(v) == 0]
     if _depth > 200:
         raise ConsistencyError("equal-degree splitting failed to converge")
     r = rng.randrange(F.order)
@@ -796,9 +784,9 @@ def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
 def poly_roots(f, field: ExtField | None = None) -> list[tuple[FieldElement, int]]:
     """All roots of f in its field, as (root, multiplicity), sorted by root.
 
-    Method: g = gcd(f, X^|F| - X) isolates the distinct roots; they are then
-    recovered by exhaustive scan at desk scale (or equal-degree splitting in
-    large fields) and multiplicities read off by repeated division.
+    Method: g = gcd(f, X^|F| - X) isolates the distinct roots, seeded
+    equal-degree splitting separates them, and multiplicities are read off
+    by repeated division.
     """
     if not isinstance(f, FPoly):
         if field is None:
@@ -844,32 +832,28 @@ class Embedding:
         self.target = target
         if source is target:
             self.gen_image = target.elem(source.p if source.k > 1 else 0)
-            self._images: dict[int, int] | None = None
             return
         mod_poly = FPoly(target, [c % source.p for c in source.modulus])
         roots = poly_roots(mod_poly)
         if not roots:
             raise ConsistencyError("source modulus has no root in target field")
         self.gen_image = roots[0][0]
-        self._images = {} if source.order <= EXHAUST_CAP else None
+        self._images: dict[int, int] = {}
         self._preimages: dict[int, int] = {}
 
     def apply_i(self, v: int) -> int:
         if self.source is self.target:
             return v
-        cache = self._images
-        if cache is not None:
-            got = cache.get(v)
-            if got is not None:
-                return got
+        got = self._images.get(v)
+        if got is not None:
+            return got
         T = self.target
         g = self.gen_image.value
         acc = 0
         for c in reversed(self.source.unpack(v)):
             acc = T.add_i(T.mul_i(acc, g), c)
-        if cache is not None:
-            cache[v] = acc
-            self._preimages[acc] = v
+        self._images[v] = acc
+        self._preimages[acc] = v
         return acc
 
     def __call__(self, x: FieldElement) -> FieldElement:

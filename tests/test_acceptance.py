@@ -8,7 +8,7 @@ the CLI as `maxcurves verify-paper`.
 
 import pytest
 
-from maxcurves.verification import CRITERIA, BatteryContext, _run
+from maxcurves.verification import CRITERIA, BatteryContext, _run, check_hermitian_counts
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -18,3 +18,11 @@ def test_acceptance_criterion(name, fn):
     if result.skipped:
         pytest.skip(result.detail)
     assert result.passed, result.detail
+
+
+def test_hermitian_counts_detail_is_reproducible():
+    # the detail carries no wall time, so identical runs print identical text
+    ctx = BatteryContext()
+    first, second = check_hermitian_counts(ctx), check_hermitian_counts(ctx)
+    assert first == second
+    assert first[0]

@@ -180,6 +180,23 @@ def test_config_file(tmp_path, capsys):
     code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(dead)],
                            capsys)
     assert code == 2 and "unknown key 'series_order'" in err
+    # enum_cap never bound below the 2^18 table cap; it is no longer a key
+    dead.write_text("enum_cap = 1\n")
+    code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(dead)],
+                           capsys)
+    assert code == 2 and "unknown key 'enum_cap'" in err
+
+
+def test_count_past_the_table_cap_exits_2(monkeypatch, capsys):
+    # 25^9 elements: the table cap fires before F_{5^18} is built
+    def no_lift_field(*args, **kwargs):
+        raise AssertionError("the lift field was built")
+
+    monkeypatch.setattr("maxcurves.counting.build_field", no_lift_field)
+    code, out, err = run_cli(["count", "--model", "hermitian", "--sqrt-q", "5",
+                              "--k", "9", "--no-cache"], capsys)
+    assert code == 2 and out == ""
+    assert "the 3814697265625-element field exceeds the 2^18 discrete-log table cap" in err
 
 
 def test_model_serialization_is_reproducible():

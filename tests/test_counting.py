@@ -156,8 +156,8 @@ def test_enum_cap():
 
 
 def test_table_cap_is_the_cap_that_fires():
-    # 81^3 is within the enumeration cap, but F_{3^12} is too large for
-    # discrete-log tables, and the error must say so
+    # F_{3^12} is too large for discrete-log tables, and the error must
+    # say so
     with pytest.raises(CapError, match=r"531441-element field exceeds the 2\^18 "
                                        r"discrete-log table cap"):
         count_projective_points(hermitian_canonical(9), 3)

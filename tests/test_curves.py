@@ -245,6 +245,16 @@ def test_geer_vlugt_curve():
         geer_vlugt_curve(3, 4, 3)  # r > m/2
 
 
+@pytest.mark.parametrize("p,m,r", [(2, 2, 1), (2, 4, 1), (2, 4, 2), (3, 2, 1),
+                                   (3, 4, 1), (3, 4, 2), (5, 2, 1)])
+def test_geer_vlugt_b_is_the_least_nonzero_root(p, m, r):
+    # reference: the least nonzero v with v^s + v = 0, by scanning the field
+    model = geer_vlugt_curve(p, m, r)
+    F, s = model.field, p ** (m // 2)
+    want = next(v for v in range(1, F.order) if F.add_i(F.pow_i(v, s), v) == 0)
+    assert F.neg_i(model.poly.terms[(s + 1, 0, 0)]) == want
+
+
 def test_artin_schreier_and_fermat_families():
     m = artin_schreier_quotient(5, 2)
     assert m.expected_genus == 4  # (s-1)^2/4

@@ -111,6 +111,44 @@ def test_poly_roots_simple_and_multiplicity():
     assert got == {(1, 2), (2, 1)}
 
 
+def _reference_roots(f):
+    # scan every element of the field and divide out each root found
+    F = f.field
+    out = []
+    for v in range(F.order):
+        lin = FPoly(F, [F.neg_i(v), 1])
+        mult, h = 0, f
+        while True:
+            quo, rem = h.divmod(lin)
+            if not rem.is_zero():
+                break
+            mult, h = mult + 1, quo
+        if mult:
+            out.append((v, mult))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6),
+                                 (3, 1), (3, 2), (3, 3), (3, 4),
+                                 (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])
+def test_poly_roots_matches_scan_reference(p, k):
+    # seeded random products of repeated linear factors and a random
+    # cofactor; the tiny characteristic-2 fields exercise the trace split
+    F = build_field(p, k)
+    rng = random.Random(1000 * p + k)
+    # X^|F| - X: every element is a simple root
+    polys = [FPoly(F, [0, F.neg_i(1)] + [0] * (F.order - 2) + [1])]
+    for _ in range(8):
+        f = FPoly(F, [rng.randrange(F.order) for _ in range(rng.randrange(5))] + [1])
+        for _ in range(rng.randrange(1, 5)):
+            lin = FPoly(F, [rng.randrange(F.order), 1])
+            for _ in range(rng.randrange(1, 4)):
+                f = f * lin
+        polys.append(f)
+    for f in polys:
+        assert [(r.value, m) for r, m in poly_roots(f)] == _reference_roots(f)
+
+
 def test_poly_roots_kummer_count():
     # X^(q-1) - mu over F_{q^3} has 0 or q-1 roots: q-1 when mu is a
     # (q-1)-th power, 0 otherwise
@@ -211,6 +249,16 @@ def test_element_operators():
     assert 2 * a == a + a
     with pytest.raises(ValueError):
         a + F5.elem(1)
+
+
+def test_element_never_equals_an_int():
+    # an int compares unequal, so == stays consistent with __hash__
+    assert F5.elem(3) != 3
+    assert F5.elem(3) != 8
+    assert F25.elem(7) != 7
+    assert F5.elem(3) == F5.elem(8)
+    assert hash(F5.elem(3)) == hash(F5.elem(8))
+    assert hash(F25.elem(17)) == hash(build_field(5, 2).elem(17))
 
 
 @settings(max_examples=300, deadline=None)

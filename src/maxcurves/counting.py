@@ -121,7 +121,7 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
     q = L.order
     tables = _np_tables(L)
     if chunks is None:
-        chunks = max(1, min(q, (q * q) // (1 << 20)))
+        chunks = max(1, min(q, (q * q) // (1 << 16)))
     bounds = [(q * i // chunks, q * (i + 1) // chunks) for i in range(chunks)]
 
     def run(b):

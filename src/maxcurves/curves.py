@@ -149,14 +149,26 @@ class HomPoly3:
         return HomPoly3(F, out)
 
     def _pow(self, e: int) -> HomPoly3:
-        result = HomPoly3(self.field, {(0, 0, 0): 1})
-        base = self
+        """self^e as the product over the base-p digits d_t of e of
+        (self^(p^t))^(d_t).  The p-th power is additive in characteristic
+        p, so self^(p^t) raises each coefficient and each monomial to the
+        p^t; for a linear form and e = sqrt_q + 1 that is two linear factors.
+        """
+        F = self.field
+        p = F.p
+        result = HomPoly3(F, {(0, 0, 0): 1})
+        t = 0
         while e:
-            if e & 1:
-                result = result._mul(base)
-            e >>= 1
-            if e:
-                base = base._mul(base)
+            e, digit = divmod(e, p)
+            if digit:
+                pt = p**t
+                frob = HomPoly3(F, {
+                    (i * pt, j * pt, k * pt): F.frob_i(c, t)
+                    for (i, j, k), c in self.terms.items()
+                })
+                for _ in range(digit):
+                    result = result._mul(frob)
+            t += 1
         return result
 
     def compose_linear(self, mat: ProjMatrix) -> HomPoly3:

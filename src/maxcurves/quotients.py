@@ -26,6 +26,8 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from ._intfactor import divisors, euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
 from .counting import count_projective_points
@@ -231,6 +233,32 @@ def lang_twist_order(n: ProjMatrix) -> tuple[int, int, int]:
     return d1, e, d1 * u
 
 
+def _digits(L: ExtField, x: int) -> tuple[int, ...]:
+    raw = L.unpack(x)
+    return raw + (0,) * (L.k - len(raw))
+
+
+def _theta_matrix(nl_inv: ProjMatrix, qfrob: int) -> np.ndarray:
+    """theta(v) = nl_inv v^(q) on L^3 as a 3k x 3k matrix over F_p.
+
+    v is the row vector vec(v_0) | vec(v_1) | vec(v_2) of length 3k, so
+    block (i, j) maps coordinate i to coordinate j: vec(v_i) @ Frob @
+    Mul(nl_inv[j][i]).  Each entry of v @ Theta, for v reduced mod p, sums
+    3k products of at most (p - 1)^2, so int32 holds it whenever
+    3k (p - 1)^2 < 2^31.
+    """
+    L = nl_inv.field
+    k, p = L.k, L.p
+    dtype = np.int32 if 3 * k * (p - 1) ** 2 < 1 << 31 else np.int64
+    frob = L.frob_matrix(qfrob)
+    theta = np.empty((3 * k, 3 * k), dtype=dtype)
+    for i in range(3):
+        for j in range(3):
+            theta[i * k:(i + 1) * k, j * k:(j + 1) * k] = (
+                frob @ L.mul_matrix(nl_inv.rows[j][i]) % p)
+    return theta
+
+
 def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> LangSolution:
     """Invertible A over L = F_{q^s} with A^(q) = (eN) A, residual-verified.
 
@@ -239,6 +267,8 @@ def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> L
     an A.  With theta(v) = (eN)^-1 v^(q), (eN)^s = I makes theta^s the
     identity, so the trace sum_{i<s} theta^i maps L^3 F_q-linearly onto V
     and a seeded uniform vector of L^3 traces to a uniform vector of V.
+    theta is F_p-linear, so the three columns of a draw are traced together
+    as rows of F_p-vectors multiplied by one matrix (_theta_matrix).
     Three such columns are independent with probability
     prod_{i=1..3} (1 - q^-i) >= 0.67; up to _LANG_TRIES seeded triples are
     drawn.  When s = 1, eN = I and A = I.  Raises CapError when s exceeds
@@ -256,19 +286,19 @@ def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> L
     if s == 1:
         a = identity_matrix(L)
     else:
-        nl_inv = nl.inverse()
+        theta = _theta_matrix(nl.inverse(), qfrob)
+        k, p = L.k, L.p
         rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
-
-        def trace(v):
-            acc = cur = v
-            for _ in range(s - 1):
-                cur = nl_inv.apply_i(tuple(L.frob_i(c, qfrob) for c in cur))
-                acc = tuple(map(L.add_i, acc, cur))
-            return acc
-
         for _ in range(_LANG_TRIES):
-            cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
-                    for _ in range(3)]
+            draws = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
+            cur = np.array([[c for x in v for c in _digits(L, x)] for v in draws],
+                           dtype=theta.dtype)
+            acc = cur
+            for _ in range(s - 1):
+                cur = cur @ theta % p
+                acc = acc + cur
+            cols = [[L.pack(row[i * k:(i + 1) * k]) for i in range(3)]
+                    for row in (acc % p).tolist()]
             a = ProjMatrix(L, list(zip(*cols)), check=False)
             if a.det().value:
                 break

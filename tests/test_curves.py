@@ -25,7 +25,13 @@ from maxcurves import (
     quotient_model_rational,
     quotient_plane_model,
 )
-from maxcurves.curves import cyclic_poly, envelope_affine_relation, fermat_poly, identity_matrix
+from maxcurves.curves import (
+    HomPoly3,
+    cyclic_poly,
+    envelope_affine_relation,
+    fermat_poly,
+    identity_matrix,
+)
 
 
 def test_hermitian_models_structure():
@@ -310,3 +316,52 @@ def test_point_count_invariance_under_coordinates():
         except ValueError:
             continue
         assert count_projective_points(apply_coord_change(model, mat)).total == base
+
+
+def _square_and_multiply_compose(poly, mat):
+    # reference: P(M x) with every power of a row form by square-and-multiply
+    F = poly.field
+    one = HomPoly3(F, {(0, 0, 0): 1})
+    forms = [HomPoly3(F, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]})
+             for r in mat.rows]
+
+    def power(form, e):
+        result, base = one, form
+        while e:
+            if e & 1:
+                result = result._mul(base)
+            e >>= 1
+            if e:
+                base = base._mul(base)
+        return result
+
+    total = HomPoly3(F, {})
+    for mon, c in poly.terms.items():
+        term = HomPoly3(F, {(0, 0, 0): c})
+        for axis, e in enumerate(mon):
+            term = term._mul(power(forms[axis], e))
+        total = total._add(term)
+    return total
+
+
+@pytest.mark.parametrize("p,k,degree", [(2, 2, 13), (2, 4, 11), (2, 24, 7),
+                                        (3, 2, 16), (3, 3, 14), (5, 2, 31), (5, 3, 37)])
+def test_compose_linear_matches_square_and_multiply(p, k, degree):
+    # the base-p digit powers of compose_linear against plain
+    # square-and-multiply; the degrees and their parts have several nonzero
+    # base-p digits
+    F = build_field(p, k, cap=None)
+    rng = random.Random(p * 1000 + k * 10 + degree)
+    for _ in range(3):
+        terms = {}
+        for _ in range(4):
+            i = rng.randrange(degree + 1)
+            j = rng.randrange(degree + 1 - i)
+            terms[(i, j, degree - i - j)] = rng.randrange(1, F.order)
+        poly = HomPoly3(F, terms)
+        while True:
+            rows = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
+            if ProjMatrix(F, rows, check=False).det().value:
+                break
+        mat = ProjMatrix(F, rows)
+        assert poly.compose_linear(mat) == _square_and_multiply_compose(poly, mat)

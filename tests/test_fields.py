@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +207,30 @@ def test_frobenius_power():
         assert (x + y).frobenius() == x.frobenius() + y.frobenius()
     a = frame_parameter(5)
     assert frobenius_power(a, 3) == a
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (2, 24), (2, 30), (3, 4), (3, 24), (5, 3), (5, 24)])
+def test_mul_and_frob_matrix_act_on_row_vectors(p, k):
+    # vec(x) @ M over F_p against the scalar products; k >= 24 is where
+    # frob_i itself switches to frob_matrix, so pow_i is the reference
+    F = build_field(p, k, cap=None)
+    rng = random.Random(p * 100 + k)
+
+    def vec(x):
+        raw = F.unpack(x)
+        return np.array(raw + (0,) * (k - len(raw)), dtype=np.int64)
+
+    xs = [rng.randrange(F.order) for _ in range(6)] + [0, 1]
+    for m in [rng.randrange(F.order) for _ in range(4)] + [0, 1]:
+        mat = F.mul_matrix(m)
+        assert mat.shape == (k, k)
+        for x in xs:
+            assert F.pack(vec(x) @ mat % p) == F.mul_i(m, x)
+    for e in (1, 2, k - 1, k + 3):
+        mat = F.frob_matrix(e)
+        for x in xs:
+            want = F.pow_i(x, p ** (e % k))
+            assert F.pack(vec(x) @ mat % p) == want == F.frob_i(x, e)
 
 
 def test_embedding_homomorphism_bulk():

@@ -127,6 +127,50 @@ def test_lang_solve_every_twist(sq, d):
         assert lang_solve(u, seed=j).matrix == sol.matrix
 
 
+def _scalar_trace_lang_matrix(u, seed):
+    # reference: lang_solve's draws traced one column at a time in L, each
+    # step v -> (eN)^-1 v^(q) by ProjMatrix.apply_i and frob_i
+    Fq = u.field
+    _, e, s = quotients.lang_twist_order(u)
+    L = build_field(Fq.p, Fq.k * s, cap=None)
+    nl = u.scale(e).map_entries(embed(Fq, L))
+    if s == 1:
+        return identity_matrix(L)
+    nl_inv = nl.inverse()
+    rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
+
+    def trace(v):
+        acc = cur = v
+        for _ in range(s - 1):
+            cur = nl_inv.apply_i(tuple(L.frob_i(c, Fq.k) for c in cur))
+            acc = tuple(map(L.add_i, acc, cur))
+        return acc
+
+    for _ in range(quotients._LANG_TRIES):
+        cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
+                for _ in range(3)]
+        a = ProjMatrix(L, list(zip(*cols)), check=False)
+        if a.det().value:
+            return a
+    raise AssertionError("reference trace found no invertible draw")
+
+
+@pytest.mark.parametrize("sq,d,j_end,conjugate", [
+    (2, 3, 3, False), (3, 7, 7, False), (4, 13, 13, False), (5, 7, 7, False),
+    (5, 21, 21, False), (8, 19, 3, False), (3, 7, 7, True), (5, 7, 7, True)])
+def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
+    # twists j = 1 .. j_end - 1, every one but at (8, 19); the action
+    # matrices are symmetric, so conjugating by a non-symmetric rational P
+    # is what shows a transposed block of the trace matrix
+    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    P = ProjMatrix(g.field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    for j in range(1, j_end):
+        u = g.matrix.pow(j)
+        if conjugate:
+            u = P.inverse() @ u @ P
+        assert lang_solve(u, seed=j).matrix == _scalar_trace_lang_matrix(u, j)
+
+
 def test_lang_solve_reports_exhausted_draws(monkeypatch):
     monkeypatch.setattr(quotients, "_LANG_TRIES", 0)
     g7 = subgroup_action(hermitian_cyclic_action(3), 7)

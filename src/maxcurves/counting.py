@@ -64,6 +64,9 @@ class MaximalityVerdict:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
+_SWEEP_BLOCK = 1 << 16    # points per numpy pass of the plane sweep
+
+
 def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
     base = model.field
     if base.order**k > TABLE_CAP:
@@ -116,16 +119,21 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
                  chunks: int | None = None) -> list[tuple[int, int, int]]:
     """All normalized projective zeros of poly over L, in sweep order.
 
-    L is within TABLE_CAP (_lift_poly checks it), so its tables build.
+    L is within TABLE_CAP (_lift_poly checks it), so its tables build.  Each
+    chunk is swept in y-blocks of at most _SWEEP_BLOCK points (one y-row
+    when a row is longer), which bounds the numpy temporaries whatever
+    `chunks` is.
     """
     q = L.order
     tables = _np_tables(L)
     if chunks is None:
-        chunks = max(1, min(q, (q * q) // (1 << 16)))
+        chunks = max(1, min(q, (q * q) // _SWEEP_BLOCK))
     bounds = [(q * i // chunks, q * (i + 1) // chunks) for i in range(chunks)]
+    rows = max(1, _SWEEP_BLOCK // q)   # y-values per numpy pass
 
     def run(b):
-        return _bulk_affine_zeros(poly, L, tables, b[0], b[1])
+        return [_bulk_affine_zeros(poly, L, tables, y, min(y + rows, b[1]))
+                for y in range(b[0], b[1], rows)]
 
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -133,8 +141,9 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
     else:
         parts = [run(b) for b in bounds]
     pts = []
-    for ys, zs in parts:
-        pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
+    for part in parts:
+        for ys, zs in part:
+            pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
     for z in range(q):
         if poly.eval_i(0, 1, z) == 0:
             pts.append((0, 1, z))

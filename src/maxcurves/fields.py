@@ -7,10 +7,14 @@ over F_p packed into a single integer in base p; the packed value also gives
 the canonical "lexicographically least" ordering used whenever a
 deterministic choice of root or generator is needed.
 
-Embeddings between fields of the same characteristic are computed by finding
-the least root of the source modulus in the target field.  Root finding
-isolates the distinct roots by a gcd with X^|F| - X and separates them by
-seeded equal-degree splitting (Cantor-Zassenhaus), in every field.
+Moduli are found by testing candidates in that order with Rabin's test, the
+powers X^(p^j) taken as row vectors times the Berlekamp Q-matrix over F_p.
+Embeddings between fields of the same characteristic are F_p-linear: the image
+of F_{p^a} is the kernel of Frob^a - 1 on the target, found by elimination mod
+p, and the source generator maps to the least root of the source modulus in
+that kernel.  Root finding (poly_roots) isolates the distinct roots by a gcd
+with X^|F| - X and separates them by seeded equal-degree splitting
+(Cantor-Zassenhaus), in every field.
 
 Fields with at most TABLE_CAP elements can build discrete-log tables on
 demand; the bulk enumeration code relies on them.  All arithmetic is exact.
@@ -18,6 +22,7 @@ demand; the bulk enumeration code relies on them.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -39,15 +44,6 @@ def _vtrim(v: list[int]) -> tuple[int, ...]:
     while n and v[n - 1] == 0:
         n -= 1
     return tuple(v[:n])
-
-
-def _vadd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _vtrim(out)
 
 
 def _vsub(a, b, p):
@@ -128,31 +124,34 @@ def _vgcd(a, b, p):
     return a
 
 
-def _vpowmod(base, e, mod, p):
-    result = (1,)
-    base = _vdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _vdivmod(_vmul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _vdivmod(_vmul(base, base, p), mod, p)[1]
-    return result
-
-
 def _is_irreducible(f, p):
-    """Distinct-degree sieve: f has no factor of degree <= deg(f)/2."""
+    """Rabin's test for a monic f of degree k >= 2 with f(0) != 0.
+
+    f is irreducible iff X^(p^k) = X mod f and gcd(X^(p^(k/r)) - X, f) = 1
+    for every prime r | k.  The distinct-degree steps with p^j < k come
+    first: there X^(p^j) needs no reduction, and they reject most candidates.
+    The powers X^(p^j) are then iterated as row vectors times the Q-matrix.
+    """
     k = len(f) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    h = (0, 1)
-    for _ in range(k // 2):
-        h = _vpowmod(h, p, f, p)
-        if _vgcd(_vsub(h, (0, 1), p), f, p) != (1,):
+    x = (0, 1)
+    pj = p
+    while pj < k:
+        if _vgcd(_vsub((0,) * pj + (1,), x, p), f, p) != (1,):
             return False
-    return True
+        pj *= p
+    qmat = _power_rows(f, p, _vdivmod((0,) * p + (1,), f, p)[1])  # the Q-matrix
+    h = np.zeros(k, dtype=np.int64)
+    h[1] = 1
+    powers = [h]
+    for _ in range(k):
+        h = h @ qmat % p
+        powers.append(h)
+    if not np.array_equal(powers[k], powers[0]):
+        return False
+    return all(
+        _vgcd(_vsub(_vtrim(powers[k // r].tolist()), x, p), f, p) == (1,)
+        for r in factorize(k)
+    )
 
 
 def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -170,6 +169,77 @@ def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
         if _is_irreducible(f, p):
             return f
     raise ConsistencyError(f"no irreducible of degree {k} over F_{p}")
+
+
+# ---------------------------------------------------------------------------
+# F_p-linear algebra on numpy integer arrays reduced mod p
+# ---------------------------------------------------------------------------
+
+def _mul_rows(modulus, p, m) -> np.ndarray:
+    """k x k matrix over F_p whose row j is vec(X^j m mod modulus)."""
+    k = len(modulus) - 1
+    low = np.array(modulus[:-1], dtype=np.int64)
+    rows = np.zeros((k, k), dtype=np.int64)
+    cur = np.zeros(k, dtype=np.int64)
+    cur[:len(m)] = m
+    for j in range(k):
+        rows[j] = cur
+        lead = cur[-1]
+        cur = np.concatenate(([0], cur[:-1]))
+        if lead:
+            cur = (cur - lead * low) % p
+    return rows
+
+
+def _power_rows(modulus, p, omega) -> np.ndarray:
+    """k x k matrix over F_p whose row i is vec(omega^i mod modulus).
+
+    For omega = X^(p^e) it maps vec(x) to vec(x^(p^e)), because the p-power
+    map fixes the F_p coefficients: frob_matrix(e) of a field.  At e = 1
+    this is the Berlekamp Q-matrix, which Rabin's test iterates.
+    """
+    k = len(modulus) - 1
+    step = _mul_rows(modulus, p, omega)
+    rows = np.zeros((k, k), dtype=np.int64)
+    cur = np.zeros(k, dtype=np.int64)
+    cur[0] = 1
+    for i in range(k):
+        rows[i] = cur
+        cur = cur @ step % p
+    return rows
+
+
+def _rref(mat: np.ndarray, p: int):
+    """Row-reduce mat over F_p.
+
+    Returns (t, pivots): t is invertible, t @ mat mod p is in reduced row
+    echelon form with its leading 1s in the columns `pivots`, and the rows
+    of t past len(pivots) span the left kernel of mat.
+    """
+    n, m = mat.shape
+    # entries stay in [0, p) and an update subtracts at most (p - 1)^2, so
+    # int16 holds the work for p <= 182, at a quarter of the memory
+    dtype = np.int16 if (p - 1) ** 2 < 1 << 15 else np.int64
+    aug = np.zeros((n, m + n), dtype=dtype)
+    aug[:, :m] = mat % p
+    aug[:, m:] = np.eye(n, dtype=dtype)
+    pivots: list[int] = []
+    for c in range(m):
+        r = len(pivots)
+        if r == n:
+            break
+        nz = np.flatnonzero(aug[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        aug[[r, i]] = aug[[i, r]]
+        aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
+        col = aug[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        aug[hit] = (aug[hit] - np.outer(col[hit], aug[r])) % p
+        pivots.append(c)
+    return aug[:, m:], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +283,11 @@ class ExtField:
     def pack(self, vec) -> int:
         pw = self._ppows
         return sum(int(c) * pw[i] for i, c in enumerate(vec) if c)
+
+    def digits(self, v: int) -> tuple[int, ...]:
+        """The k coefficients of a packed element, low degree first."""
+        raw = self.unpack(v)
+        return raw + (0,) * (self.k - len(raw))
 
     # -- integer-domain arithmetic -------------------------------------------
 
@@ -296,11 +371,8 @@ class ExtField:
         if e == 0 or a == 0:
             return a
         if self.k >= 24 and self._log is None:
-            mat = self.frob_matrix(e)
-            vec = np.zeros(self.k, dtype=np.int64)
-            raw = self.unpack(a)
-            vec[: len(raw)] = raw
-            return self.pack((vec @ mat) % self.p)
+            vec = np.array(self.digits(a), dtype=np.int64)
+            return self.pack(vec @ self.frob_matrix(e) % self.p)
         for _ in range(e):
             a = self.pow_i(a, self.p)
         return a
@@ -310,33 +382,14 @@ class ExtField:
         e %= self.k
         mat = self._frob_mats.get(e)
         if mat is None:
-            omega = self.pow_i(self.pack([0, 1]) if self.k > 1 else 1, self.p**e)
-            rows = []
-            cur = 1
-            for _ in range(self.k):
-                raw = self.unpack(cur)
-                rows.append(list(raw) + [0] * (self.k - len(raw)))
-                cur = self.mul_i(cur, omega)
-            mat = np.array(rows, dtype=np.int64)
+            omega = self.pow_i(self.p if self.k > 1 else 1, self.p**e)  # X^(p^e)
+            mat = _power_rows(self.modulus, self.p, self.digits(omega))
             self._frob_mats[e] = mat
         return mat
 
     def mul_matrix(self, m: int) -> np.ndarray:
         """k x k matrix over F_p with vec(x) @ M = vec(m * x)."""
-        p = self.p
-        tail = self._tail
-        k = self.k
-        row = list(self.unpack(m)) + [0] * (k - len(self.unpack(m)))
-        rows = [row]
-        for _ in range(k - 1):
-            prev = rows[-1]
-            nxt = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                for e2, c in tail:
-                    nxt[e2] = (nxt[e2] - lead * c) % p
-            rows.append([x % p for x in nxt])
-        return np.array(rows, dtype=np.int64)
+        return _mul_rows(self.modulus, self.p, self.unpack(m))
 
     # -- element constructors -------------------------------------------------
 
@@ -450,8 +503,7 @@ class FieldElement:
         self.value = value
 
     def coeffs(self) -> tuple[int, ...]:
-        vec = self.field.unpack(self.value)
-        return vec + (0,) * (self.field.k - len(vec))
+        return self.field.digits(self.value)
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
@@ -820,9 +872,12 @@ def poly_roots(f, field: ExtField | None = None) -> list[tuple[FieldElement, int
 class Embedding:
     """The canonical embedding F_{p^a} -> F_{p^b} for a | b.
 
-    Determined by mapping the source generator class X to the least root of
-    the source modulus in the target field; a ring homomorphism preserving
-    multiplicative orders.
+    The image of F_{p^a} is Fix(Frob^a), the left kernel of
+    frob_matrix(a) - I over F_p.  The source generator class X maps to the
+    least (packed) root of the source modulus among the p^a elements of that
+    kernel.  The map is then F_p-linear: vec(v) @ E, row i of E the vector
+    of gen_image^i, and preimage applies a left inverse of E with an exact
+    check.  A ring homomorphism preserving multiplicative orders.
     """
 
     def __init__(self, source: ExtField, target: ExtField):
@@ -833,28 +888,36 @@ class Embedding:
         if source is target:
             self.gen_image = target.elem(source.p if source.k > 1 else 0)
             return
-        mod_poly = FPoly(target, [c % source.p for c in source.modulus])
-        roots = poly_roots(mod_poly)
-        if not roots:
-            raise ConsistencyError("source modulus has no root in target field")
-        self.gen_image = roots[0][0]
-        self._images: dict[int, int] = {}
-        self._preimages: dict[int, int] = {}
+        p, a, k = target.p, source.k, target.k
+        t, pivots = _rref(target.frob_matrix(a) - np.eye(k, dtype=np.int64), p)
+        kernel = t[len(pivots):]
+        if len(kernel) != a:
+            raise ConsistencyError(
+                f"Frob^{a} fixes a subspace of dimension {len(kernel)} in {target!r}, "
+                f"expected {a}")
+        coords = np.array(list(itertools.product(range(p), repeat=a)), dtype=np.int64)
+        mod_poly = FPoly._raw(target, list(source.modulus))
+        roots = sorted(
+            r for r in map(target.pack, (coords @ kernel % p).tolist())
+            if mod_poly.eval_i(r) == 0)
+        if len(roots) != a:
+            raise ConsistencyError(
+                f"source modulus has {len(roots)} roots in Fix(Frob^{a}), expected {a}")
+        self.gen_image = FieldElement(target, roots[0])
+        rows, g = [], 1
+        for _ in range(a):
+            rows.append(target.digits(g))
+            g = target.mul_i(g, roots[0])
+        self._matrix = np.array(rows, dtype=np.int64)
+        t, pivots = _rref(self._matrix, p)
+        self._left_inverse = np.zeros((k, a), dtype=np.int64)
+        self._left_inverse[pivots] = t
 
     def apply_i(self, v: int) -> int:
         if self.source is self.target:
             return v
-        got = self._images.get(v)
-        if got is not None:
-            return got
-        T = self.target
-        g = self.gen_image.value
-        acc = 0
-        for c in reversed(self.source.unpack(v)):
-            acc = T.add_i(T.mul_i(acc, g), c)
-        self._images[v] = acc
-        self._preimages[acc] = v
-        return acc
+        vec = np.array(self.source.digits(v), dtype=np.int64)
+        return self.target.pack(vec @ self._matrix % self.target.p)
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.source:
@@ -867,13 +930,12 @@ class Embedding:
             raise ValueError("element not in the target field")
         if self.source is self.target:
             return y
-        got = self._preimages.get(y.value)
-        if got is None:
-            for v in range(self.source.order):
-                if self.apply_i(v) == y.value:
-                    return FieldElement(self.source, v)
+        p = self.target.p
+        vec = np.array(y.coeffs(), dtype=np.int64)
+        x = vec @ self._left_inverse % p
+        if not np.array_equal(x @ self._matrix % p, vec):
             raise ValueError("element is not in the embedded subfield")
-        return FieldElement(self.source, got)
+        return FieldElement(self.source, self.source.pack(x))
 
     def in_image(self, y: FieldElement) -> bool:
         # subfield criterion: y^(p^a) = y

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._intfactor import divisors, euler_phi, factorize, is_prime, split_prime_power
+from ._intfactor import euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
 from .counting import count_projective_points
 from .curves import (
@@ -233,11 +233,6 @@ def lang_twist_order(n: ProjMatrix) -> tuple[int, int, int]:
     return d1, e, d1 * u
 
 
-def _digits(L: ExtField, x: int) -> tuple[int, ...]:
-    raw = L.unpack(x)
-    return raw + (0,) * (L.k - len(raw))
-
-
 def _theta_matrix(nl_inv: ProjMatrix, qfrob: int) -> np.ndarray:
     """theta(v) = nl_inv v^(q) on L^3 as a 3k x 3k matrix over F_p.
 
@@ -291,7 +286,7 @@ def lang_solve(n: ProjMatrix, *, s_max: int = DEFAULT_S_MAX, seed: int = 0) -> L
         rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
         for _ in range(_LANG_TRIES):
             draws = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
-            cur = np.array([[c for x in v for c in _digits(L, x)] for v in draws],
+            cur = np.array([[c for x in v for c in L.digits(x)] for v in draws],
                            dtype=theta.dtype)
             acc = cur
             for _ in range(s - 1):
@@ -615,9 +610,3 @@ def _affine_solutions(cols, rhs, p):
             assign[pc] = s % p
         sols.append(assign)
     return sols
-
-
-def census_divisors(sqrt_q: int) -> list[int]:
-    """All positive divisors of q - sqrt_q + 1."""
-    q = sqrt_q * sqrt_q
-    return divisors(q - sqrt_q + 1)

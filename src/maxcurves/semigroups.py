@@ -157,19 +157,6 @@ def linear_series_dim(sqrt_q: int, d: int) -> int:
     )
 
 
-def hermitian_nongap_rows(sqrt_q: int, rows: int = 7) -> set[int]:
-    """The classical interval presentation of the branch semigroup:
-    union of [j*s - (j - 1), j*s] for j = 1..rows, as a set.
-
-    For rows = 7 this is the displayed list of positive non-gaps <= 7s.
-    """
-    s = sqrt_q
-    out = set()
-    for j in range(1, rows + 1):
-        out.update(range(j * s - (j - 1), j * s + 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed genus formulas for <ell, m, m+1>
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from maxcurves import counting
 from maxcurves import (
     CapError,
     artin_schreier_quotient,
@@ -148,6 +149,29 @@ def test_partition_and_worker_determinism():
     totals = {count_projective_points(model, 2, chunks=c).total for c in (1, 4, 9, 25)}
     assert totals == {126}
     assert count_projective_points(model, 2, workers=3).total == 126
+
+
+@pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
+def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
+    # y-blocks of one row and of several rows give the same zeros in the
+    # same order as one pass over a single chunk
+    poly, L = counting._lift_poly(hermitian_fermat(5), k)
+    monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
+    want = counting._sweep_zeros(poly, L, chunks=1)
+    assert len(want) == 126
+    monkeypatch.setattr(counting, "_SWEEP_BLOCK", block)
+    sweep_pass = counting._bulk_affine_zeros
+    sizes = []
+
+    def recorded(poly, L, tables, y_lo, y_hi):
+        sizes.append((y_hi - y_lo) * L.order)
+        return sweep_pass(poly, L, tables, y_lo, y_hi)
+
+    monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
+    for chunks in (1, 3, None):
+        assert counting._sweep_zeros(poly, L, chunks=chunks) == want
+    assert sum(sizes) == 3 * L.order ** 2
+    assert max(sizes) <= max(block, L.order)
 
 
 def test_enum_cap():

@@ -18,7 +18,14 @@ from maxcurves import (
     poly_roots,
 )
 from maxcurves.curves import frame_matrix
-from maxcurves.fields import _lex_least_irreducible
+from maxcurves.fields import (
+    _is_irreducible,
+    _lex_least_irreducible,
+    _vdivmod,
+    _vgcd,
+    _vmul,
+    _vsub,
+)
 
 
 F5 = build_field(5, 1)
@@ -231,6 +238,89 @@ def test_mul_and_frob_matrix_act_on_row_vectors(p, k):
         for x in xs:
             want = F.pow_i(x, p ** (e % k))
             assert F.pack(vec(x) @ mat % p) == want == F.frob_i(x, e)
+
+
+# every (p, a, b) with F_{p^a} -> F_{p^b} an embedding the census reaches
+# at sqrt_q <= 8: F_q into the Lang lift fields, F_q into F_{q^3}, and the
+# frame field F_{sqrt_q^3} into F_{q^3}
+CENSUS_EMBEDDINGS = [
+    (2, 2, 18), (2, 4, 52), (2, 6, 114), (2, 6, 162),
+    (3, 2, 14), (5, 2, 14), (5, 2, 18), (5, 2, 126),
+    (2, 2, 6), (3, 2, 6), (5, 2, 6), (2, 6, 18),
+    (2, 3, 6), (3, 3, 6), (5, 3, 6), (2, 9, 18),
+]
+
+
+def _reference_is_irreducible(f, p):
+    # distinct-degree sieve: f has no factor of degree <= deg(f)/2; each
+    # step raises h to the p-th power mod f by square-and-multiply
+    k = len(f) - 1
+    h = (0, 1)
+    for _ in range(k // 2):
+        base, h, e = h, (1,), p
+        while e:
+            if e & 1:
+                h = _vdivmod(_vmul(h, base, p), f, p)[1]
+            e >>= 1
+            base = _vdivmod(_vmul(base, base, p), f, p)[1]
+        if _vgcd(_vsub(h, (0, 1), p), f, p) != (1,):
+            return False
+    return True
+
+
+def _reference_lex_least(p, k):
+    if k == 1:
+        return (0, 1)
+    for tail in range(1, p**k):
+        if tail % p:
+            f = tuple(tail // p**i % p for i in range(k)) + (1,)
+            if _reference_is_irreducible(f, p):
+                return f
+
+
+@pytest.mark.parametrize("p,k", sorted({(p, k) for p, a, b in CENSUS_EMBEDDINGS
+                                        for k in (a, b)}))
+def test_modulus_matches_distinct_degree_sieve(p, k):
+    assert build_field(p, k, cap=None).modulus == _reference_lex_least(p, k)
+
+
+@pytest.mark.parametrize("p,kmax", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_rabin_test_matches_distinct_degree_sieve(p, kmax):
+    # every monic candidate with nonzero constant term, degrees 2..kmax
+    for k in range(2, kmax + 1):
+        for tail in range(1, p**k):
+            if tail % p:
+                f = tuple(tail // p**i % p for i in range(k)) + (1,)
+                assert _is_irreducible(f, p) == _reference_is_irreducible(f, p), f
+
+
+@pytest.mark.parametrize("p,a,b", CENSUS_EMBEDDINGS)
+def test_gen_image_is_the_least_root(p, a, b):
+    # the least root of the source modulus, as root finding in the target
+    # field gives it
+    src, tgt = build_field(p, a), build_field(p, b, cap=None)
+    roots = poly_roots(FPoly(tgt, list(src.modulus)))
+    assert len(roots) == a
+    assert embed(src, tgt).gen_image == roots[0][0]
+
+
+@pytest.mark.parametrize("p,a,b", [(5, 2, 126), (2, 6, 114), (2, 9, 18)])
+def test_embedding_roundtrip_and_rejection(p, a, b):
+    src, tgt = build_field(p, a), build_field(p, b, cap=None)
+    phi = embed(src, tgt)
+    images = set()
+    for v in range(src.order):
+        y = phi(src.elem(v))
+        assert phi.in_image(y)
+        assert phi.preimage(y).value == v
+        images.add(y.value)
+    assert len(images) == src.order
+    rng = random.Random(p * 1000 + b)
+    outside = [tgt.elem(p)] + [tgt.random_element(rng) for _ in range(20)]
+    for y in outside:
+        if not phi.in_image(y):
+            with pytest.raises(ValueError):
+                phi.preimage(y)
 
 
 def test_embedding_homomorphism_bulk():

@@ -22,10 +22,10 @@ from maxcurves import (
     twisted_fixed_count,
 )
 from maxcurves import quotients
+from maxcurves._intfactor import divisors
 from maxcurves.curves import ProjMatrix
 from maxcurves.quotients import (
     _normalize_point,
-    census_divisors,
     identity_matrix,
 )
 
@@ -326,7 +326,7 @@ def test_action_matrix_commutes_with_frobenius():
 @pytest.mark.parametrize("sq", [3, 5, 7, 8, 9, 11])
 def test_hurwitz_ledger_all_divisors(sq):
     n = sq * sq - sq + 1
-    for d in census_divisors(sq):
+    for d in divisors(sq * sq - sq + 1):
         chk = hurwitz_check(sq, d)
         assert chk.identity_holds
         assert chk.bottom_genus == (n // d - 1) // 2
@@ -335,7 +335,7 @@ def test_hurwitz_ledger_all_divisors(sq):
 
 def test_census_genus_monotone_under_divisibility():
     for sq in (3, 5, 8, 11):
-        ds = census_divisors(sq)
+        ds = divisors(sq * sq - sq + 1)
         for d1 in ds:
             for d2 in ds:
                 if d2 % d1 == 0:
@@ -350,7 +350,7 @@ def test_divisor_reports():
     assert r7["checks"]["prime_1_mod_6"] and not r7["violations"]
     assert not divisor_report(5, 5)["admissible"]
     for sq in (3, 5, 8, 11):
-        for d in census_divisors(sq):
+        for d in divisors(sq * sq - sq + 1):
             assert divisor_report(sq, d)["violations"] == []
 
 

@@ -23,7 +23,17 @@ from maxcurves import (
     stohr_voloch_degrees,
 )
 from maxcurves._intfactor import divisors
-from maxcurves.semigroups import hermitian_nongap_rows
+
+
+def hermitian_nongap_rows(sqrt_q: int, rows: int = 7) -> set[int]:
+    # the classical interval presentation of the branch semigroup: the
+    # union of [j*s - (j - 1), j*s] for j = 1..rows; for rows = 7 this is
+    # the displayed list of positive non-gaps <= 7s
+    s = sqrt_q
+    out = set()
+    for j in range(1, rows + 1):
+        out.update(range(j * s - (j - 1), j * s + 1))
+    return out
 
 
 def test_sieve_examples():

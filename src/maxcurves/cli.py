@@ -75,7 +75,11 @@ class RunConfig:
             key = key.strip().replace("-", "_")
             value = value.strip()
             if key in ("lang_s_max", "workers"):
-                setattr(cfg, key, int(value))
+                number = int(value)
+                if number < 1:
+                    raise ValueError(f"{path}:{lineno}: {key} must be a "
+                                     f"positive integer, got {value}")
+                setattr(cfg, key, number)
             elif key == "cache_dir":
                 cfg.cache_dir = value
             elif key == "format":
@@ -344,9 +348,19 @@ def _common_flags(default=None) -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "table"))
     common.add_argument("--cache-dir", help="results cache directory")
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--workers", type=int)
-    common.add_argument("--lang-s-max", type=int)
+    common.add_argument("--workers", type=_positive_int)
+    common.add_argument("--lang-s-max", type=_positive_int)
     return common
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,9 +442,9 @@ def main(argv=None) -> int:
         return 2
     if args.fmt:
         cfg.fmt = args.fmt
-    if args.workers:
+    if args.workers is not None:
         cfg.workers = args.workers
-    if args.lang_s_max:
+    if args.lang_s_max is not None:
         cfg.lang_s_max = args.lang_s_max
     if args.cache_dir:
         cfg.cache_dir = args.cache_dir

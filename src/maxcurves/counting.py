@@ -1,10 +1,13 @@
 """Exhaustive projective point enumeration and Hasse-Weil verdicts.
 
 Points are swept in normalized-representative order ((1:y:z), then (0:1:z),
-then (0:0:1)) by a vectorized numpy sweep over the field's discrete-log
-tables, so the swept field must be within TABLE_CAP; larger fields raise
-CapError.  Each vanishing point is classified smooth or singular via the
-three partials.
+then (0:0:1)) by a vectorized numpy sweep in the discrete-log domain, so the
+swept field must be within TABLE_CAP; larger fields raise CapError.  On the
+chart x = 1 the form is sum_e C_e(y) z^e: each y-block folds the monomials
+into the logs of its row coefficients C_e(y), and each point then costs one
+log-add per distinct z-exponent e, through the Zech logarithm
+Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  Each vanishing point
+is classified smooth or singular via the three partials.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -67,13 +70,19 @@ class MaximalityVerdict:
 _SWEEP_BLOCK = 1 << 16    # points per numpy pass of the plane sweep
 
 
-def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
-    base = model.field
-    if base.order**k > TABLE_CAP:
+def check_table_cap(order: int) -> None:
+    """Raise CapError unless a field of `order` elements is within TABLE_CAP,
+    the size up to which its discrete-log tables are built."""
+    if order > TABLE_CAP:
         raise CapError(
-            f"the {base.order**k}-element field exceeds the "
+            f"the {order}-element field exceeds the "
             f"2^{TABLE_CAP.bit_length() - 1} discrete-log table cap"
         )
+
+
+def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
+    base = model.field
+    check_table_cap(base.order**k)
     if k == 1:
         return model.poly, base
     L = build_field(base.p, base.k * k, cap=None)
@@ -81,38 +90,67 @@ def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
 
 
 def _np_tables(L: ExtField):
-    exp = np.asarray(L.exp_table, dtype=np.int64)
-    log = np.asarray(L.log_table, dtype=np.int64)
-    unp = np.zeros((L.order, L.k), dtype=np.int32)
-    vals = np.arange(L.order, dtype=np.int64)
-    for i in range(L.k):
-        unp[:, i] = vals % L.p
-        vals //= L.p
-    return exp, log, unp
+    """(log, zech) of L as int32 arrays, with -1 standing for the zero element.
+
+    log[v] is the discrete log of the packed value v.  zech[m] = log(1 + g^m),
+    the Zech logarithm: adding 1 to a packed value steps its lowest base-p
+    digit mod p, and 1 + g^m = 0 exactly when g^m = -1 (m = 0 for p = 2,
+    m = n/2 for odd p).
+    """
+    p, n = L.p, L.group_order
+    log = np.asarray(L.log_table, dtype=np.int32)
+    exp = np.empty(n, dtype=np.int32)
+    exp[log[1:]] = np.arange(1, L.order, dtype=np.int32)
+    one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+    return log, log[one_plus]
+
+
+def _log_add(a, b, zech, n):
+    """Elementwise log(g^a + g^b) of logs in [0, n), with -1 for zero."""
+    d = b - a
+    d += n * (d < 0)          # b - a mod n, or n when a = -1 (overwritten)
+    r = zech.take(d, mode="clip")
+    s = r + a
+    s -= n * (s >= n)
+    np.copyto(s, -1, where=r < 0)
+    np.copyto(s, b, where=a < 0)
+    np.copyto(s, a, where=b < 0)
+    return s
 
 
 def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, y_lo: int, y_hi: int):
-    """Packed (y, z) pairs with poly(1, y, z) = 0, y in [y_lo, y_hi)."""
-    exp, log, unp = tables
-    n = L.group_order
+    """Packed (y, z) pairs with poly(1, y, z) = 0, y in [y_lo, y_hi).
+
+    poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
+    C_e(y) are folded from the monomials; each point then costs one log-add
+    per distinct z-exponent e.
+    """
+    log, zech = tables
+    n = np.int32(L.group_order)   # an int32 n keeps n * mask in int32
     q = L.order
-    ys = np.repeat(np.arange(y_lo, y_hi, dtype=np.int64), q)
-    zs = np.tile(np.arange(q, dtype=np.int64), y_hi - y_lo)
-    acc = np.zeros((ys.size, L.k), dtype=np.int64)
-    logy = log[ys]
-    logz = log[zs]
-    for (i, j, kk), c in poly.terms.items():
-        tl = log[c] + j * logy + kk * logz
-        mask = np.ones(ys.size, dtype=bool)
+    ys = np.arange(y_lo, y_hi)
+    logy = log[y_lo:y_hi].astype(np.int64)
+    coeff: dict[int, np.ndarray] = {}
+    for (_, j, e), c in poly.terms.items():
         if j:
-            mask &= ys != 0
-        if kk:
-            mask &= zs != 0
-        vals = np.where(mask, exp[tl % n], 0)
-        acc += unp[vals]
-    zero = np.all(acc % L.p == 0, axis=1)
-    idx = np.nonzero(zero)[0]
-    return ys[idx], zs[idx]
+            t = np.where(logy < 0, -1, (log[c] + j * logy) % n).astype(np.int32)
+        else:
+            t = np.full(ys.size, log[c], dtype=np.int32)
+        coeff[e] = _log_add(coeff[e], t, zech, n) if e in coeff else t
+    logz = log[:q].astype(np.int64)
+    acc = None
+    for e in sorted(coeff):
+        ce = coeff[e]
+        if e == 0:
+            term = np.broadcast_to(ce[:, None], (ys.size, q))
+        else:
+            term = ce[:, None] + (e * logz % n).astype(np.int32)
+            term -= n * (term >= n)
+            term[:, 0] = -1           # z = 0
+            term[ce < 0] = -1         # C_e(y) = 0
+        acc = term if acc is None else _log_add(acc, term, zech, n)
+    idx = np.flatnonzero(acc < 0)
+    return ys[idx // q], idx % q
 
 
 def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,

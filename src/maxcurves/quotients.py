@@ -30,7 +30,7 @@ import numpy as np
 
 from ._intfactor import euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
-from .counting import count_projective_points
+from .counting import check_table_cap, count_projective_points
 from .curves import (
     CurveModel,
     HomPoly3,
@@ -490,8 +490,7 @@ class FiberReport:
     ok: bool
 
 
-def fiber_statistics(sqrt_q: int, d: int, k: int = 3, *,
-                     cap: int = 1 << 26) -> FiberReport:
+def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
     """Orbit-size histogram of the order-d diagonal action on the smooth
     cyclic model over F_{q^k}.
 
@@ -499,6 +498,8 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3, *,
     stabilizes P^2(F_{q^k}) when the field contains the d-th roots of
     unity, so k must be a multiple of 3 (the triangle field).  Asserts that
     the three fundamental points are the only orbits of size below d.
+    F_{q^k} must be within TABLE_CAP, so that its multiplies take the
+    discrete-log tables; a larger field raises CapError before it is built.
     """
     q = sqrt_q * sqrt_q
     n = q - sqrt_q + 1
@@ -507,8 +508,7 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3, *,
     if k % 3:
         raise ValueError("the diagonal action needs the triangle field: 3 | k")
     p, h = split_prime_power(sqrt_q)
-    if q**k > cap:
-        raise CapError(f"q^{k} exceeds the enumeration cap")
+    check_table_cap(q**k)
     F = build_field(p, 2 * h * k, cap=None)
     F.ensure_tables()
     lam = find_root_of_unity(F, d).value if d > 1 else 1

@@ -255,6 +255,30 @@ def test_global_flags_either_side_of_the_subcommand(before):
     assert (plain.no_cache, plain.cache_dir, plain.fmt) == (False, None, None)
 
 
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
+                                        ("--lang-s-max", "0"), ("--workers", "two")])
+@pytest.mark.parametrize("before", [True, False])
+def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
+    sub = ["field", "--p", "5", "--k", "1", "--no-cache"]
+    argv = [flag, value] + sub if before else sub + [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("key", ["workers", "lang_s_max"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(["field", "--p", "5", "--k", "1", "--no-cache",
+                              "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"{key} must be a positive integer, got {value}" in err
+
+
 def test_cache_dir_before_the_subcommand_is_used(tmp_path, capsys):
     code, out, _ = run_cli(
         ["--cache-dir", str(tmp_path), "--format", "csv",

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from maxcurves import counting
+from maxcurves import cli, counting
 from maxcurves import (
     CapError,
     artin_schreier_quotient,
@@ -17,6 +18,7 @@ from maxcurves import (
     quotient_model_rational,
     singular_points,
 )
+from maxcurves.fields import build_field
 
 
 HERMITIAN_COUNTS = {2: 9, 3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
@@ -172,6 +174,97 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
         assert counting._sweep_zeros(poly, L, chunks=chunks) == want
     assert sum(sizes) == 3 * L.order ** 2
     assert max(sizes) <= max(block, L.order)
+
+
+def _digit_reference_zeros(poly, L, y_lo, y_hi):
+    # the sweep kernel before Zech logarithms: every monomial gathers the
+    # base-p digit vector of its value at each point into an (N, k) sum
+    exp = np.asarray(L.exp_table, dtype=np.int64)
+    log = np.asarray(L.log_table, dtype=np.int64)
+    unp = np.zeros((L.order, L.k), dtype=np.int32)
+    vals = np.arange(L.order, dtype=np.int64)
+    for i in range(L.k):
+        unp[:, i] = vals % L.p
+        vals //= L.p
+    n, q = L.group_order, L.order
+    ys = np.repeat(np.arange(y_lo, y_hi, dtype=np.int64), q)
+    zs = np.tile(np.arange(q, dtype=np.int64), y_hi - y_lo)
+    acc = np.zeros((ys.size, L.k), dtype=np.int64)
+    logy = log[ys]
+    logz = log[zs]
+    for (i, j, kk), c in poly.terms.items():
+        tl = log[c] + j * logy + kk * logz
+        mask = np.ones(ys.size, dtype=bool)
+        if j:
+            mask &= ys != 0
+        if kk:
+            mask &= zs != 0
+        vals = np.where(mask, exp[tl % n], 0)
+        acc += unp[vals]
+    idx = np.nonzero(np.all(acc % L.p == 0, axis=1))[0]
+    return ys[idx], zs[idx]
+
+
+def _sweep_cases():
+    # every model tag at sqrt_q <= 5 (the t-tags at one nontrivial t each),
+    # the geer-vlugt triples of the curve tests, k = 1, 2 up to 625 elements
+    models = []
+    for tag, (build, flags) in cli.MODELS.items():
+        if flags == ("sqrt_q",):
+            args = [(s,) for s in (2, 3, 4, 5)]
+        elif flags == ("sqrt_q", "t"):
+            args = [(2, 3), (3, 2), (4, 5), (5, 1), (5, 2)]
+        else:
+            args = [(2, 2, 1), (2, 4, 1), (2, 4, 2), (3, 2, 1), (3, 4, 1),
+                    (3, 4, 2), (5, 2, 1)]
+        for a in args:
+            try:
+                models.append((tag, a, build(*a)))
+            except ValueError:     # envelope, quotient and chain constraints
+                pass
+    return [pytest.param(m, k, id=f"{tag}-{'-'.join(map(str, a))}-k{k}")
+            for tag, a, m in models for k in (1, 2) if m.field.order**k <= 625]
+
+
+@pytest.mark.parametrize("model,k", _sweep_cases())
+def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
+    poly, L = counting._lift_poly(model, k)
+    q = L.order
+    want_y, want_z = _digit_reference_zeros(poly, L, 0, q)
+    got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), 0, q)
+    assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
+    # two-row y-blocks, three chunks, two threads: same zeros, same order
+    monkeypatch.setattr(counting, "_SWEEP_BLOCK", 2 * q)
+    zeros = counting._sweep_zeros(poly, L, workers=2, chunks=3)
+    affine = [pt for pt in zeros if pt[0] == 1]
+    assert affine == [(1, int(y), int(z)) for y, z in zip(want_y, want_z)]
+
+
+ZECH_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 1 << 12]
+
+
+@pytest.mark.parametrize("p,k", ZECH_FIELDS)
+def test_zech_table_closed_form(p, k):
+    L = build_field(p, k)
+    log, zech = counting._np_tables(L)
+    exp, n = L.exp_table, L.group_order
+    assert zech.shape == (n,)
+    for m in range(n):
+        one_plus = L.add_i(1, exp[m])
+        if zech[m] < 0:
+            assert one_plus == 0
+        else:
+            assert exp[zech[m]] == one_plus
+    assert [m for m in range(n) if zech[m] < 0] == [0 if p == 2 else n // 2]
+    assert all(log[exp[m]] == m for m in range(n)) and log[0] == -1
+
+
+def test_quotient_rational_sq8_over_f4096():
+    # the degree-3 quotient at sqrt_q = 8 over F_{64^2}: 2926 plane points,
+    # 19 of them rational nodes with two rational branches each
+    rep = count_projective_points(quotient_model_rational(8), 2)
+    assert (rep.total, rep.singular, rep.rational_branches) == (2926, 19, 38)
+    assert rep.resolved_total == extension_count_prediction(64, 9, 2) == 2945
 
 
 def test_enum_cap():

@@ -371,3 +371,17 @@ def test_fiber_statistics_guards():
         fiber_statistics(5, 3, k=1)
     with pytest.raises(ValueError):
         fiber_statistics(5, 4)
+
+
+def test_fiber_statistics_table_cap(monkeypatch):
+    # F_{81^3} = F_{3^12} has 531441 elements, past the 2^18 table cap; the
+    # cap fires before the field is built
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(quotients, "build_field", no_field)
+    with pytest.raises(CapError, match=r"the 531441-element field exceeds the "
+                                       r"2\^18 discrete-log table cap"):
+        fiber_statistics(9, 1)
+    with pytest.raises(TypeError):
+        fiber_statistics(5, 3, cap=1 << 30)

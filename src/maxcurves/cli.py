@@ -51,12 +51,14 @@ from .semigroups import (
 from .verification import run_battery
 
 
+FORMATS = ("json", "csv", "table")
+
+
 @dataclass
 class RunConfig:
     """Runtime knobs; file values are overridden by command-line flags."""
 
     lang_s_max: int = 128
-    workers: int = 1
     cache_dir: str | None = None
     fmt: str = "json"
 
@@ -74,15 +76,18 @@ class RunConfig:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in ("lang_s_max", "workers"):
+            if key == "lang_s_max":
                 number = int(value)
                 if number < 1:
                     raise ValueError(f"{path}:{lineno}: {key} must be a "
                                      f"positive integer, got {value}")
-                setattr(cfg, key, number)
+                cfg.lang_s_max = number
             elif key == "cache_dir":
                 cfg.cache_dir = value
             elif key == "format":
+                if value not in FORMATS:
+                    raise ValueError(f"{path}:{lineno}: format must be one of "
+                                     f"{', '.join(FORMATS)}, got {value!r}")
                 cfg.fmt = value
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -204,7 +209,7 @@ def _cached_count(model, k, cfg, cache):
     got = cache.get(payload)
     if got is not None:
         return got
-    report = count_projective_points(model, k, workers=cfg.workers).to_dict()
+    report = count_projective_points(model, k).to_dict()
     cache.put(payload, report)
     return report
 
@@ -303,10 +308,10 @@ def cmd_semigroup(args, cfg, cache):
 
 def cmd_dim_d(args, cfg, cache):
     sq, d = args.sqrt_q, args.d
+    dim = linear_series_dim(sq, d)    # rejects a non-divisor before range() steps by d
     sg = hermitian_point_semigroup(sq)
     qualifying = [h for h in range(d, d * sq + 1, d) if h in sg]
-    payload = {"sqrt_q": sq, "d": d, "dim": linear_series_dim(sq, d),
-               "qualifying": qualifying}
+    payload = {"sqrt_q": sq, "d": d, "dim": dim, "qualifying": qualifying}
     return payload, True
 
 
@@ -318,7 +323,7 @@ def cmd_sv(args, cfg, cache):
 
 
 def cmd_verify_paper(args, cfg, cache):
-    results = run_battery(args.only or None, s_max=cfg.lang_s_max)
+    results = run_battery(args.only or None)
     for res in results:
         print(res.line(), file=sys.stderr)
     payload = [
@@ -345,10 +350,9 @@ def _add_model_args(sp):
 def _common_flags(default=None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=default)
     common.add_argument("--config", help="key=value configuration file")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv", "table"))
+    common.add_argument("--format", dest="fmt", choices=FORMATS)
     common.add_argument("--cache-dir", help="results cache directory")
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--workers", type=_positive_int)
     common.add_argument("--lang-s-max", type=_positive_int)
     return common
 
@@ -442,8 +446,6 @@ def main(argv=None) -> int:
         return 2
     if args.fmt:
         cfg.fmt = args.fmt
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.lang_s_max is not None:
         cfg.lang_s_max = args.lang_s_max
     if args.cache_dir:

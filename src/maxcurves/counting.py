@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -153,35 +152,21 @@ def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, y_lo: int, y_hi: int
     return ys[idx // q], idx % q
 
 
-def _sweep_zeros(poly: HomPoly3, L: ExtField, *, workers: int = 1,
-                 chunks: int | None = None) -> list[tuple[int, int, int]]:
+def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
     """All normalized projective zeros of poly over L, in sweep order.
 
-    L is within TABLE_CAP (_lift_poly checks it), so its tables build.  Each
-    chunk is swept in y-blocks of at most _SWEEP_BLOCK points (one y-row
-    when a row is longer), which bounds the numpy temporaries whatever
-    `chunks` is.
+    L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
+    affine chart is swept in order of y, in blocks of at most _SWEEP_BLOCK
+    points (one y-row when a row is longer), which bounds the numpy
+    temporaries; then the line at infinity is walked.
     """
     q = L.order
     tables = _np_tables(L)
-    if chunks is None:
-        chunks = max(1, min(q, (q * q) // _SWEEP_BLOCK))
-    bounds = [(q * i // chunks, q * (i + 1) // chunks) for i in range(chunks)]
     rows = max(1, _SWEEP_BLOCK // q)   # y-values per numpy pass
-
-    def run(b):
-        return [_bulk_affine_zeros(poly, L, tables, y, min(y + rows, b[1]))
-                for y in range(b[0], b[1], rows)]
-
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, bounds))
-    else:
-        parts = [run(b) for b in bounds]
     pts = []
-    for part in parts:
-        for ys, zs in part:
-            pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
+    for y_lo in range(0, q, rows):
+        ys, zs = _bulk_affine_zeros(poly, L, tables, y_lo, min(y_lo + rows, q))
+        pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
     for z in range(q):
         if poly.eval_i(0, 1, z) == 0:
             pts.append((0, 1, z))
@@ -250,9 +235,7 @@ def _translation(F: ExtField, pt) -> ProjMatrix:
 # public operations
 # ---------------------------------------------------------------------------
 
-def count_projective_points(model: CurveModel, k: int = 1, *,
-                            workers: int = 1,
-                            chunks: int | None = None) -> CountReport:
+def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     """Exact census of model points over the degree-k extension of its field.
 
     total/singular/smooth describe the plane model; resolved_total counts
@@ -261,7 +244,7 @@ def count_projective_points(model: CurveModel, k: int = 1, *,
     """
     base = model.field
     poly, L = _lift_poly(model, k)
-    zeros = _sweep_zeros(poly, L, workers=workers, chunks=chunks)
+    zeros = _sweep_zeros(poly, L)
     parts = [poly.partial(i) for i in range(3)]
     sing_pts = [
         pt for pt in zeros

@@ -370,12 +370,10 @@ class ExtField:
         e %= self.k
         if e == 0 or a == 0:
             return a
-        if self.k >= 24 and self._log is None:
-            vec = np.array(self.digits(a), dtype=np.int64)
-            return self.pack(vec @ self.frob_matrix(e) % self.p)
-        for _ in range(e):
-            a = self.pow_i(a, self.p)
-        return a
+        if self._log is not None:
+            return self.pow_i(a, self._ppows[e])
+        vec = np.array(self.digits(a), dtype=np.int64)
+        return self.pack(vec @ self.frob_matrix(e) % self.p)
 
     def frob_matrix(self, e: int) -> np.ndarray:
         """k x k matrix over F_p with vec(x) @ M = vec(x^(p^e))."""

@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from . import counting
 from ._intfactor import divisors
 from .counting import (
     count_projective_points,
@@ -46,13 +47,6 @@ from .semigroups import (
 
 
 @dataclass
-class BatteryContext:
-    """Knobs the battery honours; lift-order caps turn checks into skips."""
-
-    s_max: int = 128
-
-
-@dataclass
 class CheckResult:
     name: str
     passed: bool
@@ -65,18 +59,18 @@ class CheckResult:
         return f"{status}  {self.name}  [{self.seconds:.2f}s]  {self.detail}"
 
 
-def _run(name, fn, ctx: BatteryContext) -> CheckResult:
+def _run(name, fn) -> CheckResult:
     t0 = time.time()
     try:
-        passed, detail = fn(ctx)
-    except CapError as exc:  # a configured cap blocks the check: skip, not fail
+        passed, detail = fn()
+    except CapError as exc:  # a cap blocks the check: skip, not fail
         return CheckResult(name, False, f"skipped: {exc}", time.time() - t0, skipped=True)
     except Exception as exc:  # a crash is a failure with the reason recorded
         return CheckResult(name, False, f"exception: {exc!r}", time.time() - t0)
     return CheckResult(name, bool(passed), detail, time.time() - t0)
 
 
-def check_hermitian_counts(ctx) -> tuple[bool, str]:
+def check_hermitian_counts() -> tuple[bool, str]:
     expected = {3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
     times = {}
     for sq, want in expected.items():
@@ -91,7 +85,7 @@ def check_hermitian_counts(ctx) -> tuple[bool, str]:
     return True, f"counts {list(expected.values())} all exact, each under 1 s"
 
 
-def check_quotient_pipeline_5(ctx) -> tuple[bool, str]:
+def check_quotient_pipeline_5() -> tuple[bool, str]:
     model = quotient_model_rational(5)  # constructor verifies F_q-rationality
     if model.field.order != 25:
         return False, "model not over F_25"
@@ -104,7 +98,7 @@ def check_quotient_pipeline_5(ctx) -> tuple[bool, str]:
     return ok and verdict.verdict == "maximal", detail
 
 
-def check_quotient_pipeline_8(ctx) -> tuple[bool, str]:
+def check_quotient_pipeline_8() -> tuple[bool, str]:
     model = quotient_model_rational(8)
     r = count_projective_points(model)
     verdict = maximality_check(r, 9)
@@ -112,11 +106,11 @@ def check_quotient_pipeline_8(ctx) -> tuple[bool, str]:
     return ok, f"F_64: plane {r.total} -> {r.resolved_total} (want 209), verdict {verdict.verdict}"
 
 
-def check_burnside_5(ctx) -> tuple[bool, str]:
+def check_burnside_5() -> tuple[bool, str]:
     direct = count_projective_points(quotient_model_rational(5)).resolved_total
     results = {}
     for d, want in ((3, 56), (7, 36), (21, 26)):
-        rep = burnside_quotient_count(5, d, s_max=ctx.s_max)
+        rep = burnside_quotient_count(5, d)
         off = set(rep.n_js[1:])
         if rep.count != want or off != {21}:
             return False, f"d={d}: count {rep.count} (want {want}), off-diagonal {sorted(off)}"
@@ -126,7 +120,7 @@ def check_burnside_5(ctx) -> tuple[bool, str]:
     return True, f"counts {results}, every off-diagonal twist = 21, d=3 matches direct"
 
 
-def check_hurwitz_ledger(ctx) -> tuple[bool, str]:
+def check_hurwitz_ledger() -> tuple[bool, str]:
     rows = 0
     for sq in (3, 5, 8, 11):
         n = sq * sq - sq + 1
@@ -138,7 +132,7 @@ def check_hurwitz_ledger(ctx) -> tuple[bool, str]:
     return True, f"{rows} divisor rows match ((n/d)-1)/2"
 
 
-def check_semigroup_oracle(ctx) -> tuple[bool, str]:
+def check_semigroup_oracle() -> tuple[bool, str]:
     exact = bound = 0
     for m in range(4, 41):
         for ell in range((m + 1) // 2, m):
@@ -155,7 +149,7 @@ def check_semigroup_oracle(ctx) -> tuple[bool, str]:
     return True, f"{exact} exact cases equal, {bound} bounds dominate the sieve"
 
 
-def check_quotient_semigroup_genus(ctx) -> tuple[bool, str]:
+def check_quotient_semigroup_genus() -> tuple[bool, str]:
     rows = 0
     for sq in (3, 5, 8, 11):
         n = sq * sq - sq + 1
@@ -168,7 +162,7 @@ def check_quotient_semigroup_genus(ctx) -> tuple[bool, str]:
     return True, f"{rows} quotient semigroups hit the covering genus"
 
 
-def check_dimension_formulas(ctx) -> tuple[bool, str]:
+def check_dimension_formulas() -> tuple[bool, str]:
     checks = [
         (linear_series_dim(5, 3), 3),
         (linear_series_dim(5, 7), 5),
@@ -185,7 +179,7 @@ def check_dimension_formulas(ctx) -> tuple[bool, str]:
     return True, "dims (3, 5, 4) and first non-gaps ((2s-1)/3, s) all exact"
 
 
-def check_sv_arithmetic(ctx) -> tuple[bool, str]:
+def check_sv_arithmetic() -> tuple[bool, str]:
     rep = stohr_voloch_degrees(
         10, 6, 2, OrderSequence("D", (0, 1, 5)), OrderSequence("frobenius", (0, 5)), 25
     )
@@ -199,7 +193,7 @@ def check_sv_arithmetic(ctx) -> tuple[bool, str]:
     return True, f"deg(S)/r = {rep.bound} meets the count with equality; eps2 constraint exact"
 
 
-def check_families(ctx) -> tuple[bool, str]:
+def check_families() -> tuple[bool, str]:
     gv = count_projective_points(geer_vlugt_curve(3, 4, 1))
     if gv.total != 244 or genus_from_count(gv.total, 81) != 9:
         return False, f"fibre-product family: {gv.total} points"
@@ -209,7 +203,7 @@ def check_families(ctx) -> tuple[bool, str]:
     return True, "244 points (genus 9) and 66 points (genus 4), both exact"
 
 
-def check_structural_identities(ctx) -> tuple[bool, str]:
+def check_structural_identities() -> tuple[bool, str]:
     if not branch_expansion_check(5, 120):
         return False, "branch series sq=5"
     if not branch_expansion_check(7, 200):
@@ -226,7 +220,7 @@ def check_structural_identities(ctx) -> tuple[bool, str]:
     return True, "branch series, cube factorization and frame identity all exact"
 
 
-def check_property_suites(ctx) -> tuple[bool, str]:
+def check_property_suites() -> tuple[bool, str]:
     rng = random.Random(20260808)
     for (p, k) in ((5, 2), (5, 3), (2, 6)):
         F = build_field(p, k)
@@ -264,13 +258,19 @@ def check_property_suites(ctx) -> tuple[bool, str]:
             )
             if count_projective_points(moved, k if k == 1 else 1).total != base:
                 return False, f"count changed under coordinates, k={k}"
-    # enumeration partition determinism
-    ferm = hermitian_fermat(5)
-    totals = {
-        count_projective_points(ferm, 2, chunks=c).total for c in (1, 7, 30)
-    }
-    if len(totals) != 1:
-        return False, f"partitioned sweeps disagree: {totals}"
+    # partition determinism: the affine chart swept in y-blocks of 1, 7 and
+    # 30 rows gives the sweep's zeros in the sweep's order
+    poly, L = counting._lift_poly(hermitian_fermat(5), 2)
+    want = [pt[1:] for pt in counting._sweep_zeros(poly, L) if pt[0] == 1]
+    tables = counting._np_tables(L)
+    for rows in (1, 7, 30):
+        got = []
+        for y in range(0, L.order, rows):
+            ys, zs = counting._bulk_affine_zeros(poly, L, tables, y,
+                                                 min(y + rows, L.order))
+            got.extend(zip(ys.tolist(), zs.tolist()))
+        if got != want:
+            return False, f"the sweep in {rows}-row y-blocks disagrees"
     return True, "field axioms, embeddings, coordinate invariance, partitions all hold"
 
 
@@ -297,12 +297,10 @@ CRITERIA = (
 )
 
 
-def run_battery(names: list[str] | None = None,
-                s_max: int = 128) -> list[CheckResult]:
-    ctx = BatteryContext(s_max=s_max)
+def run_battery(names: list[str] | None = None) -> list[CheckResult]:
     out = []
     for name, fn in CRITERIA:
         if names and name not in names:
             continue
-        out.append(_run(name, fn, ctx))
+        out.append(_run(name, fn))
     return out

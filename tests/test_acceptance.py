@@ -8,12 +8,12 @@ the CLI as `maxcurves verify-paper`.
 
 import pytest
 
-from maxcurves.verification import CRITERIA, BatteryContext, _run, check_hermitian_counts
+from maxcurves.verification import CRITERIA, _run, check_hermitian_counts
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
 def test_acceptance_criterion(name, fn):
-    result = _run(name, fn, BatteryContext())
+    result = _run(name, fn)
     print(result.line())
     if result.skipped:
         pytest.skip(result.detail)
@@ -22,7 +22,6 @@ def test_acceptance_criterion(name, fn):
 
 def test_hermitian_counts_detail_is_reproducible():
     # the detail carries no wall time, so identical runs print identical text
-    ctx = BatteryContext()
-    first, second = check_hermitian_counts(ctx), check_hermitian_counts(ctx)
+    first, second = check_hermitian_counts(), check_hermitian_counts()
     assert first == second
     assert first[0]

@@ -100,6 +100,14 @@ def test_dim_d_command(capsys):
     assert payload["qualifying"] == [14, 21, 28, 35]
 
 
+@pytest.mark.parametrize("d", [0, 2])
+def test_dim_d_rejects_a_non_divisor(d, capsys):
+    code, out, err = run_cli(["dim-d", "--sqrt-q", "5", "--d", str(d), "--no-cache"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert f"error: {d} does not divide q - sqrt_q + 1" in err
+
+
 def test_sv_command(capsys):
     code, out, _ = run_cli(
         ["sv", "--g", "10", "--degd", "6", "--r", "2", "--eps", "0,1,5",
@@ -255,8 +263,8 @@ def test_global_flags_either_side_of_the_subcommand(before):
     assert (plain.no_cache, plain.cache_dir, plain.fmt) == (False, None, None)
 
 
-@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-3"),
-                                        ("--lang-s-max", "0"), ("--workers", "two")])
+@pytest.mark.parametrize("flag,value", [("--lang-s-max", "0"), ("--lang-s-max", "-3"),
+                                        ("--lang-s-max", "two")])
 @pytest.mark.parametrize("before", [True, False])
 def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
     sub = ["field", "--p", "5", "--k", "1", "--no-cache"]
@@ -268,7 +276,7 @@ def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
     assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("key", ["workers", "lang_s_max"])
+@pytest.mark.parametrize("key", ["lang_s_max"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -277,6 +285,54 @@ def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
                               "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert f"{key} must be a positive integer, got {value}" in err
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_workers_flag_is_unrecognized(before, capsys):
+    # the plane sweep has one serial path; there is no --workers flag.  The
+    # one-token form stays one unknown argument before the subcommand too,
+    # where a separate value would be read as the subcommand's name.
+    sub = ["field", "--p", "5", "--k", "1", "--no-cache"]
+    argv = ["--workers=2"] + sub if before else sub + ["--workers=2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers=2" in capsys.readouterr().err
+
+
+def test_workers_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    code, out, err = run_cli(["field", "--p", "5", "--k", "1", "--no-cache",
+                              "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "unknown key 'workers'" in err
+
+
+@pytest.mark.parametrize("value", ["xml", "JSON", ""])
+def test_config_format_must_be_known(value, tmp_path, monkeypatch, capsys):
+    # rejected while the file is read, before any count runs
+    def no_count(*args, **kwargs):
+        raise AssertionError("the count ran")
+
+    monkeypatch.setattr("maxcurves.cli.count_projective_points", no_count)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = {value}\n")
+    code, out, err = run_cli(["count", "--model", "hermitian", "--sqrt-q", "3",
+                              "--no-cache", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"format must be one of json, csv, table, got {value!r}" in err
+
+
+def test_battery_runs_at_fixed_caps(capsys):
+    # --lang-s-max caps quotient and census; the battery ignores it, so
+    # criterion 4 (largest lift order 63) passes instead of skipping
+    code, out, err = run_cli(["verify-paper", "--only", "4-burnside-machine-sq5",
+                              "--lang-s-max", "1", "--no-cache"], capsys)
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["passed"] and not row["skipped"]
+    assert err.startswith("PASS  4-burnside-machine-sq5")
 
 
 def test_cache_dir_before_the_subcommand_is_used(tmp_path, capsys):

@@ -146,20 +146,13 @@ def test_extension_prediction_formula():
     assert extension_count_prediction(25, 10, 3) == 25**3 + 1 + 2 * 10 * 125
 
 
-def test_partition_and_worker_determinism():
-    model = hermitian_fermat(5)
-    totals = {count_projective_points(model, 2, chunks=c).total for c in (1, 4, 9, 25)}
-    assert totals == {126}
-    assert count_projective_points(model, 2, workers=3).total == 126
-
-
 @pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
 def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     # y-blocks of one row and of several rows give the same zeros in the
-    # same order as one pass over a single chunk
+    # same order as one pass over the whole affine chart
     poly, L = counting._lift_poly(hermitian_fermat(5), k)
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
-    want = counting._sweep_zeros(poly, L, chunks=1)
+    want = counting._sweep_zeros(poly, L)
     assert len(want) == 126
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", block)
     sweep_pass = counting._bulk_affine_zeros
@@ -170,9 +163,8 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
         return sweep_pass(poly, L, tables, y_lo, y_hi)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
-    for chunks in (1, 3, None):
-        assert counting._sweep_zeros(poly, L, chunks=chunks) == want
-    assert sum(sizes) == 3 * L.order ** 2
+    assert counting._sweep_zeros(poly, L) == want
+    assert sum(sizes) == L.order ** 2
     assert max(sizes) <= max(block, L.order)
 
 
@@ -233,9 +225,9 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     want_y, want_z = _digit_reference_zeros(poly, L, 0, q)
     got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), 0, q)
     assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
-    # two-row y-blocks, three chunks, two threads: same zeros, same order
+    # two-row y-blocks: same zeros, same order
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 2 * q)
-    zeros = counting._sweep_zeros(poly, L, workers=2, chunks=3)
+    zeros = counting._sweep_zeros(poly, L)
     affine = [pt for pt in zeros if pt[0] == 1]
     assert affine == [(1, int(y), int(z)) for y, z in zip(want_y, want_z)]
 

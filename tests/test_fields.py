@@ -18,6 +18,7 @@ from maxcurves import (
     poly_roots,
 )
 from maxcurves.curves import frame_matrix
+from maxcurves.fields import ExtField
 from maxcurves.fields import (
     _is_irreducible,
     _lex_least_irreducible,
@@ -216,10 +217,32 @@ def test_frobenius_power():
     assert frobenius_power(a, 3) == a
 
 
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "no-tables"])
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 6), (5, 1), (5, 6), (7, 3)])
+def test_frob_i_matches_repeated_p_powers(p, k, tables):
+    # with tables frob_i is one table lookup, without them one F_p matrix
+    # product; the reference raises to the p-th power e times.  A fresh
+    # ExtField has no tables whatever the shared field cache holds.
+    if tables:
+        F = build_field(p, k)
+        assert F.ensure_tables()
+    else:
+        F = ExtField(p, k, build_field(p, k).modulus)
+    rng = random.Random(p * 1000 + k)
+    xs = [rng.randrange(F.order) for _ in range(20)] + [0, 1, F.order - 1]
+    for e in range(k):
+        for x in xs:
+            want = x
+            for _ in range(e):
+                want = F.pow_i(want, p)
+            assert F.frob_i(x, e) == want
+    assert (F._log is not None) == tables
+
+
 @pytest.mark.parametrize("p,k", [(2, 5), (2, 24), (2, 30), (3, 4), (3, 24), (5, 3), (5, 24)])
 def test_mul_and_frob_matrix_act_on_row_vectors(p, k):
-    # vec(x) @ M over F_p against the scalar products; k >= 24 is where
-    # frob_i itself switches to frob_matrix, so pow_i is the reference
+    # vec(x) @ M over F_p against the scalar products; a field without
+    # tables runs frob_i through frob_matrix, so pow_i is the reference
     F = build_field(p, k, cap=None)
     rng = random.Random(p * 100 + k)
 

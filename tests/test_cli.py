@@ -276,15 +276,20 @@ def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
     assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("key", ["lang_s_max"])
+@pytest.mark.parametrize("key", ["lang_s_max", "workers"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
+    # workers is no longer a knob: the file is refused for the unknown key
+    # before its value is looked at.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     code, out, err = run_cli(["field", "--p", "5", "--k", "1", "--no-cache",
                               "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
-    assert f"{key} must be a positive integer, got {value}" in err
+    if key == "workers":
+        assert "unknown key 'workers'" in err
+    else:
+        assert f"{key} must be a positive integer, got {value}" in err
 
 
 @pytest.mark.parametrize("before", [True, False])

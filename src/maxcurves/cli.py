@@ -77,11 +77,11 @@ class RunConfig:
             key = key.strip().replace("-", "_")
             value = value.strip()
             if key == "lang_s_max":
-                number = int(value)
-                if number < 1:
+                try:
+                    cfg.lang_s_max = _positive_int(value)
+                except argparse.ArgumentTypeError:
                     raise ValueError(f"{path}:{lineno}: {key} must be a "
-                                     f"positive integer, got {value}")
-                cfg.lang_s_max = number
+                                     f"positive integer, got {value}") from None
             elif key == "cache_dir":
                 cfg.cache_dir = value
             elif key == "format":

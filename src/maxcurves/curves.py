@@ -64,10 +64,6 @@ class HomPoly3:
             acc = F.add_i(acc, t)
         return acc
 
-    def eval_point(self, pt) -> FieldElement:
-        x, y, z = (c.value if isinstance(c, FieldElement) else c for c in pt)
-        return FieldElement(self.field, self.eval_i(x, y, z))
-
     # -- calculus and symmetry --------------------------------------------------
 
     def partial(self, axis: int) -> HomPoly3:

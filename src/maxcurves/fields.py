@@ -249,8 +249,9 @@ def _rref(mat: np.ndarray, p: int):
 class ExtField:
     """The finite field F_{p^k}, elements packed as integers in [0, p^k).
 
-    Immutable after construction; safe to share across threads.  Use
-    :func:`build_field`, which caches one instance per (p, k).
+    The discrete-log tables and Frobenius matrices are built on first use and
+    cached on the instance.  Use :func:`build_field`, which caches one
+    instance per (p, k).
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -618,7 +619,7 @@ def mult_order(x: FieldElement) -> int:
 
 
 def frobenius_power(x: FieldElement, e: int) -> FieldElement:
-    """x^(p^e) by repeated p-power maps."""
+    """x^(p^e): one table lookup, or one F_p matrix product without tables."""
     return x.frobenius(e)
 
 

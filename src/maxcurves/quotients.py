@@ -30,7 +30,7 @@ import numpy as np
 
 from ._intfactor import euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
-from .counting import check_table_cap, count_projective_points
+from .counting import _np_tables, check_table_cap, count_projective_points
 from .curves import (
     CurveModel,
     HomPoly3,
@@ -546,67 +546,22 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
 
 def _cyclic_model_points(sqrt_q: int, F: ExtField) -> list[tuple[int, int, int]]:
     """All F-points of x^s + y + x y^s = 0 (chart X2 = 1) plus the two
-    points on the line at infinity, via the F_p-linear structure in y."""
-    p = F.p
-    kdim = F.k
-    # y -> x*y^s + y is F_p-linear; solve it on the coefficient basis per x
-    basis = [F.pack([1 if j == i else 0 for j in range(kdim)]) for i in range(kdim)]
-    basis_s = [F.pow_i(b, sqrt_q) for b in basis]
-    pts = [(0, 1, 0), (1, 0, 0)]
-    unpack = F.unpack
-    for x in range(F.order):
-        xs = F.pow_i(x, sqrt_q)
-        rhs = F.neg_i(xs)
-        cols = []
-        for i in range(kdim):
-            img = F.add_i(F.mul_i(x, basis_s[i]), basis[i])
-            v = unpack(img)
-            cols.append(list(v) + [0] * (kdim - len(v)))
-        rv = unpack(rhs)
-        rhs_vec = list(rv) + [0] * (kdim - len(rv))
-        for sol in _affine_solutions(cols, rhs_vec, p):
-            y = F.pack(sol)
-            pts.append(_normalize_point(F, (x, y, 1)))
+    points on the line at infinity, normalized; F must contain F_{q^3}.
+
+    On the torus x = g^u, y = g^v, put t = u + (s-1) v (a bijection).  The
+    equation reads g^v (1 + g^t) = -g^(su), i.e. m v = h + s t - Z(t)
+    (mod n) with m = s^2 - s + 1, h = log(-1) and Z the Zech logarithm;
+    m divides n (F contains F_{q^3}), so each t with m | h + s t - Z(t)
+    gives m solutions v.
+    """
+    s, n = sqrt_q, F.group_order
+    m = s * s - s + 1
+    z = _np_tables(F)[1].astype(np.int64)
+    r = ((0 if F.p == 2 else n // 2) + s * np.arange(n) - z) % n
+    t = np.flatnonzero((z >= 0) & (r % m == 0))
+    v = (r[t] // m)[:, None] + (n // m) * np.arange(m)
+    u = (t[:, None] - (s - 1) * v) % n
+    exp = F.exp_table
+    pts = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]     # x = 0 forces y = 0
+    pts.extend((1, exp[a], exp[b]) for a, b in zip(((v - u) % n).flat, (-u % n).flat))
     return pts
-
-
-def _affine_solutions(cols, rhs, p):
-    """All solutions y (coefficient vectors) of sum_i y_i cols[i] = rhs over F_p."""
-    k = len(cols)
-    # build augmented matrix rows: k equations (coordinates) x k unknowns
-    a = [[cols[j][i] % p for j in range(k)] + [rhs[i] % p] for i in range(k)]
-    piv_cols = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, k) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for r in range(k):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == k:
-            break
-    for r in range(row, k):
-        if a[r][k]:
-            return []
-    free = [c for c in range(k) if c not in piv_cols]
-    sols = []
-    for combo in range(p ** len(free)):
-        assign = [0] * k
-        t = combo
-        for fc in free:
-            assign[fc] = t % p
-            t //= p
-        for r, pc in enumerate(piv_cols):
-            s = a[r][k]
-            for fc in free:
-                s -= a[r][fc] * assign[fc]
-            assign[pc] = s % p
-        sols.append(assign)
-    return sols

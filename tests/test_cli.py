@@ -277,7 +277,7 @@ def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
 
 
 @pytest.mark.parametrize("key", ["lang_s_max", "workers"])
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
     # workers is no longer a knob: the file is refused for the unknown key
     # before its value is looked at.

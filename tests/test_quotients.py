@@ -22,8 +22,9 @@ from maxcurves import (
     twisted_fixed_count,
 )
 from maxcurves import quotients
-from maxcurves._intfactor import divisors
-from maxcurves.curves import ProjMatrix
+from maxcurves._intfactor import divisors, split_prime_power
+from maxcurves.counting import extension_count_prediction
+from maxcurves.curves import ProjMatrix, cyclic_poly
 from maxcurves.quotients import (
     _normalize_point,
     identity_matrix,
@@ -364,6 +365,91 @@ def test_fiber_statistics_d3():
 def test_fiber_statistics_d21():
     rep = fiber_statistics(5, 21)
     assert rep.histogram == {1: 3, 21: 863}
+
+
+def _elimination_points(sqrt_q, F):
+    """Reference enumerator of the smooth cyclic model: for each x, solve
+    the F_p-linear equation x y^s + y = -x^s by elimination on the
+    coefficient basis (the enumerator the Zech congruence replaced)."""
+    p = F.p
+    kdim = F.k
+    basis = [F.pack([1 if j == i else 0 for j in range(kdim)]) for i in range(kdim)]
+    basis_s = [F.pow_i(b, sqrt_q) for b in basis]
+    pts = [(0, 1, 0), (1, 0, 0)]
+    for x in range(F.order):
+        rhs = F.neg_i(F.pow_i(x, sqrt_q))
+        cols = [list(F.digits(F.add_i(F.mul_i(x, basis_s[i]), basis[i])))
+                for i in range(kdim)]
+        for sol in _affine_solutions(cols, list(F.digits(rhs)), p):
+            pts.append(_normalize_point(F, (x, F.pack(sol), 1)))
+    return pts
+
+
+def _affine_solutions(cols, rhs, p):
+    """All solutions y (coefficient vectors) of sum_i y_i cols[i] = rhs over F_p."""
+    k = len(cols)
+    a = [[cols[j][i] % p for j in range(k)] + [rhs[i] % p] for i in range(k)]
+    piv_cols = []
+    row = 0
+    for col in range(k):
+        piv = next((r for r in range(row, k) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], p - 2, p)
+        a[row] = [(x * inv) % p for x in a[row]]
+        for r in range(k):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
+        piv_cols.append(col)
+        row += 1
+        if row == k:
+            break
+    if any(a[r][k] for r in range(row, k)):
+        return []
+    free = [c for c in range(k) if c not in piv_cols]
+    sols = []
+    for combo in range(p ** len(free)):
+        assign = [0] * k
+        t = combo
+        for fc in free:
+            assign[fc] = t % p
+            t //= p
+        for r, pc in enumerate(piv_cols):
+            s = a[r][k]
+            for fc in free:
+                s -= a[r][fc] * assign[fc]
+            assign[pc] = s % p
+        sols.append(assign)
+    return sols
+
+
+def _cyclic_field(sqrt_q, k):
+    p, h = split_prime_power(sqrt_q)
+    F = build_field(p, 2 * h * k, cap=None)
+    F.ensure_tables()
+    return F
+
+
+@pytest.mark.parametrize("sqrt_q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 3)])
+def test_cyclic_model_points_match_elimination(sqrt_q, k):
+    F = _cyclic_field(sqrt_q, k)
+    pts = quotients._cyclic_model_points(sqrt_q, F)
+    ref = _elimination_points(sqrt_q, F)
+    assert len(set(pts)) == len(pts)
+    assert set(pts) == set(ref)
+    assert pts[:3] == ref[:3] == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+
+
+def test_cyclic_model_points_sq7():
+    # F_{7^6}: the smooth cyclic model has genus 21, and the point set is
+    # pinned by its size and by every point being a zero of the form
+    F = _cyclic_field(7, 3)
+    pts = quotients._cyclic_model_points(7, F)
+    assert len(set(pts)) == len(pts) == extension_count_prediction(49, 21, 3) == 132056
+    form = cyclic_poly(7, F)
+    assert all(form.eval_i(*pt) == 0 for pt in pts)
 
 
 def test_fiber_statistics_guards():

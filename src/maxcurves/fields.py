@@ -17,7 +17,12 @@ with X^|F| - X and separates them by seeded equal-degree splitting
 (Cantor-Zassenhaus), in every field.
 
 Fields with at most TABLE_CAP elements can build discrete-log tables on
-demand; the bulk enumeration code relies on them.  All arithmetic is exact.
+demand; the bulk enumeration code relies on them.  Without tables, odd
+characteristic multiplies and inverts on coefficient tuples; in
+characteristic 2 the packed integer is the coefficient bit vector, so
+multiplication (carry-less product, then reduction by the sparse modulus)
+and inversion (binary extended Euclid) are shifts and XORs on it.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -249,6 +254,8 @@ def _rref(mat: np.ndarray, p: int):
 class ExtField:
     """The finite field F_{p^k}, elements packed as integers in [0, p^k).
 
+    For p = 2 the packed integer is the coefficient bit vector: addition is
+    XOR, and without tables mul_i and inv_i work on it by shifts and XORs.
     The discrete-log tables and Frobenius matrices are built on first use and
     cached on the instance.  Use :func:`build_field`, which caches one
     instance per (p, k).
@@ -263,6 +270,8 @@ class ExtField:
         self._ppows = [p**i for i in range(k + 1)]
         # modulus tail as sparse [(exp, coeff)] for fast reduction
         self._tail = tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
+        # in characteristic 2 the packed modulus is its bit vector
+        self._bits = self.pack(modulus) if p == 2 else None
         self._exp = None   # packed powers of the table generator, doubled
         self._log = None
         self._gen = None
@@ -328,6 +337,24 @@ class ExtField:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]]
+        if self.p == 2:
+            # carry-less product: XOR a << i over the set bits i of the
+            # shorter operand (low = 2^i, so a * low is that shift), then
+            # fold the bits above X^k back down through the sparse tail
+            if a < b:
+                a, b = b, a
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low
+                b ^= low
+            k = self.k
+            while r >> k:
+                hi = r >> k
+                r ^= hi << k
+                for e, _ in self._tail:
+                    r ^= hi << e
+            return r
         prod = _vmul(self.unpack(a), self.unpack(b), self.p)
         return self.pack(_vmod_sparse(prod, self._tail, self.k, self.p))
 
@@ -337,6 +364,19 @@ class ExtField:
         log = self._log
         if log is not None:
             return self._exp[self.group_order - log[a]]
+        if self.p == 2:
+            # binary extended Euclid on bit vectors, a * g1 = u and
+            # a * g2 = v modulo the modulus throughout
+            u, v, g1, g2 = a, self._bits, 1, 0
+            while u != 1:
+                if u == 0:
+                    raise ConsistencyError("modulus not irreducible")
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2, j = v, u, g2, g1, -j
+                u ^= v << j
+                g1 ^= g2 << j
+            return g1
         # extended Euclid in F_p[X]
         p = self.p
         r0, r1 = self.modulus, self.unpack(a)

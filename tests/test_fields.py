@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -18,13 +20,16 @@ from maxcurves import (
     poly_roots,
 )
 from maxcurves.curves import frame_matrix
+from maxcurves.errors import ConsistencyError
 from maxcurves.fields import ExtField
 from maxcurves.fields import (
     _is_irreducible,
     _lex_least_irreducible,
     _vdivmod,
     _vgcd,
+    _vmod_sparse,
     _vmul,
+    _vscale,
     _vsub,
 )
 
@@ -261,6 +266,93 @@ def test_mul_and_frob_matrix_act_on_row_vectors(p, k):
         for x in xs:
             want = F.pow_i(x, p ** (e % k))
             assert F.pack(vec(x) @ mat % p) == want == F.frob_i(x, e)
+
+
+def _reference_mul(F, a, b):
+    # the polynomial route: coefficient tuples, product, sparse reduction
+    prod = _vmul(F.unpack(a), F.unpack(b), F.p)
+    return F.pack(_vmod_sparse(prod, F._tail, F.k, F.p))
+
+
+def _reference_inv(F, a):
+    # extended Euclid on coefficient tuples in F_p[X]
+    p = F.p
+    r0, r1 = F.modulus, F.unpack(a)
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = _vdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _vsub(s0, _vmul(q, s1, p), p)
+    if len(r0) != 1:
+        raise ConsistencyError("modulus not irreducible")
+    return F.pack(_vscale(s0, pow(r0[0], p - 2, p), p))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # turn a loop that never ends into a failing test
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _char2_operands(k):
+    # the edge elements 0, 1, X^(k-1), 2^k - 1 and seeded random elements
+    rng = random.Random(2000 + k)
+    return [0, 1, 1 << (k - 1), (1 << k) - 1] + [rng.randrange(1 << k) for _ in range(12)]
+
+
+@pytest.mark.parametrize("k", list(range(1, 19)) + [27, 54, 114])
+def test_char2_mul_and_inv_match_the_polynomial_path(k):
+    # a fresh ExtField has no tables, so mul_i and inv_i work on the packed
+    # bit vector by shifts and XORs; every pair of operands is checked
+    F = ExtField(2, k, build_field(2, k, cap=None).modulus)
+    xs = _char2_operands(k)
+    for a in xs:
+        for b in xs:
+            assert F.mul_i(a, b) == _reference_mul(F, a, b)
+        if a:
+            with _deadline(10):
+                inv = F.inv_i(a)
+            assert inv == _reference_inv(F, a)
+            assert F.mul_i(a, inv) == 1
+    assert F._log is None
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_char2_table_path_matches_the_bit_vector_path(k):
+    modulus = build_field(2, k).modulus
+    T = ExtField(2, k, modulus)
+    assert T.ensure_tables()
+    F = ExtField(2, k, modulus)
+    xs = _char2_operands(k)
+    for a in xs:
+        for b in xs:
+            assert F.mul_i(a, b) == T.mul_i(a, b)
+        if a:
+            with _deadline(10):
+                assert F.inv_i(a) == T.inv_i(a)
+    assert F._log is None
+
+
+def test_char2_inverse_of_zero_and_reducible_modulus():
+    F = ExtField(2, 9, build_field(2, 9).modulus)
+    with pytest.raises(ZeroDivisionError):
+        F.inv_i(0)
+    # X^4 + X^2 + 1 = (X^2 + X + 1)^2: Euclid on X^2 + X + 1 ends at u = 0,
+    # which must raise rather than loop; X is still a unit
+    R = ExtField(2, 4, (1, 0, 1, 0, 1))
+    with _deadline(10), pytest.raises(ConsistencyError, match="modulus not irreducible"):
+        R.inv_i(0b111)
+    with _deadline(10):
+        assert R.mul_i(R.inv_i(0b10), 0b10) == 1
 
 
 # every (p, a, b) with F_{p^a} -> F_{p^b} an embedding the census reaches

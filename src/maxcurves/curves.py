@@ -10,7 +10,6 @@ and to express the degree-3 quotient curve over the base field F_q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._intfactor import split_prime_power
 from .errors import ConsistencyError
@@ -340,7 +339,7 @@ class CurveModel:
     name: str
     sqrt_q: int | None = None
     params: tuple = ()
-    expected_genus: int | Fraction | None = None
+    expected_genus: int | None = None
     special_points: tuple = ()
 
     @property
@@ -359,14 +358,11 @@ class CurveModel:
         return "-".join(bits)
 
     def serialize(self) -> dict:
-        g = self.expected_genus
-        if isinstance(g, Fraction):
-            g = [g.numerator, g.denominator]
         return {
             "name": self.name,
             "sqrt_q": self.sqrt_q,
             "params": list(self.params),
-            "expected_genus": g,
+            "expected_genus": self.expected_genus,
             "poly": self.poly.serialize(),
         }
 

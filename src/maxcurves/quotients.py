@@ -15,8 +15,10 @@ For each divisor d of n the quotient curve is counted two ways:
 
 Riemann-Hurwitz bookkeeping for the degree-d covering (totally ramified at
 exactly the three triangle points) pins the quotient genus to
-((n/d) - 1)/2, and the fiber statistics of the diagonal action on the
-smooth cyclic model verify the freeness off the triangle.
+((n/d) - 1)/2.  The fiber statistics of the diagonal action on the smooth
+cyclic model verify the freeness off the triangle: the model's points off
+the triangle are enumerated as discrete logs (u, v), on which the action
+is a shift, so the orbits are counted by integer arithmetic on the logs.
 """
 
 from __future__ import annotations
@@ -496,10 +498,14 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
 
     The action (x : y : 1) -> (cx : c^s y : 1) with c of order d only
     stabilizes P^2(F_{q^k}) when the field contains the d-th roots of
-    unity, so k must be a multiple of 3 (the triangle field).  Asserts that
-    the three fundamental points are the only orbits of size below d.
-    F_{q^k} must be within TABLE_CAP, so that its multiplies take the
-    discrete-log tables; a larger field raises CapError before it is built.
+    unity, so k must be a multiple of 3 (the triangle field).  The three
+    fundamental points are fixed.  On the torus x = g^u, y = g^v, with
+    c = g^a for a = |F*|/d, the action is the shift (u, v) -> (u + a,
+    v + s a), so (u mod a, v - s a floor(u/a)) names a point's orbit and
+    the orbit sizes are counts of equal keys.  Raises ConsistencyError
+    unless every torus orbit has exactly d enumerated points.  F_{q^k}
+    must be within TABLE_CAP, so that the enumerator can read its Zech
+    table; a larger field raises CapError before it is built.
     """
     q = sqrt_q * sqrt_q
     n = q - sqrt_q + 1
@@ -510,49 +516,32 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
     p, h = split_prime_power(sqrt_q)
     check_table_cap(q**k)
     F = build_field(p, 2 * h * k, cap=None)
-    F.ensure_tables()
-    lam = find_root_of_unity(F, d).value if d > 1 else 1
-    lam_s = F.pow_i(lam, sqrt_q)
-    pts = _cyclic_model_points(sqrt_q, F)
-    orbits: dict[tuple, int] = {}
-    for pt in pts:
-        orbit = [pt]
-        cur = pt
-        for _ in range(d - 1):
-            cur = _normalize_point(F, (F.mul_i(lam, cur[0]), F.mul_i(lam_s, cur[1]), cur[2]))
-            if cur == pt:
-                break
-            orbit.append(cur)
-        rep = min(orbit)
-        size = len(orbit)
-        prev = orbits.get(rep)
-        if prev is None or size > prev:
-            orbits[rep] = size
-    histogram: dict[int, int] = {}
-    fixed = []
-    for rep, size in orbits.items():
-        histogram[size] = histogram.get(size, 0) + 1
-        if size < d:
-            fixed.append(rep)
-    fundamental = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    ok = (d == 1) or (set(fixed) == fundamental
-                      and all(sz in (1, d) for sz in histogram))
-    if not ok:
+    u, v = _cyclic_model_points(sqrt_q, F)
+    order, a = F.group_order, F.group_order // d
+    key = (u % a) * order + (v - sqrt_q * a * (u // a)) % order
+    sizes = np.unique(key, return_counts=True)[1]
+    if np.any(sizes != d):
         raise ConsistencyError(
-            f"unexpected orbit structure: sizes {sorted(histogram)} fixed {fixed}"
-        )
-    return FiberReport(sqrt_q, d, k, len(pts), histogram, tuple(sorted(fixed)), ok)
+            f"unexpected orbit structure: torus orbit sizes {np.unique(sizes).tolist()}, "
+            f"expected {d}")
+    histogram = {1: 3}                  # the fundamental points
+    histogram[d] = histogram.get(d, 0) + sizes.size
+    fixed = ((0, 0, 1), (0, 1, 0), (1, 0, 0)) if d > 1 else ()
+    return FiberReport(sqrt_q, d, k, 3 + u.size, histogram, fixed, True)
 
 
-def _cyclic_model_points(sqrt_q: int, F: ExtField) -> list[tuple[int, int, int]]:
-    """All F-points of x^s + y + x y^s = 0 (chart X2 = 1) plus the two
-    points on the line at infinity, normalized; F must contain F_{q^3}.
+def _cyclic_model_points(sqrt_q: int, F: ExtField) -> tuple[np.ndarray, np.ndarray]:
+    """Logs (u, v), x = g^u and y = g^v, of the F-points of
+    x^s + y + x y^s = 0 with x y != 0; F must contain F_{q^3}.  The model's
+    other F-points are the three fundamental points: x = 0 forces y = 0
+    in the chart X2 = 1, and the line at infinity meets it at (1 : 0 : 0)
+    and (0 : 1 : 0).
 
-    On the torus x = g^u, y = g^v, put t = u + (s-1) v (a bijection).  The
-    equation reads g^v (1 + g^t) = -g^(su), i.e. m v = h + s t - Z(t)
-    (mod n) with m = s^2 - s + 1, h = log(-1) and Z the Zech logarithm;
-    m divides n (F contains F_{q^3}), so each t with m | h + s t - Z(t)
-    gives m solutions v.
+    Put t = u + (s-1) v (a bijection).  The equation reads
+    g^v (1 + g^t) = -g^(su), i.e. m v = h + s t - Z(t) (mod n) with
+    m = s^2 - s + 1, h = log(-1) and Z the Zech logarithm; m divides n
+    (F contains F_{q^3}), so each t with m | h + s t - Z(t) gives m
+    solutions v.
     """
     s, n = sqrt_q, F.group_order
     m = s * s - s + 1
@@ -561,7 +550,4 @@ def _cyclic_model_points(sqrt_q: int, F: ExtField) -> list[tuple[int, int, int]]
     t = np.flatnonzero((z >= 0) & (r % m == 0))
     v = (r[t] // m)[:, None] + (n // m) * np.arange(m)
     u = (t[:, None] - (s - 1) * v) % n
-    exp = F.exp_table
-    pts = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]     # x = 0 forces y = 0
-    pts.extend((1, exp[a], exp[b]) for a, b in zip(((v - u) % n).flat, (-u % n).flat))
-    return pts
+    return u.ravel(), v.ravel()

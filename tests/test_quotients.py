@@ -12,6 +12,7 @@ from maxcurves import (
     divisor_report,
     embed,
     fiber_statistics,
+    find_root_of_unity,
     hermitian_cyclic_action,
     hermitian_fermat,
     hurwitz_check,
@@ -26,6 +27,7 @@ from maxcurves._intfactor import divisors, split_prime_power
 from maxcurves.counting import extension_count_prediction
 from maxcurves.curves import ProjMatrix, cyclic_poly
 from maxcurves.quotients import (
+    FiberReport,
     _normalize_point,
     identity_matrix,
 )
@@ -367,6 +369,93 @@ def test_fiber_statistics_d21():
     assert rep.histogram == {1: 3, 21: 863}
 
 
+def test_fiber_statistics_sq7_d43():
+    # F_{7^6}: 132056 points, the three fundamental ones and 3071 free orbits
+    rep = fiber_statistics(7, 43)
+    assert rep.histogram == {1: 3, 43: 3071}
+    assert rep.total_points == 132056
+
+
+def _model_points(sqrt_q, F):
+    """The enumerator's points as normalized projective tuples: the three
+    fundamental points, then (x : y : 1) = (1 : g^(v-u) : g^(-u)) for each
+    torus point x = g^u, y = g^v."""
+    u, v = quotients._cyclic_model_points(sqrt_q, F)
+    exp, n = F.exp_table, F.group_order
+    return [(0, 1, 0), (1, 0, 0), (0, 0, 1)] + [
+        (1, exp[a], exp[b]) for a, b in zip(((v - u) % n).tolist(), (-u % n).tolist())]
+
+
+def _walk_fiber_statistics(sqrt_q, d, k=3):
+    """Reference fiber statistics: walk each point's orbit under
+    (x : y : z) -> (c x : c^s y : z) by field multiplies, c of order d (the
+    method the torus-log keys replaced).  Reports ok = False instead of
+    raising."""
+    F = _cyclic_field(sqrt_q, k)
+    lam = find_root_of_unity(F, d).value if d > 1 else 1
+    lam_s = F.pow_i(lam, sqrt_q)
+    pts = _model_points(sqrt_q, F)
+    orbits = {}
+    for pt in pts:
+        orbit = [pt]
+        cur = pt
+        for _ in range(d - 1):
+            cur = _normalize_point(F, (F.mul_i(lam, cur[0]), F.mul_i(lam_s, cur[1]), cur[2]))
+            if cur == pt:
+                break
+            orbit.append(cur)
+        rep = min(orbit)
+        orbits[rep] = max(orbits.get(rep, 0), len(orbit))
+    histogram = {}
+    fixed = []
+    for rep, size in orbits.items():
+        histogram[size] = histogram.get(size, 0) + 1
+        if size < d:
+            fixed.append(rep)
+    ok = d == 1 or (set(fixed) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+                    and all(sz in (1, d) for sz in histogram))
+    return FiberReport(sqrt_q, d, k, len(pts), histogram, tuple(sorted(fixed)), ok)
+
+
+_FIBER_CASES = ([(s, d, 3) for s in (2, 3, 4) for d in divisors(s * s - s + 1)]
+                + [(2, d, 6) for d in divisors(3)]
+                + [(5, d, 3) for d in (1, 3, 7, 21)])
+
+
+@pytest.mark.parametrize("sqrt_q,d,k", _FIBER_CASES)
+def test_fiber_statistics_match_orbit_walk(sqrt_q, d, k):
+    rep = fiber_statistics(sqrt_q, d, k)
+    ref = _walk_fiber_statistics(sqrt_q, d, k)
+    assert rep == ref
+    assert list(rep.histogram.items()) == list(ref.histogram.items())
+
+
+def test_fiber_statistics_makes_no_field_multiply(monkeypatch):
+    F = _cyclic_field(5, 3)
+
+    def no_arithmetic(*args):
+        raise AssertionError("a field multiply or inverse was made")
+
+    monkeypatch.setattr(type(F), "mul_i", no_arithmetic)
+    monkeypatch.setattr(type(F), "inv_i", no_arithmetic)
+    assert fiber_statistics(5, 21).histogram == {1: 3, 21: 863}
+
+
+def test_fiber_statistics_rejects_a_missing_point(monkeypatch):
+    enumerate_points = quotients._cyclic_model_points
+
+    def drop_one(sqrt_q, F):
+        u, v = enumerate_points(sqrt_q, F)
+        return u[1:], v[1:]
+
+    monkeypatch.setattr(quotients, "_cyclic_model_points", drop_one)
+    with pytest.raises(ConsistencyError, match=r"torus orbit sizes \[2, 3\], expected 3"):
+        fiber_statistics(5, 3)
+    # the walk cannot see the gap: the missing point's orbit-mates still
+    # walk an orbit of size d
+    assert _walk_fiber_statistics(5, 3).histogram == {1: 3, 3: 6041}
+
+
 def _elimination_points(sqrt_q, F):
     """Reference enumerator of the smooth cyclic model: for each x, solve
     the F_p-linear equation x y^s + y = -x^s by elimination on the
@@ -435,7 +524,7 @@ def _cyclic_field(sqrt_q, k):
 @pytest.mark.parametrize("sqrt_q,k", [(2, 3), (2, 6), (3, 3), (4, 3), (5, 3)])
 def test_cyclic_model_points_match_elimination(sqrt_q, k):
     F = _cyclic_field(sqrt_q, k)
-    pts = quotients._cyclic_model_points(sqrt_q, F)
+    pts = _model_points(sqrt_q, F)
     ref = _elimination_points(sqrt_q, F)
     assert len(set(pts)) == len(pts)
     assert set(pts) == set(ref)
@@ -446,7 +535,7 @@ def test_cyclic_model_points_sq7():
     # F_{7^6}: the smooth cyclic model has genus 21, and the point set is
     # pinned by its size and by every point being a zero of the form
     F = _cyclic_field(7, 3)
-    pts = quotients._cyclic_model_points(7, F)
+    pts = _model_points(7, F)
     assert len(set(pts)) == len(pts) == extension_count_prediction(49, 21, 3) == 132056
     form = cyclic_poly(7, F)
     assert all(form.eval_i(*pt) == 0 for pt in pts)

@@ -3,7 +3,9 @@
 Subcommands: field, construct, count, verify-maximal, quotient, census,
 semigroup, dim-d, sv, verify-paper.  Output formats: json (default,
 byte-reproducible), csv, table.  Exit codes: 0 all verdicts pass, 1 some
-verdict failed, 2 usage or configuration error.
+verdict failed, 2 usage or configuration error.  The global flags --config,
+--format, --cache-dir and --no-cache go before or after the subcommand; no
+flag or key moves a computational cap.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ FORMATS = ("json", "csv", "table")
 
 @dataclass
 class RunConfig:
-    """Runtime knobs; file values are overridden by command-line flags."""
+    """Output format and cache directory.  A key=value file may set
+    `cache_dir` and `format`; command-line flags override it."""
 
-    lang_s_max: int = 128
     cache_dir: str | None = None
     fmt: str = "json"
 
@@ -76,13 +78,7 @@ class RunConfig:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key == "lang_s_max":
-                try:
-                    cfg.lang_s_max = _positive_int(value)
-                except argparse.ArgumentTypeError:
-                    raise ValueError(f"{path}:{lineno}: {key} must be a "
-                                     f"positive integer, got {value}") from None
-            elif key == "cache_dir":
+            if key == "cache_dir":
                 cfg.cache_dir = value
             elif key == "format":
                 if value not in FORMATS:
@@ -204,7 +200,7 @@ def cmd_construct(args, cfg, cache):
     return payload, True
 
 
-def _cached_count(model, k, cfg, cache):
+def _cached_count(model, k, cache):
     payload = {"kind": "count", "model": model.serialize(), "k": k}
     got = cache.get(payload)
     if got is not None:
@@ -216,12 +212,12 @@ def _cached_count(model, k, cfg, cache):
 
 def cmd_count(args, cfg, cache):
     model = make_model(args.model, args)
-    return _cached_count(model, args.k, cfg, cache), True
+    return _cached_count(model, args.k, cache), True
 
 
 def cmd_verify_maximal(args, cfg, cache):
     model = make_model(args.model, args)
-    report_d = _cached_count(model, 1, cfg, cache)
+    report_d = _cached_count(model, 1, cache)
     from .counting import CountReport
 
     report = CountReport(**{**report_d, "singular_points": tuple(
@@ -236,13 +232,13 @@ def cmd_verify_maximal(args, cfg, cache):
     return payload, verdict.verdict == "maximal"
 
 
-def _cached_burnside(sqrt_q, d, cfg, cache):
+def _cached_burnside(sqrt_q, d, cache):
     payload = {"kind": "burnside", "sqrt_q": sqrt_q, "d": d}
     got = cache.get(payload)
     if got is not None:
         return got, True
     try:
-        rep = burnside_quotient_count(sqrt_q, d, s_max=cfg.lang_s_max).to_dict()
+        rep = burnside_quotient_count(sqrt_q, d).to_dict()
     except CapError as exc:
         return {"skipped": str(exc)}, False
     cache.put(payload, rep)
@@ -250,7 +246,7 @@ def _cached_burnside(sqrt_q, d, cfg, cache):
 
 
 def cmd_quotient(args, cfg, cache):
-    rep, complete = _cached_burnside(args.sqrt_q, args.d, cfg, cache)
+    rep, complete = _cached_burnside(args.sqrt_q, args.d, cache)
     payload = {
         "burnside": rep,
         "hurwitz": hurwitz_check(args.sqrt_q, args.d).to_dict(),
@@ -272,16 +268,16 @@ def cmd_census(args, cfg, cache):
         expected = q + 1 + 2 * genus * sq
         dim_d = linear_series_dim(sq, d)
         if d == 1:
-            measured = _cached_count(hermitian_canonical(sq), 1, cfg, cache)["total"]
+            measured = _cached_count(hermitian_canonical(sq), 1, cache)["total"]
             rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "direct",
                                   "pass" if measured == expected else "fail"))
         else:
             if d == 3:
-                rep = _cached_count(quotient_model_rational(sq), 1, cfg, cache)
+                rep = _cached_count(quotient_model_rational(sq), 1, cache)
                 measured = rep["resolved_total"]
                 rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "direct",
                                       "pass" if measured == expected else "fail"))
-            brep, complete = _cached_burnside(sq, d, cfg, cache)
+            brep, complete = _cached_burnside(sq, d, cache)
             if complete:
                 measured = brep["count"]
                 rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "burnside",
@@ -353,18 +349,7 @@ def _common_flags(default=None) -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=FORMATS)
     common.add_argument("--cache-dir", help="results cache directory")
     common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--lang-s-max", type=_positive_int)
     return common
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,8 +431,6 @@ def main(argv=None) -> int:
         return 2
     if args.fmt:
         cfg.fmt = args.fmt
-    if args.lang_s_max is not None:
-        cfg.lang_s_max = args.lang_s_max
     if args.cache_dir:
         cfg.cache_dir = args.cache_dir
     if args.no_cache:

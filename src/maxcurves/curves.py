@@ -77,10 +77,6 @@ class HomPoly3:
             out[tuple(new)] = F.mul_i(c, n % F.p)
         return HomPoly3(F, out)
 
-    def cyclic_shift(self) -> HomPoly3:
-        """Substitute (X0, X1, X2) -> (X2, X0, X1)."""
-        return HomPoly3(self.field, {(j, k, i): c for (i, j, k), c in self.terms.items()})
-
     def compose_diag(self, d0: int, d1: int, d2: int) -> HomPoly3:
         """Substitute Xi -> di * Xi (di packed field values)."""
         F = self.field
@@ -133,14 +129,6 @@ class HomPoly3:
                 v = F.mul_i(c1, c2)
                 prev = out.get(key)
                 out[key] = v if prev is None else F.add_i(prev, v)
-        return HomPoly3(F, out)
-
-    def _add(self, other: HomPoly3) -> HomPoly3:
-        F = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = c if prev is None else F.add_i(prev, c)
         return HomPoly3(F, out)
 
     def _pow(self, e: int) -> HomPoly3:

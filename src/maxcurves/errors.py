@@ -2,7 +2,7 @@
 
 
 class CapError(ValueError):
-    """A configured desk-scale cap (field size, enumeration, lift order) was exceeded."""
+    """A fixed desk-scale cap (field size, table size, factorization, lift order) was exceeded."""
 
 
 class ConsistencyError(RuntimeError):

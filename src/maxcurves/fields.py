@@ -976,10 +976,6 @@ class Embedding:
             raise ValueError("element is not in the embedded subfield")
         return FieldElement(self.source, self.source.pack(x))
 
-    def in_image(self, y: FieldElement) -> bool:
-        # subfield criterion: y^(p^a) = y
-        return y.field.frob_i(y.value, self.source.k) == y.value
-
 
 _EMBED_CACHE: dict[tuple[int, int, int], Embedding] = {}
 

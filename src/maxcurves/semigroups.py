@@ -50,20 +50,6 @@ class NumericalSemigroup:
             n += 1
         return n
 
-    def is_closed(self, limit: int | None = None) -> bool:
-        """Check closure under addition up to limit (default 2*conductor)."""
-        if limit is None:
-            limit = 2 * self.conductor
-        elems = self.nongaps(limit)
-        eset = set(elems)
-        for a in elems:
-            for b in elems:
-                if a + b > limit:
-                    break
-                if a + b not in eset:
-                    return False
-        return True
-
     def __repr__(self):
         return f"NumericalSemigroup(genus={self.genus}, gaps={sorted(self.gaps)})"
 

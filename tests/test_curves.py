@@ -53,10 +53,15 @@ def test_envelope_model_structure():
         envelope_model(8)  # characteristic 2
 
 
+def _cyclic_shift(poly):
+    # substitute (X0, X1, X2) -> (X2, X0, X1)
+    return HomPoly3(poly.field, {(j, k, i): c for (i, j, k), c in poly.terms.items()})
+
+
 def test_rotation_symmetry():
-    assert envelope_model(5).poly.cyclic_shift() == envelope_model(5).poly
+    assert _cyclic_shift(envelope_model(5).poly) == envelope_model(5).poly
     fp = quotient_plane_model(5)
-    assert fp.poly.cyclic_shift() == fp.poly
+    assert _cyclic_shift(fp.poly) == fp.poly
 
 
 def test_diagonal_action_weights():
@@ -340,8 +345,17 @@ def _square_and_multiply_compose(poly, mat):
         term = HomPoly3(F, {(0, 0, 0): c})
         for axis, e in enumerate(mon):
             term = term._mul(power(forms[axis], e))
-        total = total._add(term)
+        total = _add(total, term)
     return total
+
+
+def _add(a, b):
+    F = a.field
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        prev = out.get(e)
+        out[e] = c if prev is None else F.add_i(prev, c)
+    return HomPoly3(F, out)
 
 
 @pytest.mark.parametrize("p,k,degree", [(2, 2, 13), (2, 4, 11), (2, 24, 7),

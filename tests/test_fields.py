@@ -419,6 +419,11 @@ def test_gen_image_is_the_least_root(p, a, b):
     assert embed(src, tgt).gen_image == roots[0][0]
 
 
+def _in_image(phi, y):
+    # subfield criterion: y^(p^a) = y
+    return y.field.frob_i(y.value, phi.source.k) == y.value
+
+
 @pytest.mark.parametrize("p,a,b", [(5, 2, 126), (2, 6, 114), (2, 9, 18)])
 def test_embedding_roundtrip_and_rejection(p, a, b):
     src, tgt = build_field(p, a), build_field(p, b, cap=None)
@@ -426,14 +431,14 @@ def test_embedding_roundtrip_and_rejection(p, a, b):
     images = set()
     for v in range(src.order):
         y = phi(src.elem(v))
-        assert phi.in_image(y)
+        assert _in_image(phi, y)
         assert phi.preimage(y).value == v
         images.add(y.value)
     assert len(images) == src.order
     rng = random.Random(p * 1000 + b)
     outside = [tgt.elem(p)] + [tgt.random_element(rng) for _ in range(20)]
     for y in outside:
-        if not phi.in_image(y):
+        if not _in_image(phi, y):
             with pytest.raises(ValueError):
                 phi.preimage(y)
 
@@ -466,7 +471,7 @@ def test_embedding_preimage_roundtrip_and_error():
     assert phi.preimage(phi(x)) == x
     # an element of order 21 is not in the embedded F_25 (21 does not divide 24)
     lam = find_root_of_unity(F56, 21)
-    assert not phi.in_image(lam)
+    assert not _in_image(phi, lam)
     with pytest.raises(ValueError):
         phi.preimage(lam)
 

@@ -29,6 +29,7 @@ from maxcurves.curves import ProjMatrix, cyclic_poly
 from maxcurves.quotients import (
     FiberReport,
     _normalize_point,
+    _proj_equal,
     identity_matrix,
 )
 
@@ -76,12 +77,30 @@ def test_subgroup_action():
         subgroup_action(act, 5)
 
 
+def _verify_sample(sol, n_samples=20, seed=1):
+    # spot-check the locus bijection: (A y)^(q) is proportional to N (A y)
+    # for random y in P^2(F_q)
+    L = sol.field
+    phi = embed(sol.base, L)
+    nl = sol.twist.map_entries(phi)
+    rng = random.Random(seed)
+    for _ in range(n_samples):
+        y = [rng.randrange(sol.base.order) for _ in range(3)]
+        if not any(y):
+            y[rng.randrange(3)] = 1
+        u = sol.matrix.apply_i(tuple(phi.apply_i(c) for c in y))
+        lhs = tuple(L.frob_i(c, sol.base.k) for c in u)
+        if not _proj_equal(L, lhs, nl.apply_i(u)):
+            return False
+    return True
+
+
 def test_lang_solve_identity():
     F = build_field(5, 2)
     sol = lang_solve(identity_matrix(F))
     assert sol.s == 1
     assert sol.matrix == identity_matrix(sol.field)
-    assert sol.verify_sample()
+    assert _verify_sample(sol)
 
 
 def test_lang_solve_order3_twist():
@@ -89,7 +108,7 @@ def test_lang_solve_order3_twist():
     g3 = subgroup_action(act, 3)
     sol = lang_solve(g3.matrix, seed=1)
     assert sol.s % 3 == 0
-    assert sol.verify_sample(n_samples=30)
+    assert _verify_sample(sol, n_samples=30)
     # residual identity holds exactly: A^(q) = N A entrywise
     L = sol.field
     lhs = tuple(tuple(L.frob_i(x, 2) for x in row) for row in sol.matrix.rows)
@@ -126,7 +145,7 @@ def test_lang_solve_every_twist(sq, d):
         assert sol.matrix.det().value != 0
         nl = sol.twist.map_entries(embed(sol.base, L))
         assert sol.matrix.frobenius(sol.base.k) == nl @ sol.matrix
-        assert sol.verify_sample()
+        assert _verify_sample(sol)
         assert lang_solve(u, seed=j).matrix == sol.matrix
 
 
@@ -290,7 +309,7 @@ def test_burnside_lefschetz_oracle(monkeypatch):
     count = quotients.twisted_fixed_count
     monkeypatch.setattr(quotients, "twisted_fixed_count",
                         lambda sol, model: count(sol, model) + 1)
-    quotients._burnside_cached.cache_clear()
+    burnside_quotient_count.cache_clear()
     with pytest.raises(ConsistencyError, match=r"N_1 = 8, expected .* = 7"):
         burnside_quotient_count(3, 7)
 
@@ -303,11 +322,25 @@ def test_action_nonprime_odd_sqrt_q():
     assert fermat.compose_linear(act.matrix).proportional_to(fermat) is not None
 
 
-def test_burnside_divisibility_and_caps():
+def test_burnside_divisibility_and_caps(monkeypatch):
     with pytest.raises(ValueError):
         burnside_quotient_count(5, 5)
-    with pytest.raises(CapError):
-        burnside_quotient_count(5, 21, s_max=1)
+    # the lift cap is read when lang_solve is called, and it fires before
+    # the lift field is built; burnside_quotient_count's cache may already
+    # hold the (5, 21) report, so the cap is tested on lang_solve itself
+    u = subgroup_action(hermitian_cyclic_action(5), 21).matrix
+    s = quotients.lang_twist_order(u)[2]
+    assert s > 1
+    monkeypatch.setattr(quotients, "LIFT_ORDER_CAP", s)
+    assert lang_solve(u).s == s
+    monkeypatch.setattr(quotients, "LIFT_ORDER_CAP", s - 1)
+
+    def no_lift_field(*args, **kwargs):
+        raise AssertionError("the lift field was built")
+
+    monkeypatch.setattr(quotients, "build_field", no_lift_field)
+    with pytest.raises(CapError, match=f"^Lang lift order {s} exceeds cap {s - 1}$"):
+        lang_solve(u)
 
 
 def test_hurwitz_genus_values():

@@ -423,7 +423,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    ap.exit_on_error = False
+    try:
+        args = ap.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # an unknown flag before the subcommand makes argparse read its value
+        # as the subcommand's name; the global flags alone name that flag
+        pre = argparse.ArgumentParser(add_help=False, exit_on_error=False,
+                                      parents=[_common_flags()])
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        try:
+            unknown = pre.parse_known_args(argv)[1]
+        except argparse.ArgumentError:
+            unknown = []
+        ap.error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else str(exc))
     try:
         cfg = RunConfig.from_file(args.config)
     except (OSError, ValueError) as exc:

@@ -39,6 +39,11 @@ from .errors import CapError, ConsistencyError
 DEFAULT_ELEM_CAP = 1 << 40
 TABLE_CAP = 1 << 18
 
+# in characteristic 2 the digits of a packed element are the bits of its
+# binary numeral, high bit first; these map its characters to bits and back
+_FROM_BINARY = bytes.maketrans(b"01", b"\0\1")
+_TO_BINARY = bytes.maketrans(b"\0\1", b"01")
+
 
 # ---------------------------------------------------------------------------
 # polynomials over F_p as trimmed coefficient tuples, low degree first
@@ -284,6 +289,8 @@ class ExtField:
 
     def unpack(self, v: int) -> tuple[int, ...]:
         p = self.p
+        if p == 2:
+            return tuple(bin(v)[:1:-1].encode().translate(_FROM_BINARY)) if v else ()
         out = []
         while v:
             out.append(v % p)
@@ -291,11 +298,18 @@ class ExtField:
         return tuple(out)
 
     def pack(self, vec) -> int:
+        """The packed element of a coefficient vector with entries in [0, p)."""
+        if self.p == 2:
+            if isinstance(vec, np.ndarray):
+                vec = vec.tolist()
+            return int(bytes(vec)[::-1].translate(_TO_BINARY) or b"0", 2)
         pw = self._ppows
         return sum(int(c) * pw[i] for i, c in enumerate(vec) if c)
 
     def digits(self, v: int) -> tuple[int, ...]:
         """The k coefficients of a packed element, low degree first."""
+        if self.p == 2:
+            return tuple(format(v, f"0{self.k}b")[::-1].encode().translate(_FROM_BINARY))
         raw = self.unpack(v)
         return raw + (0,) * (self.k - len(raw))
 

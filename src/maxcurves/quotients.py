@@ -7,8 +7,9 @@ For each divisor d of n the quotient curve is counted two ways:
 * directly, for d = 3, on the explicit plane model over F_q; and
 * for every d, by orbit counting: #quotient(F_q) = (1/d) sum_j N_j where
   N_j is the number of curve points P with Frobenius(P) = g^j(P).  Each N_j
-  is evaluated by solving the semilinear Lang equation A^(q) = N A, which
-  identifies the twisted fixed locus with A . P^2(F_q).  The Fermat form
+  is evaluated by solving the semilinear Lang equation A^(q) = N A, whose
+  columns are traces of seeded vectors read off their Frobenius orbits;
+  A identifies the twisted fixed locus with A . P^2(F_q).  The Fermat form
   composed with A is, up to a scalar, a form over F_q (the twist of the
   curve by Frobenius o g^j), so N_j is its F_q-point count from the same
   plane sweep that counts every other model.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -218,43 +219,24 @@ def lang_twist_order(n: ProjMatrix) -> tuple[int, int, int]:
     return d1, e, d1 * u
 
 
-def _theta_matrix(nl_inv: ProjMatrix, qfrob: int) -> np.ndarray:
-    """theta(v) = nl_inv v^(q) on L^3 as a 3k x 3k matrix over F_p.
-
-    v is the row vector vec(v_0) | vec(v_1) | vec(v_2) of length 3k, so
-    block (i, j) maps coordinate i to coordinate j: vec(v_i) @ Frob @
-    Mul(nl_inv[j][i]).  Each entry of v @ Theta, for v reduced mod p, sums
-    3k products of at most (p - 1)^2, so int32 holds it whenever
-    3k (p - 1)^2 < 2^31.
-    """
-    L = nl_inv.field
-    k, p = L.k, L.p
-    dtype = np.int32 if 3 * k * (p - 1) ** 2 < 1 << 31 else np.int64
-    frob = L.frob_matrix(qfrob)
-    theta = np.empty((3 * k, 3 * k), dtype=dtype)
-    for i in range(3):
-        for j in range(3):
-            theta[i * k:(i + 1) * k, j * k:(j + 1) * k] = (
-                frob @ L.mul_matrix(nl_inv.rows[j][i]) % p)
-    return theta
-
-
 def lang_solve(n: ProjMatrix, *, seed: int = 0) -> LangSolution:
     """Invertible A over L = F_{q^s} with A^(q) = (eN) A, residual-verified.
 
     The solutions of v^(q) = (eN) v form a 3-dimensional F_q-space V in
     L^3, and any three vectors of V independent over L are the columns of
-    an A.  With theta(v) = (eN)^-1 v^(q), (eN)^s = I makes theta^s the
-    identity, so the trace sum_{i<s} theta^i maps L^3 F_q-linearly onto V
-    and a seeded uniform vector of L^3 traces to a uniform vector of V.
-    theta is F_p-linear, so the three columns of a draw are traced together
-    as rows of F_p-vectors multiplied by one matrix (_theta_matrix).
-    Three such columns are independent with probability
-    prod_{i=1..3} (1 - q^-i) >= 0.67; up to _LANG_TRIES seeded triples are
-    drawn.  When s = 1, eN = I and A = I.  Raises CapError when s exceeds
-    LIFT_ORDER_CAP, before L is built, and ConsistencyError if every draw is
-    singular (which would contradict Lang's theorem) or the residual check
-    fails.
+    an A.  With theta(v) = M v^(q), M = (eN)^-1, (eN)^s = I makes theta^s
+    the identity, so the trace sum_{i<s} theta^i maps L^3 F_q-linearly onto
+    V and a seeded uniform vector of L^3 traces to a uniform vector of V.
+    M lies over F_q, so theta^i(v) = M^i v^(q^i), read off the Frobenius
+    orbit of v.  With the entries of M^i as F_p digits on the basis beta^t
+    of F_q, entry j of a column is sum_t beta^t r_t, each r_t an F_p
+    combination of the orbit: the three draws walk their orbits together by
+    numpy products, and each entry costs one product in L per t.  Three
+    such columns are independent with probability prod_{i=1..3} (1 - q^-i)
+    >= 0.67; up to _LANG_TRIES seeded triples are drawn.  When s = 1,
+    eN = I and A = I.  Raises CapError when s exceeds LIFT_ORDER_CAP,
+    before L is built, and ConsistencyError if every draw is singular (which
+    would contradict Lang's theorem) or the residual check fails.
     """
     Fq = n.field
     d1, e, s = lang_twist_order(n)
@@ -268,21 +250,25 @@ def lang_solve(n: ProjMatrix, *, seed: int = 0) -> LangSolution:
     if s == 1:
         a = identity_matrix(L)
     else:
-        # the embedding is a ring map, so it carries the inverse over F_q
-        # to the inverse over L
-        theta = _theta_matrix(twist.inverse().map_entries(up), qfrob)
-        k, p = L.k, L.p
+        m = twist.inverse()
+        powers = [identity_matrix(Fq)]
+        for _ in range(s - 1):
+            powers.append(m @ powers[-1])
+        # coef[i, j, l, t]: digit t of (M^i)[j][l]; beta^t is X^t's image
+        coef = np.array([[[Fq.digits(x) for x in row] for row in mp.rows]
+                         for mp in powers], dtype=np.int64)
+        basis = [up.apply_i(Fq.p**t) for t in range(Fq.k)]
+        frob = L.frob_matrix(qfrob)
         rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
         for _ in range(_LANG_TRIES):
             draws = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
-            cur = np.array([[c for x in v for c in L.digits(x)] for v in draws],
-                           dtype=theta.dtype)
-            acc = cur
+            # orbit[i, d, l] = vec(v_l^(q^i)) for draw d; r[d, j, t] = vec(r_t)
+            orbit = [np.array([[L.digits(x) for x in v] for v in draws], dtype=np.int64)]
             for _ in range(s - 1):
-                cur = cur @ theta % p
-                acc = acc + cur
-            cols = [[L.pack(row[i * k:(i + 1) * k]) for i in range(3)]
-                    for row in (acc % p).tolist()]
+                orbit.append(orbit[-1] @ frob % L.p)
+            r = np.einsum("ijlt,idlk->djtk", coef, np.array(orbit)) % L.p
+            cols = [[reduce(L.add_i, map(L.mul_i, basis, map(L.pack, entry)))
+                     for entry in draw] for draw in r.tolist()]
             a = ProjMatrix(L, list(zip(*cols)), check=False)
             if a.det().value:
                 break

@@ -284,6 +284,25 @@ def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
     assert f"unrecognized arguments: {' '.join(given)}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "1", "two"])
+def test_unknown_flag_with_a_value_before_the_subcommand(value, capsys):
+    # the separate value must not be taken for the subcommand's name; only
+    # the flag is named, since whether it takes a value is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", "--lang-s-max", value, "field", "--p", "5", "--k", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.rstrip().endswith("error: unrecognized arguments: --lang-s-max")
+    assert "invalid choice" not in err
+
+
+def test_unknown_subcommand_is_still_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", "bogus"])
+    assert exc.value.code == 2
+    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["lang_s_max", "workers"])
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):

@@ -355,6 +355,32 @@ def test_char2_inverse_of_zero_and_reducible_modulus():
         assert R.mul_i(R.inv_i(0b10), 0b10) == 1
 
 
+def _base_p_unpack(v, p):
+    # reference: the base-p digit walk, low digit first, trailing zeros cut
+    out = []
+    while v:
+        out.append(v % p)
+        v //= p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [1, 6, 12, 18, 114, 342])
+def test_char2_packing_matches_the_base_p_walk(k):
+    # packing never reads the modulus, so X^k + 1 stands in for it
+    F = ExtField(2, k, (1,) + (0,) * (k - 1) + (1,))
+    assert F._bits == (1 << k) + 1
+    for v in _char2_operands(k):
+        raw = _base_p_unpack(v, 2)
+        digits = raw + (0,) * (k - len(raw))
+        assert F.unpack(v) == raw
+        assert F.digits(v) == digits
+        assert all(type(c) is int for c in F.digits(v))
+        assert F.pack(digits) == F.pack(list(raw)) == v
+        assert F.pack(np.array(digits, dtype=np.int64)) == v
+        assert F.pack(np.array(raw, dtype=np.int32)) == v
+    assert F.pack(()) == F.pack(np.zeros(0, dtype=np.int64)) == 0
+
+
 # every (p, a, b) with F_{p^a} -> F_{p^b} an embedding the census reaches
 # at sqrt_q <= 8: F_q into the Lang lift fields, F_q into F_{q^3}, and the
 # frame field F_{sqrt_q^3} into F_{q^3}

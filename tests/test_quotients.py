@@ -179,11 +179,11 @@ def _scalar_trace_lang_matrix(u, seed):
 
 @pytest.mark.parametrize("sq,d,j_end,conjugate", [
     (2, 3, 3, False), (3, 7, 7, False), (4, 13, 13, False), (5, 7, 7, False),
-    (5, 21, 21, False), (8, 19, 3, False), (3, 7, 7, True), (5, 7, 7, True)])
+    (5, 21, 21, False), (8, 19, 19, False), (3, 7, 7, True), (5, 7, 7, True)])
 def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
-    # twists j = 1 .. j_end - 1, every one but at (8, 19); the action
-    # matrices are symmetric, so conjugating by a non-symmetric rational P
-    # is what shows a transposed block of the trace matrix
+    # twists j = 1 .. j_end - 1, every one; the action matrices are
+    # symmetric, so conjugating by a non-symmetric rational P is what shows
+    # a transposed (j, l) index of the powers of (eN)^-1
     g = subgroup_action(hermitian_cyclic_action(sq), d)
     P = ProjMatrix(g.field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     for j in range(1, j_end):
@@ -191,6 +191,16 @@ def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
         if conjugate:
             u = P.inverse() @ u @ P
         assert lang_solve(u, seed=j).matrix == _scalar_trace_lang_matrix(u, j)
+
+
+@pytest.mark.parametrize("j", [1, 2, 21, 42])
+def test_lang_solve_matches_scalar_trace_reference_at_lift_order_43(j):
+    # odd p at a long Frobenius orbit: every twist of (7, 43) lifts to
+    # F_{49^43}; the twists next to 0 and to d / 2 stand in for all 42
+    u = subgroup_action(hermitian_cyclic_action(7), 43).matrix.pow(j)
+    sol = lang_solve(u, seed=j)
+    assert (sol.s, sol.field.p) == (43, 7)
+    assert sol.matrix == _scalar_trace_lang_matrix(u, j)
 
 
 def test_lang_solve_reports_exhausted_draws(monkeypatch):

@@ -98,8 +98,7 @@ def _np_tables(L: ExtField):
     """
     p, n = L.p, L.group_order
     log = np.asarray(L.log_table, dtype=np.int32)
-    exp = np.empty(n, dtype=np.int32)
-    exp[log[1:]] = np.arange(1, L.order, dtype=np.int32)
+    exp = np.asarray(L.exp_table[:n], dtype=np.int32)
     one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
     return log, log[one_plus]
 

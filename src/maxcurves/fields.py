@@ -16,13 +16,13 @@ that kernel.  Root finding (poly_roots) isolates the distinct roots by a gcd
 with X^|F| - X and separates them by seeded equal-degree splitting
 (Cantor-Zassenhaus), in every field.
 
-Fields with at most TABLE_CAP elements can build discrete-log tables on
-demand; the bulk enumeration code relies on them.  Without tables, odd
-characteristic multiplies and inverts on coefficient tuples; in
-characteristic 2 the packed integer is the coefficient bit vector, so
-multiplication (carry-less product, then reduction by the sparse modulus)
-and inversion (binary extended Euclid) are shifts and XORs on it.  All
-arithmetic is exact.
+Fields with at most TABLE_CAP elements build discrete-log tables on demand,
+by F_p-linear doubling (exp[m:2m] = exp[:m] * g^m); the bulk enumeration code
+relies on them.  Without tables, odd characteristic multiplies and inverts on
+coefficient tuples; in characteristic 2 the packed integer is the coefficient
+bit vector, so multiplication (carry-less product, then reduction by the
+sparse modulus) and inversion (binary extended Euclid) are shifts and XORs on
+it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -498,25 +498,34 @@ class ExtField:
         return n
 
     def ensure_tables(self) -> bool:
-        """Build exp/log tables if the field is small enough; idempotent."""
+        """Build exp/log tables if the field is small enough; idempotent.
+
+        x -> x * g^m is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the
+        powers of g in log2(n) numpy steps.  The logs must cover every nonzero
+        element and g * exp[n - 1] must be 1; a g that is not primitive fails.
+        """
         if self._log is not None:
             return True
         if self.order > TABLE_CAP:
             return False
-        g = self.generator.value
-        n = self.group_order
-        exp = [0] * (2 * n)
-        log = [-1] * self.order
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            exp[i + n] = v
-            log[v] = i
-            v = self.mul_i(v, g)
-        if v != 1:
+        p, k, n, g = self.p, self.k, self.group_order, self.generator.value
+        # a digit row times mul_matrix sums k products below p^2
+        dt = np.int32 if k * (p - 1) ** 2 < 2**31 else np.int64
+        pw = np.array(self._ppows[:k], dtype=dt)
+        exp = np.ones(n, dtype=np.int32)
+        m, step = 1, g                               # step = g^m
+        while m < n:
+            head = exp[:min(m, n - m)]
+            mat = self.mul_matrix(step).astype(dt)
+            exp[m:2 * m] = (head[:, None] // pw % p @ mat % p) @ pw
+            m, step = m + head.size, self.mul_i(step, step)
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        if (log[1:] < 0).any() or self.mul_i(int(exp[-1]), g) != 1:
             raise ConsistencyError("generator order mismatch while building tables")
-        self._exp = exp
-        self._log = log
+        self._exp = exp.tolist()
+        self._exp += self._exp                       # in place: no third copy
+        self._log = log.tolist()
         return True
 
     @property
@@ -927,10 +936,11 @@ class Embedding:
 
     The image of F_{p^a} is Fix(Frob^a), the left kernel of
     frob_matrix(a) - I over F_p.  The source generator class X maps to the
-    least (packed) root of the source modulus among the p^a elements of that
-    kernel.  The map is then F_p-linear: vec(v) @ E, row i of E the vector
-    of gen_image^i, and preimage applies a left inverse of E with an exact
-    check.  A ring homomorphism preserving multiplicative orders.
+    least (packed) root of the source modulus in that kernel: the least
+    conjugate r^(p^i) of the first root r found there.  The map is then
+    F_p-linear: vec(v) @ E, row i of E the vector of gen_image^i, and
+    preimage applies a left inverse of E with an exact check.  A ring
+    homomorphism preserving multiplicative orders.
     """
 
     def __init__(self, source: ExtField, target: ExtField):
@@ -950,9 +960,10 @@ class Embedding:
                 f"expected {a}")
         coords = np.array(list(itertools.product(range(p), repeat=a)), dtype=np.int64)
         mod_poly = FPoly._raw(target, list(source.modulus))
-        roots = sorted(
-            r for r in map(target.pack, (coords @ kernel % p).tolist())
-            if mod_poly.eval_i(r) == 0)
+        r = next((v for v in map(target.pack, (coords @ kernel % p).tolist())
+                  if mod_poly.eval_i(v) == 0), None)
+        roots = [] if r is None else sorted(
+            v for v in {target.pow_i(r, p**i) for i in range(a)} if mod_poly.eval_i(v) == 0)
         if len(roots) != a:
             raise ConsistencyError(
                 f"source modulus has {len(roots)} roots in Fix(Frob^{a}), expected {a}")

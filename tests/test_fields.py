@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import signal
 
@@ -21,10 +22,11 @@ from maxcurves import (
 )
 from maxcurves.curves import frame_matrix
 from maxcurves.errors import ConsistencyError
-from maxcurves.fields import ExtField
+from maxcurves.fields import Embedding, ExtField
 from maxcurves.fields import (
     _is_irreducible,
     _lex_least_irreducible,
+    _rref,
     _vdivmod,
     _vgcd,
     _vmod_sparse,
@@ -342,6 +344,61 @@ def test_char2_table_path_matches_the_bit_vector_path(k):
     assert F._log is None
 
 
+def _loop_tables(F):
+    # the table build before doubling: one mul_i per power of the generator
+    g = F.generator.value
+    n = F.group_order
+    exp = [0] * (2 * n)
+    log = [-1] * F.order
+    v = 1
+    for i in range(n):
+        exp[i] = v
+        exp[i + n] = v
+        log[v] = i
+        v = F.mul_i(v, g)
+    return exp, log
+
+
+def _prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    return [(p, k) for p in primes for k in range(1, limit.bit_length()) if p**k <= limit]
+
+
+def _assert_tables_match_the_loop(p, k):
+    modulus = build_field(p, k).modulus
+    F, ref = ExtField(p, k, modulus), ExtField(p, k, modulus)
+    assert F.ensure_tables()
+    assert (F._exp, F._log) == _loop_tables(ref)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p, k in _prime_powers(4096) if k > 1 or p < 64])
+def test_doubled_tables_match_the_loop(p, k):
+    _assert_tables_match_the_loop(p, k)
+
+
+def test_doubled_tables_match_the_loop_on_every_larger_prime_field():
+    for p, k in _prime_powers(4096):
+        if k == 1 and p >= 64:
+            _assert_tables_match_the_loop(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(7, 6), (3, 11), (5, 7), (2, 18), (46349, 1), (262139, 1)])
+def test_doubled_tables_match_the_loop_near_the_cap(p, k):
+    # the two prime fields have (p - 1)^2 >= 2^31: their digit products need int64
+    _assert_tables_match_the_loop(p, k)
+
+
+@pytest.mark.parametrize("p,k,e", [(5, 4, 2), (2, 4, 3), (3, 5, 11)])
+def test_table_build_rejects_a_generator_that_is_not_primitive(p, k, e):
+    # g^e has order n / gcd(n, e) < n; every g satisfies g^n = 1, so only
+    # the coverage of the log table can tell
+    F = ExtField(p, k, build_field(p, k).modulus)
+    F._gen = F.pow_i(F.generator.value, e)
+    with pytest.raises(ConsistencyError, match="generator order mismatch"):
+        F.ensure_tables()
+    assert F._log is None and F._exp is None
+
+
 def test_char2_inverse_of_zero_and_reducible_modulus():
     F = ExtField(2, 9, build_field(2, 9).modulus)
     with pytest.raises(ZeroDivisionError):
@@ -443,6 +500,41 @@ def test_gen_image_is_the_least_root(p, a, b):
     roots = poly_roots(FPoly(tgt, list(src.modulus)))
     assert len(roots) == a
     assert embed(src, tgt).gen_image == roots[0][0]
+
+
+# every (p, a, b) with a != b that the tests and the benchmark workloads
+# embed F_{p^a} into F_{p^b} for
+BUILT_EMBEDDINGS = sorted(set(CENSUS_EMBEDDINGS) | {
+    (2, 2, 4), (2, 4, 8), (2, 4, 12), (2, 6, 12), (3, 2, 4), (3, 4, 12),
+    (3, 6, 12), (5, 2, 4), (7, 2, 6), (7, 2, 86), (7, 3, 6),
+})
+
+
+def _kernel_scan_embedding(src, tgt):
+    # the embedding before the first-root scan: the source modulus is
+    # evaluated at all p^a elements of Fix(Frob^a) and the least root taken
+    p, a, k = tgt.p, src.k, tgt.k
+    t, pivots = _rref(tgt.frob_matrix(a) - np.eye(k, dtype=np.int64), p)
+    kernel = t[len(pivots):]
+    coords = np.array(list(itertools.product(range(p), repeat=a)), dtype=np.int64)
+    mod_poly = FPoly._raw(tgt, list(src.modulus))
+    roots = sorted(r for r in map(tgt.pack, (coords @ kernel % p).tolist())
+                   if mod_poly.eval_i(r) == 0)
+    assert len(roots) == a
+    rows, g = [], 1
+    for _ in range(a):
+        rows.append(tgt.digits(g))
+        g = tgt.mul_i(g, roots[0])
+    return roots[0], np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,a,b", BUILT_EMBEDDINGS)
+def test_first_root_embedding_matches_the_kernel_scan(p, a, b):
+    src, tgt = build_field(p, a), build_field(p, b, cap=None)
+    phi = Embedding(src, tgt)
+    gen_image, matrix = _kernel_scan_embedding(src, tgt)
+    assert phi.gen_image.value == gen_image
+    assert np.array_equal(phi._matrix, matrix)
 
 
 def _in_image(phi, y):

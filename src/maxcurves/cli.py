@@ -185,7 +185,7 @@ def emit(payload, fmt: str, out=None):
 # subcommand implementations (payload, ok)
 # ---------------------------------------------------------------------------
 
-def cmd_field(args, cfg, cache):
+def cmd_field(args, cache):
     F = build_field(args.p, args.k)
     d = F.descriptor()
     d["order"] = F.order
@@ -193,7 +193,7 @@ def cmd_field(args, cfg, cache):
     return d, True
 
 
-def cmd_construct(args, cfg, cache):
+def cmd_construct(args, cache):
     model = make_model(args.model, args)
     payload = model.serialize()
     payload["tag"] = model.tag()
@@ -210,12 +210,12 @@ def _cached_count(model, k, cache):
     return report
 
 
-def cmd_count(args, cfg, cache):
+def cmd_count(args, cache):
     model = make_model(args.model, args)
     return _cached_count(model, args.k, cache), True
 
 
-def cmd_verify_maximal(args, cfg, cache):
+def cmd_verify_maximal(args, cache):
     model = make_model(args.model, args)
     report_d = _cached_count(model, 1, cache)
     from .counting import CountReport
@@ -245,7 +245,7 @@ def _cached_burnside(sqrt_q, d, cache):
     return rep, True
 
 
-def cmd_quotient(args, cfg, cache):
+def cmd_quotient(args, cache):
     rep, complete = _cached_burnside(args.sqrt_q, args.d, cache)
     payload = {
         "burnside": rep,
@@ -257,7 +257,7 @@ def cmd_quotient(args, cfg, cache):
     return payload, ok
 
 
-def cmd_census(args, cfg, cache):
+def cmd_census(args, cache):
     sq = args.sqrt_q
     q = sq * sq
     n = q - sq + 1
@@ -289,7 +289,7 @@ def cmd_census(args, cfg, cache):
     return [r.to_dict() for r in rows], ok
 
 
-def cmd_semigroup(args, cfg, cache):
+def cmd_semigroup(args, cache):
     gens = [int(x) for x in args.gens.split(",")]
     sg = semigroup_from_generators(gens)
     payload = {
@@ -302,7 +302,7 @@ def cmd_semigroup(args, cfg, cache):
     return payload, True
 
 
-def cmd_dim_d(args, cfg, cache):
+def cmd_dim_d(args, cache):
     sq, d = args.sqrt_q, args.d
     dim = linear_series_dim(sq, d)    # rejects a non-divisor before range() steps by d
     sg = hermitian_point_semigroup(sq)
@@ -311,14 +311,14 @@ def cmd_dim_d(args, cfg, cache):
     return payload, True
 
 
-def cmd_sv(args, cfg, cache):
+def cmd_sv(args, cache):
     eps = OrderSequence("D", tuple(int(x) for x in args.eps.split(",")))
     nu = OrderSequence("frobenius", tuple(int(x) for x in args.nu.split(",")))
     rep = stohr_voloch_degrees(args.g, args.degd, args.r, eps, nu, args.q)
     return rep.to_dict(), True
 
 
-def cmd_verify_paper(args, cfg, cache):
+def cmd_verify_paper(args, cache):
     results = run_battery(args.only or None)
     for res in results:
         print(res.line(), file=sys.stderr)
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     else:
         cache = ResultsCache(cfg.cache_dir or default_cache_dir())
     try:
-        payload, ok = args.fn(args, cfg, cache)
+        payload, ok = args.fn(args, cache)
     except (ValueError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,10 @@ swept field must be within TABLE_CAP; larger fields raise CapError.  On the
 chart x = 1 the form is sum_e C_e(y) z^e: each y-block folds the monomials
 into the logs of its row coefficients C_e(y), and each point then costs one
 log-add per distinct z-exponent e, through the Zech logarithm
-Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  Each vanishing point
-is classified smooth or singular via the three partials.
+Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  The line at infinity
+is one more row of the same kernel, and (0:0:1) is read off the Z^deg
+coefficient.  Each vanishing point is classified smooth or singular via the
+three partials.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -25,8 +27,15 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .curves import CurveModel, HomPoly3, ProjMatrix
-from .errors import CapError
-from .fields import TABLE_CAP, ExtField, FPoly, build_field, embed, poly_roots
+from .fields import (
+    ExtField,
+    FPoly,
+    _np_tables,
+    build_field,
+    check_table_cap,
+    embed,
+    poly_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -69,16 +78,6 @@ class MaximalityVerdict:
 _SWEEP_BLOCK = 1 << 16    # points per numpy pass of the plane sweep
 
 
-def check_table_cap(order: int) -> None:
-    """Raise CapError unless a field of `order` elements is within TABLE_CAP,
-    the size up to which its discrete-log tables are built."""
-    if order > TABLE_CAP:
-        raise CapError(
-            f"the {order}-element field exceeds the "
-            f"2^{TABLE_CAP.bit_length() - 1} discrete-log table cap"
-        )
-
-
 def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
     base = model.field
     check_table_cap(base.order**k)
@@ -86,21 +85,6 @@ def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
         return model.poly, base
     L = build_field(base.p, base.k * k, cap=None)
     return model.poly.map_coefficients(embed(base, L)), L
-
-
-def _np_tables(L: ExtField):
-    """(log, zech) of L as int32 arrays, with -1 standing for the zero element.
-
-    log[v] is the discrete log of the packed value v.  zech[m] = log(1 + g^m),
-    the Zech logarithm: adding 1 to a packed value steps its lowest base-p
-    digit mod p, and 1 + g^m = 0 exactly when g^m = -1 (m = 0 for p = 2,
-    m = n/2 for odd p).
-    """
-    p, n = L.p, L.group_order
-    log = np.asarray(L.log_table, dtype=np.int32)
-    exp = np.asarray(L.exp_table[:n], dtype=np.int32)
-    one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-    return log, log[one_plus]
 
 
 def _log_add(a, b, zech, n):
@@ -157,7 +141,9 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
     affine chart is swept in order of y, in blocks of at most _SWEEP_BLOCK
     points (one y-row when a row is longer), which bounds the numpy
-    temporaries; then the line at infinity is walked.
+    temporaries.  The line at infinity is the row y = 0 of the X-free terms
+    with each Y exponent moved onto X, since poly(0, 1, z) = that form at
+    (1, 0, z).  (0:0:1) is a zero when poly has no Z^deg term.
     """
     q = L.order
     tables = _np_tables(L)
@@ -166,10 +152,13 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
     for y_lo in range(0, q, rows):
         ys, zs = _bulk_affine_zeros(poly, L, tables, y_lo, min(y_lo + rows, q))
         pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
-    for z in range(q):
-        if poly.eval_i(0, 1, z) == 0:
-            pts.append((0, 1, z))
-    if poly.eval_i(0, 0, 1) == 0:
+    at_inf = {(j, 0, k): c for (i, j, k), c in poly.terms.items() if not i}
+    if at_inf:
+        zs = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, 0, 1)[1]
+    else:                   # X divides poly: the whole line is on the curve
+        zs = range(q)
+    pts.extend((0, 1, int(z)) for z in zs)
+    if (0, 0, poly.degree) not in poly.terms:
         pts.append((0, 0, 1))
     return pts
 

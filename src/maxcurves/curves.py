@@ -328,7 +328,6 @@ class CurveModel:
     sqrt_q: int | None = None
     params: tuple = ()
     expected_genus: int | None = None
-    special_points: tuple = ()
 
     @property
     def field(self) -> ExtField:
@@ -398,9 +397,6 @@ def hermitian_fermat(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
                       expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
-_TRIANGLE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def envelope_model(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
     """The degree 2(s+1) singular plane model with three 2-fold points at the
     fundamental triangle; requires odd characteristic."""
@@ -420,8 +416,7 @@ def envelope_model(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
         (1, s + 1, s): -2,
     })
     return CurveModel(poly, "envelope", sqrt_q,
-                      expected_genus=sqrt_q * (sqrt_q - 1) // 2,
-                      special_points=_TRIANGLE)
+                      expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
 def cyclic_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
@@ -440,11 +435,10 @@ def smooth_cyclic_model(sqrt_q: int, field: ExtField | None = None) -> CurveMode
         field = build_field(p, 3 * h)
     _check_contains(field, p, 3 * h, f"F_{sqrt_q**3}")
     return CurveModel(cyclic_poly(sqrt_q, field), "smooth-cyclic", sqrt_q,
-                      expected_genus=sqrt_q * (sqrt_q - 1) // 2,
-                      special_points=_TRIANGLE)
+                      expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
-def frame_matrix(a: FieldElement, sqrt_q: int | None = None) -> ProjMatrix:
+def frame_matrix(a: FieldElement, sqrt_q: int) -> ProjMatrix:
     """The circulant coordinate-frame matrix with rows
     (a, 1, b), (b, a, 1), (1, b, a) where b = a^(q+1).
 
@@ -455,11 +449,6 @@ def frame_matrix(a: FieldElement, sqrt_q: int | None = None) -> ProjMatrix:
     if a.value == 0:
         raise ValueError("frame constant must be nonzero")
     F = a.field
-    if sqrt_q is None:
-        if F.k % 3:
-            raise ValueError("cannot infer sqrt_q; pass it explicitly")
-        p = F.p
-        sqrt_q = p ** (F.k // 3)
     q = sqrt_q * sqrt_q
     b = a ** (q + 1)
     mat = ProjMatrix(F, [[a, F.one, b], [b, a, F.one], [F.one, b, a]], check=False)
@@ -478,7 +467,8 @@ def frame_matrix(a: FieldElement, sqrt_q: int | None = None) -> ProjMatrix:
 
 
 def apply_coord_change(model: CurveModel, mat: ProjMatrix) -> CurveModel:
-    """The model with polynomial P(M x); points map by x -> M^(-1) x."""
+    """The model with polynomial P(M x); points map by x -> M^(-1) x.  A model
+    over a subfield of M's field is lifted to it first."""
     poly = model.poly
     if mat.field is not poly.field:
         if mat.field.k % poly.field.k == 0 and mat.field.p == poly.field.p:
@@ -514,8 +504,7 @@ def quotient_plane_model(sqrt_q: int, field: ExtField | None = None) -> CurveMod
         field = build_field(p, 3 * h)
     _check_contains(field, p, 1, f"F_{p}")
     return CurveModel(quotient_frame_poly(sqrt_q, field), "quotient-frame", sqrt_q,
-                      expected_genus=(q - sqrt_q - 2) // 6,
-                      special_points=_TRIANGLE)
+                      expected_genus=(q - sqrt_q - 2) // 6)
 
 
 def cube_cover_identity(sqrt_q: int, field: ExtField) -> bool:
@@ -541,9 +530,9 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
     """The degree-3 quotient curve as an explicit plane model over F_q.
 
     Builds the frame constant a, composes the frame-coordinates model with
-    the frame matrix over F_{q^3}, rescales by c with c^(s-1) = a, checks
-    every coefficient is fixed by the q-power Frobenius and returns the model
-    with coefficients re-expressed over F_q.  Expected genus (q - s - 2)/6.
+    the frame matrix over F_{q^3}, rescales by c with c^(s-1) = a, and pulls
+    every coefficient back to F_q through the embedding (ConsistencyError if
+    one is not in F_q).  Expected genus (q - s - 2)/6.
     """
     q = sqrt_q * sqrt_q
     if (q - sqrt_q + 1) % 3:
@@ -568,13 +557,8 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
         raise ConsistencyError("no scaling constant c with c^(s-1) = a in F_{q^3}")
     c = c_roots[0][0]
     final = gprime.scale(c)
-    back = embed(Fq, Fq3)
-    rational_terms = {}
-    for e, cv in final.terms.items():
-        if Fq3.frob_i(cv, 2 * h) != cv:
-            raise ConsistencyError("quotient model coefficient not F_q-rational")
-        rational_terms[e] = back.preimage(FieldElement(Fq3, cv)).value
-    poly = HomPoly3(Fq, rational_terms)
+    rational = embed(Fq, Fq3).descend_i(final.terms.values(), "quotient model")
+    poly = HomPoly3(Fq, dict(zip(final.terms, rational)))
     return CurveModel(poly, "quotient-rational", sqrt_q,
                       expected_genus=(q - sqrt_q - 2) // 6)
 

@@ -18,11 +18,13 @@ with X^|F| - X and separates them by seeded equal-degree splitting
 
 Fields with at most TABLE_CAP elements build discrete-log tables on demand,
 by F_p-linear doubling (exp[m:2m] = exp[:m] * g^m); the bulk enumeration code
-relies on them.  Without tables, odd characteristic multiplies and inverts on
-coefficient tuples; in characteristic 2 the packed integer is the coefficient
-bit vector, so multiplication (carry-less product, then reduction by the
-sparse modulus) and inversion (binary extended Euclid) are shifts and XORs on
-it.  All arithmetic is exact.
+relies on them.  check_table_cap is the one place that cap is tested: asking
+a larger field for its tables raises CapError.  Without tables, odd
+characteristic multiplies and inverts on coefficient tuples; in
+characteristic 2 the packed integer is the coefficient bit vector, so
+multiplication (carry-less product, then reduction by the sparse modulus) and
+inversion (binary extended Euclid) are shifts and XORs on it.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -498,16 +500,16 @@ class ExtField:
         return n
 
     def ensure_tables(self) -> bool:
-        """Build exp/log tables if the field is small enough; idempotent.
+        """Build the exp/log tables; idempotent, and always True once built.
 
-        x -> x * g^m is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the
-        powers of g in log2(n) numpy steps.  The logs must cover every nonzero
-        element and g * exp[n - 1] must be 1; a g that is not primitive fails.
+        A field above TABLE_CAP raises CapError (check_table_cap).  x -> x * g^m
+        is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the powers of g in
+        log2(n) numpy steps.  The logs must cover every nonzero element and
+        g * exp[n - 1] must be 1; a g that is not primitive fails.
         """
         if self._log is not None:
             return True
-        if self.order > TABLE_CAP:
-            return False
+        check_table_cap(self.order)
         p, k, n, g = self.p, self.k, self.group_order, self.generator.value
         # a digit row times mul_matrix sums k products below p^2
         dt = np.int32 if k * (p - 1) ** 2 < 2**31 else np.int64
@@ -652,15 +654,43 @@ class FieldElement:
         return f"{self.field!r}:{list(self.coeffs())}"
 
 
+def check_table_cap(order: int) -> None:
+    """Raise CapError unless a field of `order` elements is within TABLE_CAP,
+    the size up to which its discrete-log tables are built."""
+    if order > TABLE_CAP:
+        raise CapError(
+            f"the {order}-element field exceeds the "
+            f"2^{TABLE_CAP.bit_length() - 1} discrete-log table cap"
+        )
+
+
+def _np_tables(L: ExtField):
+    """(log, zech) of L as int32 arrays, with -1 standing for the zero element.
+
+    log[v] is the discrete log of the packed value v.  zech[m] = log(1 + g^m),
+    the Zech logarithm: adding 1 to a packed value steps its lowest base-p
+    digit mod p, and 1 + g^m = 0 exactly when g^m = -1 (m = 0 for p = 2,
+    m = n/2 for odd p).
+    """
+    p, n = L.p, L.group_order
+    log = np.asarray(L.log_table, dtype=np.int32)
+    exp = np.asarray(L.exp_table[:n], dtype=np.int32)
+    one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+    return log, log[one_plus]
+
+
 _FIELD_CACHE: dict[tuple[int, int], ExtField] = {}
 
 
 def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtField:
     """Return F_{p^k} with the lexicographically least irreducible modulus.
 
-    Instances are cached per (p, k).  `cap` bounds p^k; pass None to lift it
-    (the quotient machinery needs large Frobenius-lift fields).
+    Instances are cached per (p, k).  `cap` bounds p^k, also for a field
+    already in the cache; pass None to lift it (the quotient machinery needs
+    large Frobenius-lift fields).
     """
+    if cap is not None and p**k > cap:
+        raise CapError(f"field size {p}^{k} exceeds cap {cap}")
     key = (p, k)
     field = _FIELD_CACHE.get(key)
     if field is not None:
@@ -669,8 +699,6 @@ def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtFie
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if cap is not None and p**k > cap:
-        raise CapError(f"field size {p}^{k} exceeds cap {cap}")
     field = ExtField(p, k, _lex_least_irreducible(p, k))
     _FIELD_CACHE[key] = field
     return field
@@ -1001,6 +1029,16 @@ class Embedding:
             raise ValueError("element is not in the embedded subfield")
         return FieldElement(self.source, self.source.pack(x))
 
+    def descend_i(self, values, what: str) -> list[int]:
+        """The packed preimages of packed target values, each by preimage.
+        Raises ConsistencyError naming `what` if one is not in the embedded
+        subfield."""
+        try:
+            return [self.preimage(FieldElement(self.target, v)).value for v in values]
+        except ValueError:
+            raise ConsistencyError(
+                f"{what} does not descend to F_{self.source.order}") from None
+
 
 _EMBED_CACHE: dict[tuple[int, int, int], Embedding] = {}
 
@@ -1022,11 +1060,12 @@ def embed(source: ExtField, target: ExtField) -> Embedding:
 def frame_parameter(sqrt_q: int) -> FieldElement:
     """The canonical triangle-frame scaling constant a in F_{sqrt_q^3}.
 
-    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0.
-    Every return value is checked to satisfy a^(q + sqrt_q + 1) = 1,
-    a^(sqrt_q^3) = a, the two vanishing frame sums, the nonvanishing third
-    sum, and nonsingularity of the frame matrix; failure of any of these
-    would mean a bug in the tower arithmetic.
+    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0; it
+    lies in F_{sqrt_q^3}, so a^(sqrt_q^3) = a holds by construction.  Every
+    return value is checked to satisfy a^(q + sqrt_q + 1) = 1, the two
+    vanishing frame sums, the nonvanishing third sum, and nonsingularity of
+    the frame matrix; failure of any of these would mean a bug in the tower
+    arithmetic.
     """
     p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
@@ -1043,8 +1082,6 @@ def frame_parameter(sqrt_q: int) -> FieldElement:
     a = min(admissible)
     if (a ** (q + sqrt_q + 1)).value != 1:
         raise ConsistencyError("frame root is not a (q+sqrt_q+1)-th root of unity")
-    if a.frobenius(3 * h) != a:
-        raise ConsistencyError("frame root not fixed by the sqrt_q^3 Frobenius")
     a1, a2, a3 = frame_scalars(a, sqrt_q)
     if a1.value != 0 or a2.value != 0:
         raise ConsistencyError("frame sums a1, a2 do not vanish")

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._intfactor import euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
-from .counting import _np_tables, check_table_cap, count_projective_points
+from .counting import count_projective_points
 from .curves import (
     CurveModel,
     HomPoly3,
@@ -44,8 +44,9 @@ from .curves import (
 )
 from .fields import (
     ExtField,
-    FieldElement,
+    _np_tables,
     build_field,
+    check_table_cap,
     embed,
     find_root_of_unity,
     frame_parameter,
@@ -115,17 +116,8 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     pivot = next(x for row in raw.rows for x in row if x)
     t3 = raw.scale(Fq3.inv_i(pivot))
     back = embed(Fq, Fq3)
-    rows = []
-    for row in t3.rows:
-        out = []
-        for x in row:
-            if Fq3.frob_i(x, 2 * h) != x:
-                raise ConsistencyError(
-                    "normalized automorphism matrix does not descend to F_q"
-                )
-            out.append(back.preimage(FieldElement(Fq3, x)).value)
-        rows.append(out)
-    t = ProjMatrix(Fq, rows)
+    t = ProjMatrix(Fq, [back.descend_i(row, "normalized automorphism matrix")
+                        for row in t3.rows])
     fermat = hermitian_fermat(sqrt_q, Fq).poly
     if fermat.compose_linear(t).proportional_to(fermat) is None:
         raise ConsistencyError("action does not preserve the Fermat model")
@@ -297,11 +289,7 @@ def twisted_fixed_count(sol: LangSolution, model: CurveModel) -> int:
     phi = embed(Fq, L)
     form = model.poly.map_coefficients(phi).compose_linear(sol.matrix)
     form = form.scale(L.inv_i(next(iter(form.terms.values()))))
-    terms = {}
-    for e, c in form.terms.items():
-        if L.frob_i(c, Fq.k) != c:
-            raise ConsistencyError("twisted form does not descend to F_q")
-        terms[e] = phi.preimage(FieldElement(L, c)).value
+    terms = dict(zip(form.terms, phi.descend_i(form.terms.values(), "twisted form")))
     twist = CurveModel(HomPoly3(Fq, terms), f"{model.name}-twist", model.sqrt_q)
     return count_projective_points(twist).total
 

@@ -20,12 +20,11 @@ from .errors import ConsistencyError
 class NumericalSemigroup:
     """A cofinite additive submonoid of N, stored by its finite gap set."""
 
-    def __init__(self, gaps, generators=None):
+    def __init__(self, gaps):
         gaps = frozenset(int(g) for g in gaps)
         if 0 in gaps or any(g < 0 for g in gaps):
             raise ValueError("gaps must be positive integers")
         self.gaps = gaps
-        self.generators = tuple(generators) if generators else None
         self.genus = len(gaps)
         self.conductor = max(gaps) + 1 if gaps else 0
 
@@ -85,7 +84,7 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
                 break
         if ok_at is not None:
             gaps = [n for n in range(ok_at) if not reach[n]]
-            return NumericalSemigroup(gaps, generators=gens)
+            return NumericalSemigroup(gaps)
         bound *= 2
 
 

@@ -253,10 +253,8 @@ def check_property_suites() -> tuple[bool, str]:
                 mat = ProjMatrix(Fk, rows)
             except ValueError:
                 continue
-            moved = apply_coord_change(
-                model if k == 1 else _lift_model(model, Fk), mat
-            )
-            if count_projective_points(moved, k if k == 1 else 1).total != base:
+            moved = apply_coord_change(model, mat)
+            if count_projective_points(moved).total != base:
                 return False, f"count changed under coordinates, k={k}"
     # partition determinism: the affine chart swept in y-blocks of 1, 7 and
     # 30 rows gives the sweep's zeros in the sweep's order
@@ -272,13 +270,6 @@ def check_property_suites() -> tuple[bool, str]:
         if got != want:
             return False, f"the sweep in {rows}-row y-blocks disagrees"
     return True, "field axioms, embeddings, coordinate invariance, partitions all hold"
-
-
-def _lift_model(model, field):
-    from .curves import CurveModel
-
-    poly = model.poly.map_coefficients(embed(model.field, field))
-    return CurveModel(poly, model.name, model.sqrt_q, model.params, model.expected_genus)
 
 
 CRITERIA = (

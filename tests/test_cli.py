@@ -370,6 +370,30 @@ def test_census_sqrt_q_4(capsys):
     assert all(r["verdict"] == "pass" for r in rows)
 
 
+CENSUS_2 = (
+    '[{"d":1,"dim_d":2,"expected":9,"genus":1,"measured":9,"method":"direct","sqrt_q":2,"verdict":"pass"},'
+    '{"d":3,"dim_d":3,"expected":5,"genus":0,"measured":5,"method":"direct","sqrt_q":2,"verdict":"pass"},'
+    '{"d":3,"dim_d":3,"expected":5,"genus":0,"measured":5,"method":"burnside","sqrt_q":2,"verdict":"pass"}]'
+)
+CENSUS_8 = (
+    '[{"d":1,"dim_d":2,"expected":513,"genus":28,"measured":513,"method":"direct","sqrt_q":8,"verdict":"pass"},'
+    '{"d":3,"dim_d":3,"expected":209,"genus":9,"measured":209,"method":"direct","sqrt_q":8,"verdict":"pass"},'
+    '{"d":3,"dim_d":3,"expected":209,"genus":9,"measured":209,"method":"burnside","sqrt_q":8,"verdict":"pass"},'
+    '{"d":19,"dim_d":8,"expected":81,"genus":1,"measured":81,"method":"burnside","sqrt_q":8,"verdict":"pass"},'
+    '{"d":57,"dim_d":9,"expected":65,"genus":0,"measured":null,"method":"burnside","sqrt_q":8,"verdict":"skipped"}]'
+)
+
+
+@pytest.mark.parametrize("sqrt_q,want", [("2", CENSUS_2), ("8", CENSUS_8)])
+def test_census_exact_json(sqrt_q, want, capsys):
+    # sqrt_q = 2 has the d = 3 direct row next to its Burnside row; sqrt_q
+    # = 8 has the d = 57 row, skipped at the lift cap with measured null,
+    # which does not fail the census
+    code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q, "--no-cache"], capsys)
+    assert code == 0
+    assert out == want + "\n"
+
+
 @pytest.mark.parametrize("args", [
     ["--model", "hermitian", "--sqrt-q", "5"],
     ["--model", "hermitian-fermat", "--sqrt-q", "5"],

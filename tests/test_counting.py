@@ -18,6 +18,7 @@ from maxcurves import (
     quotient_model_rational,
     singular_points,
 )
+from maxcurves.curves import HomPoly3
 from maxcurves.fields import build_field
 
 
@@ -149,7 +150,8 @@ def test_extension_prediction_formula():
 @pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
 def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     # y-blocks of one row and of several rows give the same zeros in the
-    # same order as one pass over the whole affine chart
+    # same order as one pass over the whole affine chart; the kernel covers
+    # the affine chart once and the line at infinity (one more row) once
     poly, L = counting._lift_poly(hermitian_fermat(5), k)
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
     want = counting._sweep_zeros(poly, L)
@@ -164,7 +166,7 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
     assert counting._sweep_zeros(poly, L) == want
-    assert sum(sizes) == L.order ** 2
+    assert sum(sizes) == L.order ** 2 + L.order
     assert max(sizes) <= max(block, L.order)
 
 
@@ -195,6 +197,19 @@ def _digit_reference_zeros(poly, L, y_lo, y_hi):
         acc += unp[vals]
     idx = np.nonzero(np.all(acc % L.p == 0, axis=1))[0]
     return ys[idx], zs[idx]
+
+
+def _scalar_line_at_infinity(poly, L):
+    # the line at infinity before the kernel swept it: (0:1:z) for every z,
+    # then (0:0:1), each evaluated by scalar field arithmetic
+    pts = [(0, 1, z) for z in range(L.order) if poly.eval_i(0, 1, z) == 0]
+    return pts + [(0, 0, 1)] if poly.eval_i(0, 0, 1) == 0 else pts
+
+
+def _reference_sweep_zeros(poly, L):
+    ys, zs = _digit_reference_zeros(poly, L, 0, L.order)
+    affine = [(1, int(y), int(z)) for y, z in zip(ys, zs)]
+    return affine + _scalar_line_at_infinity(poly, L)
 
 
 def _sweep_cases():
@@ -230,6 +245,38 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     zeros = counting._sweep_zeros(poly, L)
     affine = [pt for pt in zeros if pt[0] == 1]
     assert affine == [(1, int(y), int(z)) for y, z in zip(want_y, want_z)]
+    # the line at infinity, swept by the kernel, against the scalar walk
+    assert zeros[len(affine):] == _scalar_line_at_infinity(poly, L)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (2, 6)])
+def test_sweep_of_a_form_with_x_as_a_factor(p, k):
+    # X * (fermat form) has no X-free term, so all q + 1 points of the line
+    # at infinity lie on it.  Y^s (X + Z) has X-free terms but no Z^deg
+    # term: (0:0:1) lies on it, and (0:1:0) is its one other point there.
+    L = build_field(p, k)
+    s = p ** (k // 2)
+    fermat = hermitian_fermat(s, L).poly
+    times_x = HomPoly3(L, {(i + 1, j, kk): c for (i, j, kk), c in fermat.terms.items()})
+    got = counting._sweep_zeros(times_x, L)
+    assert got == _reference_sweep_zeros(times_x, L)
+    assert got[-L.order - 1:] == [(0, 1, z) for z in range(L.order)] + [(0, 0, 1)]
+    no_z_power = HomPoly3(L, {(1, s, 0): 1, (0, s, 1): 1})   # Y^s (X + Z)
+    got = counting._sweep_zeros(no_z_power, L)
+    assert got == _reference_sweep_zeros(no_z_power, L)
+    assert [pt for pt in got if pt[0] == 0] == [(0, 1, 0), (0, 0, 1)]
+
+
+def test_sweep_makes_no_scalar_evaluation(monkeypatch):
+    # the whole plane, line at infinity included, goes through the kernel
+    poly, L = counting._lift_poly(hermitian_canonical(5), 1)
+    want = _reference_sweep_zeros(poly, L)
+
+    def no_eval(*args):
+        raise AssertionError("scalar evaluation in the sweep")
+
+    monkeypatch.setattr(HomPoly3, "eval_i", no_eval)
+    assert counting._sweep_zeros(poly, L) == want
 
 
 ZECH_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 1 << 12]

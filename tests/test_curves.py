@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxcurves import (
+    ConsistencyError,
     ProjMatrix,
     TruncSeries,
     apply_coord_change,
@@ -142,6 +143,16 @@ def test_quotient_model_rational_sq5():
     # every stored coefficient is fixed by the q-power Frobenius
     for c in m.poly.terms.values():
         assert m.field.frob_i(c, 2) == c
+
+
+def test_quotient_model_refuses_a_coefficient_outside_f_q(monkeypatch):
+    # a scaling constant c that is not a root of X^(s-1) - a leaves the
+    # coefficients outside F_q; the descent must refuse them
+    from maxcurves import curves
+
+    monkeypatch.setattr(curves, "poly_roots", lambda f: [(f.field.generator, 1)])
+    with pytest.raises(ConsistencyError, match="quotient model does not descend"):
+        quotient_model_rational(5)
 
 
 def test_quotient_model_frobenius_twist_before_scaling():

@@ -61,6 +61,40 @@ def test_build_field_rejects_composites_and_caps():
         build_field(2, 64, cap=1 << 40)
 
 
+def test_element_cap_holds_for_a_cached_field():
+    # a field built past the cap with cap=None is cached, and a later
+    # default-capped request for it must still be refused
+    assert build_field(2, 41, cap=None).order == 1 << 41
+    with pytest.raises(CapError, match=r"^field size 2\^41 exceeds cap 1099511627776$"):
+        build_field(2, 41)
+
+
+def test_tables_past_the_table_cap_raise():
+    # F_{2^20} is within the element cap but has no discrete-log tables:
+    # asking for them names the table cap, and nothing is built
+    F = build_field(2, 20)
+    msg = r"the 1048576-element field exceeds the 2\^18 discrete-log table cap"
+    with pytest.raises(CapError, match=msg):
+        F.ensure_tables()
+    with pytest.raises(CapError, match=msg):
+        F.exp_table
+    with pytest.raises(CapError, match=msg):
+        F.log_table
+    assert F._log is None and F._exp is None
+
+
+def test_descend_i_returns_preimages_and_names_what_fails():
+    phi = embed(F25, F56)
+    xs = [0, 1, 7, 24]
+    assert phi.descend_i([phi.apply_i(x) for x in xs], "sample") == xs
+    outside = next(v for v in range(F56.order)
+                   if F56.frob_i(v, 2) != v)          # not in F_25
+    with pytest.raises(ConsistencyError, match=r"^sample does not descend to F_25$"):
+        phi.descend_i([1, outside], "sample")
+    with pytest.raises(ValueError, match="not in the embedded subfield"):
+        phi.preimage(F56.elem(outside))
+
+
 def test_moduli_divide_field_polynomial():
     # X^(p^k) - X vanishes on all of F_{p^k}, so the modulus divides it
     for F in (F25, F125, build_field(2, 6), build_field(3, 4)):

@@ -265,6 +265,15 @@ def test_twisted_count_rejects_a_non_lang_matrix():
         twisted_fixed_count(bad, fermat)
 
 
+def test_action_refuses_a_conjugate_outside_f_q(monkeypatch):
+    # with a lambda that is not of order n the conjugate of the diagonal
+    # does not descend; the uncached constructor must refuse it
+    monkeypatch.setattr(quotients, "find_root_of_unity", lambda F, n: F.generator)
+    with pytest.raises(ConsistencyError,
+                       match="normalized automorphism matrix does not descend"):
+        hermitian_cyclic_action.__wrapped__(5)
+
+
 def test_burnside_reports():
     r3 = burnside_quotient_count(5, 3)
     assert r3.n_js == (126, 21, 21)
@@ -297,6 +306,15 @@ def test_burnside_characteristic_two():
     assert rep.count == 209 == rep.expected
     direct = count_projective_points(quotient_model_rational(8)).resolved_total
     assert rep.count == direct
+
+
+def test_cyclic_model_points_past_the_table_cap():
+    # a caller that builds F_{5^12} itself still meets the table cap, by
+    # name, when the enumerator asks for the Zech table
+    F = build_field(5, 12, cap=None)
+    with pytest.raises(CapError, match=r"the 244140625-element field exceeds the "
+                                       r"2\^18 discrete-log table cap"):
+        quotients._cyclic_model_points(5, F)
 
 
 def test_burnside_characteristic_two_prime_divisor():

@@ -17,15 +17,6 @@ import os
 import tempfile
 from pathlib import Path
 
-ENV_CACHE_DIR = "MAXCURVES_CACHE_DIR"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "maxcurves"
-
 
 def content_key(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

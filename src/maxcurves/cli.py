@@ -3,21 +3,22 @@
 Subcommands: field, construct, count, verify-maximal, quotient, census,
 semigroup, dim-d, sv, verify-paper.  Output formats: json (default,
 byte-reproducible), csv, table.  Exit codes: 0 all verdicts pass, 1 some
-verdict failed, 2 usage or configuration error.  The global flags --config,
---format, --cache-dir and --no-cache go before or after the subcommand; no
-flag or key moves a computational cap.
+verdict failed, 2 usage error or cap exceeded.  The two global flags,
+--format and --cache-dir, go before or after the subcommand.  Results are
+cached on disk only under --cache-dir DIR; without it nothing is read from
+or written to disk.  No flag moves a computational cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 from ._intfactor import divisors
-from .cache import ResultsCache, default_cache_dir
+from .cache import ResultsCache
 from .counting import (
     count_projective_points,
     maximality_check,
@@ -50,44 +51,10 @@ from .semigroups import (
     semigroup_from_generators,
     stohr_voloch_degrees,
 )
-from .verification import run_battery
+from .verification import CRITERIA, run_battery
 
 
 FORMATS = ("json", "csv", "table")
-
-
-@dataclass
-class RunConfig:
-    """Output format and cache directory.  A key=value file may set
-    `cache_dir` and `format`; command-line flags override it."""
-
-    cache_dir: str | None = None
-    fmt: str = "json"
-
-    @classmethod
-    def from_file(cls, path: str | None) -> "RunConfig":
-        cfg = cls()
-        if path is None:
-            return cfg
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key == "cache_dir":
-                cfg.cache_dir = value
-            elif key == "format":
-                if value not in FORMATS:
-                    raise ValueError(f"{path}:{lineno}: format must be one of "
-                                     f"{', '.join(FORMATS)}, got {value!r}")
-                cfg.fmt = value
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        return cfg
 
 
 @dataclass
@@ -152,15 +119,14 @@ def emit(payload, fmt: str, out=None):
         return
     rows = payload if isinstance(payload, list) else None
     if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
         if rows is not None and rows and isinstance(rows[0], dict):
             cols = CENSUS_COLUMNS if set(CENSUS_COLUMNS) <= set(rows[0]) else sorted(rows[0])
-            out.write(",".join(cols) + "\n")
-            for r in rows:
-                out.write(",".join("" if r.get(c) is None else str(r.get(c)) for c in cols) + "\n")
+            writer.writerow(cols)
+            writer.writerows([r.get(c) for c in cols] for r in rows)
         elif isinstance(payload, dict):
-            out.write("key,value\n")
-            for k in sorted(payload):
-                out.write(f"{k},{json.dumps(payload[k], sort_keys=True)}\n")
+            writer.writerow(("key", "value"))
+            writer.writerows((k, json.dumps(payload[k], sort_keys=True)) for k in sorted(payload))
         else:
             out.write(str(payload) + "\n")
         return
@@ -345,10 +311,8 @@ def _add_model_args(sp):
 
 def _common_flags(default=None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=default)
-    common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--format", dest="fmt", choices=FORMATS)
-    common.add_argument("--cache-dir", help="results cache directory")
-    common.add_argument("--no-cache", action="store_true")
+    common.add_argument("--cache-dir", help="results cache directory; no cache without it")
     return common
 
 
@@ -416,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sv)
 
     sp = add_parser("verify-paper", help="run the built-in verification battery")
-    sp.add_argument("--only", action="append", help="run only the named checks")
+    sp.add_argument("--only", action="append", choices=[name for name, _ in CRITERIA],
+                    metavar="NAME", help="run only the named checks")
     sp.set_defaults(fn=cmd_verify_paper)
     return ap
 
@@ -437,19 +402,7 @@ def main(argv=None) -> int:
         except argparse.ArgumentError:
             unknown = []
         ap.error(f"unrecognized arguments: {' '.join(unknown)}" if unknown else str(exc))
-    try:
-        cfg = RunConfig.from_file(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.fmt:
-        cfg.fmt = args.fmt
-    if args.cache_dir:
-        cfg.cache_dir = args.cache_dir
-    if args.no_cache:
-        cache = ResultsCache(None)
-    else:
-        cache = ResultsCache(cfg.cache_dir or default_cache_dir())
+    cache = ResultsCache(args.cache_dir or None)
     try:
         payload, ok = args.fn(args, cache)
     except (ValueError, CapError) as exc:
@@ -458,7 +411,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    emit(payload, cfg.fmt)
+    emit(payload, args.fmt or "json")
     return 0 if ok else 1
 
 

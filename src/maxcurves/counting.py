@@ -83,7 +83,7 @@ def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
     check_table_cap(base.order**k)
     if k == 1:
         return model.poly, base
-    L = build_field(base.p, base.k * k, cap=None)
+    L = build_field(base.p, base.k * k)
     return model.poly.map_coefficients(embed(base, L)), L
 
 

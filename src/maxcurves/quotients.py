@@ -472,7 +472,7 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
         raise ValueError("the diagonal action needs the triangle field: 3 | k")
     p, h = split_prime_power(sqrt_q)
     check_table_cap(q**k)
-    F = build_field(p, 2 * h * k, cap=None)
+    F = build_field(p, 2 * h * k)
     u, v = _cyclic_model_points(sqrt_q, F)
     order, a = F.group_order, F.group_order // d
     key = (u % a) * order + (v - sqrt_q * a * (u // a)) % order

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ def run_cli(args, capsys):
 
 
 def test_field_command(capsys):
-    code, out, _ = run_cli(["field", "--p", "5", "--k", "3", "--no-cache"], capsys)
+    code, out, _ = run_cli(["field", "--p", "5", "--k", "3"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == 125
@@ -26,7 +28,7 @@ def test_field_command(capsys):
 
 def test_construct_command(capsys):
     code, out, _ = run_cli(
-        ["construct", "--model", "quotient-rational", "--sqrt-q", "5", "--no-cache"],
+        ["construct", "--model", "quotient-rational", "--sqrt-q", "5"],
         capsys)
     assert code == 0
     payload = json.loads(out)
@@ -63,8 +65,9 @@ def test_census_rows(tmp_path, capsys):
     code, out, _ = run_cli(
         ["census", "--sqrt-q", "3", "--format", "csv", "--cache-dir", str(tmp_path)],
         capsys)
-    header = out.splitlines()[0]
-    assert header == "sqrt_q,d,genus,expected,measured,dim_d,method,verdict"
+    assert out == ("sqrt_q,d,genus,expected,measured,dim_d,method,verdict\n"
+                   "3,1,3,28,28,2,direct,pass\n"
+                   "3,7,0,10,10,4,burnside,pass\n")
 
 
 def test_quotient_command(tmp_path, capsys):
@@ -81,15 +84,14 @@ def test_quotient_command(tmp_path, capsys):
 
 def test_quotient_skip_on_cap(capsys):
     # the d = 57 twists at sqrt_q = 8 need lift order 513, past the fixed cap
-    code, out, _ = run_cli(["quotient", "--sqrt-q", "8", "--d", "57", "--no-cache"],
-                           capsys)
+    code, out, _ = run_cli(["quotient", "--sqrt-q", "8", "--d", "57"], capsys)
     assert code == 0  # skipped is not failed
     assert json.loads(out)["burnside"] == {
         "skipped": "Lang lift order 513 exceeds cap 128"}
 
 
 def test_semigroup_command(capsys):
-    code, out, _ = run_cli(["semigroup", "--gens", "3,5,6", "--no-cache"], capsys)
+    code, out, _ = run_cli(["semigroup", "--gens", "3,5,6"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["gaps"] == [1, 2, 4, 7]
@@ -97,7 +99,7 @@ def test_semigroup_command(capsys):
 
 
 def test_dim_d_command(capsys):
-    code, out, _ = run_cli(["dim-d", "--sqrt-q", "5", "--d", "7", "--no-cache"], capsys)
+    code, out, _ = run_cli(["dim-d", "--sqrt-q", "5", "--d", "7"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["dim"] == 5
@@ -106,8 +108,7 @@ def test_dim_d_command(capsys):
 
 @pytest.mark.parametrize("d", [0, 2])
 def test_dim_d_rejects_a_non_divisor(d, capsys):
-    code, out, err = run_cli(["dim-d", "--sqrt-q", "5", "--d", str(d), "--no-cache"],
-                             capsys)
+    code, out, err = run_cli(["dim-d", "--sqrt-q", "5", "--d", str(d)], capsys)
     assert code == 2 and out == ""
     assert f"error: {d} does not divide q - sqrt_q + 1" in err
 
@@ -115,7 +116,7 @@ def test_dim_d_rejects_a_non_divisor(d, capsys):
 def test_sv_command(capsys):
     code, out, _ = run_cli(
         ["sv", "--g", "10", "--degd", "6", "--r", "2", "--eps", "0,1,5",
-         "--nu", "0,5", "--q", "25", "--no-cache"], capsys)
+         "--nu", "0,5", "--q", "25"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["deg_frobenius"] == 252
@@ -136,7 +137,7 @@ def test_verify_maximal_pass_and_fail(tmp_path, capsys):
 
 def test_verify_paper_single_criterion(capsys):
     code, out, err = run_cli(
-        ["verify-paper", "--only", "5-riemann-hurwitz-ledger", "--no-cache"], capsys)
+        ["verify-paper", "--only", "5-riemann-hurwitz-ledger"], capsys)
     assert code == 0
     assert "PASS" in err
     payload = json.loads(out)
@@ -144,10 +145,9 @@ def test_verify_paper_single_criterion(capsys):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run_cli(["count", "--model", "geer-vlugt", "--no-cache"], capsys)
+    code, _, err = run_cli(["count", "--model", "geer-vlugt"], capsys)
     assert code == 2 and "needs" in err
-    code, _, _ = run_cli(["count", "--model", "hermitian", "--sqrt-q", "6",
-                          "--no-cache"], capsys)
+    code, _, _ = run_cli(["count", "--model", "hermitian", "--sqrt-q", "6"], capsys)
     assert code == 2  # 6 is not a prime power
 
 
@@ -168,36 +168,9 @@ def test_usage_errors(capsys):
     (["--model", "geer-vlugt", "--p", "3", "--m", "4"], "--r"),
 ])
 def test_model_missing_flag(args, flag, capsys):
-    code, out, err = run_cli(["construct", *args, "--no-cache"], capsys)
+    code, out, err = run_cli(["construct", *args], capsys)
     assert code == 2 and out == ""
     assert "needs" in err and flag in err
-
-
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cache_dir = tmp_path / "cache"
-    cfg.write_text(f"# knobs\ncache_dir = {cache_dir}\nformat = csv\n")
-    code, out, _ = run_cli(
-        ["count", "--model", "hermitian", "--sqrt-q", "3", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert out.startswith("key,value")
-    assert list(cache_dir.glob("*.json")), "cache file written"
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_knob = 1\n")
-    code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(bad)],
-                           capsys)
-    assert code == 2 and "unknown key" in err
-    # series_order was parsed and never read; it is no longer a key
-    dead = tmp_path / "dead.cfg"
-    dead.write_text("series_order = 256\n")
-    code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(dead)],
-                           capsys)
-    assert code == 2 and "unknown key 'series_order'" in err
-    # enum_cap never bound below the 2^18 table cap; it is no longer a key
-    dead.write_text("enum_cap = 1\n")
-    code, _, err = run_cli(["field", "--p", "5", "--k", "1", "--config", str(dead)],
-                           capsys)
-    assert code == 2 and "unknown key 'enum_cap'" in err
 
 
 def test_count_past_the_table_cap_exits_2(monkeypatch, capsys):
@@ -207,7 +180,7 @@ def test_count_past_the_table_cap_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr("maxcurves.counting.build_field", no_lift_field)
     code, out, err = run_cli(["count", "--model", "hermitian", "--sqrt-q", "5",
-                              "--k", "9", "--no-cache"], capsys)
+                              "--k", "9"], capsys)
     assert code == 2 and out == ""
     assert "the 3814697265625-element field exceeds the 2^18 discrete-log table cap" in err
 
@@ -260,12 +233,12 @@ def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("before", [True, False])
 def test_global_flags_either_side_of_the_subcommand(before):
-    flags = ["--no-cache", "--cache-dir", "/x", "--format", "csv"]
+    flags = ["--cache-dir", "/x", "--format", "csv"]
     sub = ["field", "--p", "5", "--k", "3"]
     args = build_parser().parse_args(flags + sub if before else sub + flags)
-    assert (args.no_cache, args.cache_dir, args.fmt) == (True, "/x", "csv")
+    assert (args.cache_dir, args.fmt) == ("/x", "csv")
     plain = build_parser().parse_args(sub)
-    assert (plain.no_cache, plain.cache_dir, plain.fmt) == (False, None, None)
+    assert (plain.cache_dir, plain.fmt) == (None, None)
 
 
 @pytest.mark.parametrize("flag,value", [("--lang-s-max", "0"), ("--lang-s-max", "-3"),
@@ -275,7 +248,7 @@ def test_non_positive_knob_flags_exit_2(flag, value, before, capsys):
     # the Lang lift cap is fixed; --lang-s-max is refused whatever its value.
     # Before the subcommand a separate value would be read as the
     # subcommand's name, so the flag is given there as one token.
-    sub = ["field", "--p", "5", "--k", "1", "--no-cache"]
+    sub = ["field", "--p", "5", "--k", "1"]
     given = [f"{flag}={value}"] if before else [flag, value]
     with pytest.raises(SystemExit) as exc:
         main(given + sub if before else sub + given)
@@ -289,7 +262,7 @@ def test_unknown_flag_with_a_value_before_the_subcommand(value, capsys):
     # the separate value must not be taken for the subcommand's name; only
     # the flag is named, since whether it takes a value is unknown
     with pytest.raises(SystemExit) as exc:
-        main(["--no-cache", "--lang-s-max", value, "field", "--p", "5", "--k", "1"])
+        main(["--format", "json", "--lang-s-max", value, "field", "--p", "5", "--k", "1"])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.rstrip().endswith("error: unrecognized arguments: --lang-s-max")
@@ -298,22 +271,9 @@ def test_unknown_flag_with_a_value_before_the_subcommand(value, capsys):
 
 def test_unknown_subcommand_is_still_an_invalid_choice(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--no-cache", "bogus"])
+        main(["--format", "json", "bogus"])
     assert exc.value.code == 2
     assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["lang_s_max", "workers"])
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
-def test_non_positive_knob_keys_exit_2(key, value, tmp_path, capsys):
-    # neither is a knob any more: the file is refused for the unknown key
-    # before its value is looked at.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    code, out, err = run_cli(["field", "--p", "5", "--k", "1", "--no-cache",
-                              "--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("before", [True, False])
@@ -321,36 +281,12 @@ def test_workers_flag_is_unrecognized(before, capsys):
     # the plane sweep has one serial path; there is no --workers flag.  The
     # one-token form stays one unknown argument before the subcommand too,
     # where a separate value would be read as the subcommand's name.
-    sub = ["field", "--p", "5", "--k", "1", "--no-cache"]
+    sub = ["field", "--p", "5", "--k", "1"]
     argv = ["--workers=2"] + sub if before else sub + ["--workers=2"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers=2" in capsys.readouterr().err
-
-
-def test_workers_key_is_unknown(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("workers = 2\n")
-    code, out, err = run_cli(["field", "--p", "5", "--k", "1", "--no-cache",
-                              "--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert "unknown key 'workers'" in err
-
-
-@pytest.mark.parametrize("value", ["xml", "JSON", ""])
-def test_config_format_must_be_known(value, tmp_path, monkeypatch, capsys):
-    # rejected while the file is read, before any count runs
-    def no_count(*args, **kwargs):
-        raise AssertionError("the count ran")
-
-    monkeypatch.setattr("maxcurves.cli.count_projective_points", no_count)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"format = {value}\n")
-    code, out, err = run_cli(["count", "--model", "hermitian", "--sqrt-q", "3",
-                              "--no-cache", "--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert f"format must be one of json, csv, table, got {value!r}" in err
 
 
 def test_cache_dir_before_the_subcommand_is_used(tmp_path, capsys):
@@ -362,8 +298,42 @@ def test_cache_dir_before_the_subcommand_is_used(tmp_path, capsys):
     assert list(tmp_path.glob("*.json")), "cache file written"
 
 
+@pytest.mark.parametrize("extra", [[], ["--cache-dir", ""]], ids=["bare", "empty-dir"])
+def test_no_cache_dir_writes_nothing(extra, tmp_path, monkeypatch, capsys):
+    # without a --cache-dir, or with an empty one, the cache is off: neither
+    # HOME, the working directory nor MAXCURVES_CACHE_DIR leads to a file
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("MAXCURVES_CACHE_DIR", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["count", "--model", "hermitian", "--sqrt-q", "3", *extra],
+                           capsys)
+    assert code == 0 and json.loads(out)["total"] == 28
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("given", [["--config", "x"], ["--no-cache"]],
+                         ids=["config", "no-cache"])
+@pytest.mark.parametrize("before", [True, False])
+def test_removed_flags_are_unrecognized(given, before, capsys):
+    # neither is an option; before the subcommand only the flag is named,
+    # since whether it takes a value is unknown
+    sub = ["field", "--p", "5", "--k", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(given + sub if before else sub + given)
+    assert exc.value.code == 2
+    named = given[0] if before else " ".join(given)
+    assert f"unrecognized arguments: {named}" in capsys.readouterr().err
+
+
+def test_verify_paper_unknown_criterion_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--only", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --only: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_census_sqrt_q_4(capsys):
-    code, out, _ = run_cli(["census", "--sqrt-q", "4", "--no-cache"], capsys)
+    code, out, _ = run_cli(["census", "--sqrt-q", "4"], capsys)
     assert code == 0
     rows = json.loads(out)
     assert [(r["d"], r["measured"]) for r in rows] == [(1, 65), (13, 17)]
@@ -389,7 +359,7 @@ def test_census_exact_json(sqrt_q, want, capsys):
     # sqrt_q = 2 has the d = 3 direct row next to its Burnside row; sqrt_q
     # = 8 has the d = 57 row, skipped at the lift cap with measured null,
     # which does not fail the census
-    code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q, "--no-cache"], capsys)
+    code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q], capsys)
     assert code == 0
     assert out == want + "\n"
 
@@ -407,7 +377,7 @@ def test_census_exact_json(sqrt_q, want, capsys):
     ["--model", "char2-chain", "--sqrt-q", "4"],
 ])
 def test_construct_all_tags(args, capsys):
-    code, out, _ = run_cli(["construct", *args, "--no-cache"], capsys)
+    code, out, _ = run_cli(["construct", *args], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["poly"]["terms"]
@@ -415,10 +385,24 @@ def test_construct_all_tags(args, capsys):
 
 def test_table_format(capsys):
     code, out, _ = run_cli(
-        ["census", "--sqrt-q", "3", "--format", "table", "--no-cache"], capsys)
+        ["census", "--sqrt-q", "3", "--format", "table"], capsys)
     assert code == 0
     assert out.splitlines()[0].split() == list(
         ("sqrt_q", "d", "genus", "expected", "measured", "dim_d", "method", "verdict"))
+
+
+@pytest.mark.parametrize("args", [
+    ["field", "--p", "5", "--k", "3"],
+    ["quotient", "--sqrt-q", "5", "--d", "3"],
+    ["verify-paper", "--only", "1-hermitian-counts", "--only", "5-riemann-hurwitz-ledger"],
+])
+def test_csv_rows_are_as_wide_as_the_header(args, capsys):
+    # list-valued fields and details carry commas, so they must be quoted
+    code, out, _ = run_cli([*args, "--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert any("," in field for row in rows for field in row)
 
 
 def test_readme_flags_are_parser_options():
@@ -430,3 +414,21 @@ def test_readme_flags_are_parser_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert named and named <= options, sorted(named - options)
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI section runs as shown, and with no
+    # --cache-dir it writes no file, neither in the home nor the working
+    # directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("maxcurves ")]
+    assert len(commands) >= 8
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
+        assert out
+    assert list(tmp_path.rglob("*")) == []

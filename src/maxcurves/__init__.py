@@ -1,8 +1,8 @@
 """Maximal curves covered by the Hermitian curve.
 
 Exact finite-field tower arithmetic, explicit plane models, exhaustive point
-counting with Hasse-Weil verdicts, cyclic quotients with Burnside/Lang
-counting, numerical semigroups and Stohr-Voloch arithmetic.
+counting with Hasse-Weil verdicts, cyclic quotients counted by Burnside on
+the Singer trace line, numerical semigroups and Stohr-Voloch arithmetic.
 """
 
 from .errors import CapError, ConsistencyError

@@ -27,7 +27,7 @@ class ResultsCache:
     """Tiny JSON file cache; pass root=None to disable."""
 
     # Bump whenever a change to the program can change a cached value.
-    SCHEMA = 2
+    SCHEMA = 3
 
     def __init__(self, root: Path | str | None):
         self.root = Path(root) if root is not None else None

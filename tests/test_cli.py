@@ -82,12 +82,30 @@ def test_quotient_command(tmp_path, capsys):
     assert payload["divisor"]["admissible"]
 
 
-def test_quotient_skip_on_cap(capsys):
-    # the d = 57 twists at sqrt_q = 8 need lift order 513, past the fixed cap
+def test_quotient_past_the_old_lift_cap(capsys):
+    # (8, 57) was skipped while each twist needed a Lang lift of order 513
     code, out, _ = run_cli(["quotient", "--sqrt-q", "8", "--d", "57"], capsys)
-    assert code == 0  # skipped is not failed
-    assert json.loads(out)["burnside"] == {
-        "skipped": "Lang lift order 513 exceeds cap 128"}
+    assert code == 0
+    burnside = json.loads(out)["burnside"]
+    assert burnside["count"] == 65 == burnside["expected"]
+    assert burnside["n_js"] == [513] + [57] * 56
+    assert "lift_orders" not in burnside
+
+
+def test_quotient_past_the_element_cap_exits_2(capsys):
+    # F_{q^3} = F_{2^42} at sqrt_q = 128 is past the 2^40 element cap
+    code, out, err = run_cli(["quotient", "--sqrt-q", "128", "--d", "3"], capsys)
+    assert code == 2 and out == ""
+    assert f"error: field size 2^42 exceeds cap {2**40}" in err
+
+
+@pytest.mark.parametrize("sqrt_q", ["9", "11", "13", "16"])
+def test_census_measures_every_row(sqrt_q, capsys):
+    code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert all(r["measured"] == r["expected"] and r["verdict"] == "pass" for r in rows)
+    assert rows[-1]["genus"] == 0  # the d = n row
 
 
 def test_semigroup_command(capsys):
@@ -350,15 +368,14 @@ CENSUS_8 = (
     '{"d":3,"dim_d":3,"expected":209,"genus":9,"measured":209,"method":"direct","sqrt_q":8,"verdict":"pass"},'
     '{"d":3,"dim_d":3,"expected":209,"genus":9,"measured":209,"method":"burnside","sqrt_q":8,"verdict":"pass"},'
     '{"d":19,"dim_d":8,"expected":81,"genus":1,"measured":81,"method":"burnside","sqrt_q":8,"verdict":"pass"},'
-    '{"d":57,"dim_d":9,"expected":65,"genus":0,"measured":null,"method":"burnside","sqrt_q":8,"verdict":"skipped"}]'
+    '{"d":57,"dim_d":9,"expected":65,"genus":0,"measured":65,"method":"burnside","sqrt_q":8,"verdict":"pass"}]'
 )
 
 
 @pytest.mark.parametrize("sqrt_q,want", [("2", CENSUS_2), ("8", CENSUS_8)])
 def test_census_exact_json(sqrt_q, want, capsys):
     # sqrt_q = 2 has the d = 3 direct row next to its Burnside row; sqrt_q
-    # = 8 has the d = 57 row, skipped at the lift cap with measured null,
-    # which does not fail the census
+    # = 8 has the d = 57 row, measured since the count left the lift field
     code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q], capsys)
     assert code == 0
     assert out == want + "\n"

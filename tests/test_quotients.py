@@ -299,8 +299,8 @@ def test_burnside_d1_is_plain_hermitian():
 
 
 def test_burnside_characteristic_two():
-    # the whole lift tower in characteristic 2: the d=3 orbit count must
-    # meet the direct branch-resolved count of the explicit model
+    # in characteristic 2 the d=3 orbit count must meet the direct
+    # branch-resolved count of the explicit model
     rep = burnside_quotient_count(8, 3)
     assert rep.n_js == (513, 57, 57)
     assert rep.count == 209 == rep.expected
@@ -324,22 +324,112 @@ def test_burnside_characteristic_two_prime_divisor():
 
 
 def test_burnside_sqrt_q_4():
-    # embedding F_16 into the lift field F_{2^52} needs equal-degree
-    # splitting of the F_16 modulus
     rep = burnside_quotient_count(4, 13)
     assert rep.count == 17 == rep.expected  # genus 0
     assert set(rep.n_js[1:]) == {13}
 
 
-def test_burnside_lefschetz_oracle(monkeypatch):
-    # every off-diagonal N_j is q - sqrt_q + 1; a count off by one must
-    # stop the orbit count rather than average into a wrong quotient
-    count = quotients.twisted_fixed_count
-    monkeypatch.setattr(quotients, "twisted_fixed_count",
-                        lambda sol, model: count(sol, model) + 1)
-    burnside_quotient_count.cache_clear()
-    with pytest.raises(ConsistencyError, match=r"N_1 = 8, expected .* = 7"):
-        burnside_quotient_count(3, 7)
+def test_burnside_kummer_count_with_m_plus_one_is_refused(monkeypatch):
+    # at (5, 7), m = 3: testing the trace-line histogram for 4 | j instead
+    # of 3 | j counts 3 * 11 = 33 against the Burnside average 36
+    kernel = quotients._kummer_kernel
+    monkeypatch.setattr(quotients, "_kummer_kernel", lambda hist, m: kernel(hist, m + 1))
+    with pytest.raises(ConsistencyError,
+                       match="^Kummer count 33 differs from the Burnside count 36$"):
+        burnside_quotient_count.__wrapped__(5, 7)
+
+
+def test_burnside_refuses_a_plane_sweep_off_the_trace_line(monkeypatch):
+    # N_0 = 126 comes from the Fermat sweep and from n (s + 1) on the trace
+    # line; a sweep one point off must stop the count
+    sweep = quotients.count_projective_points
+    monkeypatch.setattr(quotients, "count_projective_points",
+                        lambda model: dataclasses.replace(sweep(model), total=127))
+    with pytest.raises(ConsistencyError,
+                       match="^trace line gives N_0 = 126, the plane sweep 127$"):
+        burnside_quotient_count.__wrapped__(5, 3)
+
+
+def _action_with_frame(monkeypatch, sqrt_q, change):
+    act = hermitian_cyclic_action(sqrt_q)
+    bad = dataclasses.replace(act, frame=change(act.frame))
+    monkeypatch.setattr(quotients, "hermitian_cyclic_action", lambda sq: bad)
+
+
+def test_trace_line_refuses_a_frame_whose_p_is_not_a_permutation(monkeypatch):
+    # E kappa with E = I + a e_01, a outside F_q: P = E P0 (E^(q))^-1 has a
+    # row with two nonzero entries
+    def shear(kappa):
+        F3 = kappa.field
+        a = F3.generator.value
+        return ProjMatrix(F3, [[1, a, 0], [0, 1, 0], [0, 0, 1]]) @ kappa
+
+    _action_with_frame(monkeypatch, 5, shear)
+    with pytest.raises(ConsistencyError, match="not a scalar times a 3-cycle"):
+        quotients.trace_line_histogram.__wrapped__(5)
+
+
+def test_trace_line_refuses_a_frame_off_the_cyclic_form(monkeypatch):
+    # kappa R with R = diag(1, 1, c) over F_q leaves P alone, but the Fermat
+    # form in the new frame weights one monomial by c^-(s+1) != 1
+    def weight(kappa):
+        F3 = kappa.field
+        c = embed(build_field(5, 2), F3).apply_i(build_field(5, 2).generator.value)
+        return kappa @ ProjMatrix(F3, [[1, 0, 0], [0, 1, 0], [0, 0, c]])
+
+    _action_with_frame(monkeypatch, 5, weight)
+    with pytest.raises(ConsistencyError, match="not the cyclic form"):
+        quotients.trace_line_histogram.__wrapped__(5)
+
+
+def test_trace_line_histogram_shape():
+    # s + 1 points at residue 0 and each other residue once: q + 1 points
+    for sq in (2, 3, 5, 8):
+        hist = quotients.trace_line_histogram(sq)
+        n = sq * sq - sq + 1
+        assert len(hist) == n and sum(hist) == sq * sq + 1
+        assert hist[0] == sq + 1 and set(hist[1:]) == {1}
+    # one point moved from residue 1 to residue 2 makes N_1 = 0 and N_2 = 2n
+    moved = [6, 0, 2] + [1] * 18
+    with pytest.raises(ConsistencyError, match=r"counts \[0, 1, 2\] elsewhere, expected 6 and \[1\]"):
+        quotients._check_trace_histogram(moved, 5)
+
+
+@pytest.mark.parametrize("sq,d", [(2, 3), (3, 7), (4, 13), (5, 7), (5, 21), (8, 19)])
+def test_burnside_matches_the_lang_reference(sq, d):
+    # the trace-line N_j against the Lang solve in F_{q^s} and the descent
+    # of the twisted form to F_q, twist by twist
+    act = hermitian_cyclic_action(sq)
+    g = subgroup_action(act, d)
+    fermat = hermitian_fermat(sq, act.field)
+    reference = [count_projective_points(fermat).total]
+    for j in range(1, d):
+        sol = lang_solve(g.matrix.pow(j), seed=j)
+        reference.append(twisted_fixed_count(sol, fermat))
+    assert list(burnside_quotient_count(sq, d).n_js) == reference
+
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@pytest.mark.parametrize("sq", PRIME_POWERS_TO_32)
+def test_burnside_every_divisor_to_sqrt_q_32(sq):
+    # every census row past d = 1; from sqrt_q = 9 on F_{q^3} is past the
+    # table cap, so these counts also show that no table of it is built
+    n = sq * sq - sq + 1
+    for d in divisors(n)[1:]:
+        rep = burnside_quotient_count(sq, d)
+        assert rep.count == rep.expected, (sq, d)
+        assert rep.n_js == (sq**3 + 1,) + (n,) * (d - 1)
+
+
+@pytest.mark.parametrize("sq,d,count", [
+    (8, 57, 65), (11, 111, 122), (13, 157, 170), (16, 241, 257),
+    (9, 73, 82), (23, 507, 530), (32, 993, 1025)])
+def test_burnside_rows_past_the_old_lift_cap(sq, d, count):
+    # the first four were skipped at the Lang lift cap; all have genus 0
+    rep = burnside_quotient_count(sq, d)
+    assert (rep.count, rep.genus, rep.ok) == (count, 0, True)
 
 
 def test_action_nonprime_odd_sqrt_q():
@@ -353,9 +443,8 @@ def test_action_nonprime_odd_sqrt_q():
 def test_burnside_divisibility_and_caps(monkeypatch):
     with pytest.raises(ValueError):
         burnside_quotient_count(5, 5)
-    # the lift cap is read when lang_solve is called, and it fires before
-    # the lift field is built; burnside_quotient_count's cache may already
-    # hold the (5, 21) report, so the cap is tested on lang_solve itself
+    # the lift cap of the reference lang_solve is read when it is called,
+    # and it fires before the lift field is built
     u = subgroup_action(hermitian_cyclic_action(5), 21).matrix
     s = quotients.lang_twist_order(u)[2]
     assert s > 1

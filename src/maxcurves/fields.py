@@ -16,15 +16,19 @@ that kernel.  Root finding (poly_roots) isolates the distinct roots by a gcd
 with X^|F| - X and separates them by seeded equal-degree splitting
 (Cantor-Zassenhaus), in every field.
 
-Fields with at most TABLE_CAP elements build discrete-log tables on demand,
-by F_p-linear doubling (exp[m:2m] = exp[:m] * g^m); the bulk enumeration code
-relies on them.  check_table_cap is the one place that cap is tested: asking
-a larger field for its tables raises CapError.  Without tables, odd
-characteristic multiplies and inverts on coefficient tuples; in
-characteristic 2 the packed integer is the coefficient bit vector, so
-multiplication (carry-less product, then reduction by the sparse modulus) and
-inversion (binary extended Euclid) are shifts and XORs on it.  All arithmetic
-is exact.
+Discrete-log tables (exp, log and the Zech logarithm) are built by F_p-linear
+doubling (exp[m:2m] = exp[:m] * g^m).  build_field builds them at
+construction for fields with at most EAGER_TABLE_CAP elements, where every
+scalar operation is then a lookup (addition in odd characteristic by Zech
+logarithms) and every embedding out of the field reads an image list.
+Larger fields within TABLE_CAP build them on demand, for the bulk
+enumeration code; check_table_cap is the one place that cap is tested:
+asking a larger field for its tables raises CapError.  Without tables, odd
+characteristic adds digit by digit and multiplies and inverts on coefficient
+tuples; in characteristic 2 the packed integer is the coefficient bit
+vector, so addition is XOR, and multiplication (carry-less product, then
+reduction by the sparse modulus) and inversion (binary extended Euclid) are
+shifts and XORs on it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from .errors import CapError, ConsistencyError
 
 DEFAULT_ELEM_CAP = 1 << 40
 TABLE_CAP = 1 << 18
+EAGER_TABLE_CAP = 1 << 14
+"""build_field builds the tables of a field with at most this many elements
+when it constructs it; TABLE_CAP still decides whether a field's tables can
+be built at all.  It stays below 2^18, so that F_(2^18), the frame field
+F_(q^3) at sqrt_q = 8, is not tabled by the Burnside count."""
 
 # in characteristic 2 the digits of a packed element are the bits of its
 # binary numeral, high bit first; these map its characters to bits and back
@@ -263,9 +272,10 @@ class ExtField:
 
     For p = 2 the packed integer is the coefficient bit vector: addition is
     XOR, and without tables mul_i and inv_i work on it by shifts and XORs.
-    The discrete-log tables and Frobenius matrices are built on first use and
-    cached on the instance.  Use :func:`build_field`, which caches one
-    instance per (p, k).
+    The discrete-log tables and Frobenius matrices are cached on the
+    instance; a bare ExtField builds its tables on first use.  Use
+    :func:`build_field`, which caches one instance per (p, k) and tables a
+    small field at once.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -281,6 +291,7 @@ class ExtField:
         self._bits = self.pack(modulus) if p == 2 else None
         self._exp = None   # packed powers of the table generator, doubled
         self._log = None
+        self._zech = None  # zech[m] = log(1 + g^m), -1 where that is zero
         self._gen = None
         self._go_fac = None
         self._frob_mats: dict[int, np.ndarray] = {}
@@ -318,9 +329,20 @@ class ExtField:
     # -- integer-domain arithmetic -------------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
+        """a + b: XOR in characteristic 2; otherwise, with tables, the Zech
+        addition g^la + g^lb = g^(la + Z(lb - la)), else digit by digit."""
         p = self.p
         if p == 2:
             return a ^ b
+        log = self._log
+        if log is not None:
+            if a == 0 or b == 0:
+                return a or b
+            la = log[a]
+            # lb - la lies in (-n, n), and a negative index counts from the
+            # end of the n-entry Zech table: the difference is read mod n
+            z = self._zech[log[b] - la]
+            return 0 if z < 0 else self._exp[la + z]
         out = 0
         i = 0
         pw = self._ppows
@@ -335,6 +357,9 @@ class ExtField:
         p = self.p
         if p == 2:
             return a
+        log = self._log
+        if log is not None:   # -1 = g^(n/2)
+            return self._exp[log[a] + (self.group_order >> 1)] if a else 0
         out = 0
         i = 0
         pw = self._ppows
@@ -500,12 +525,18 @@ class ExtField:
         return n
 
     def ensure_tables(self) -> bool:
-        """Build the exp/log tables; idempotent, and always True once built.
+        """Build the exp, log and Zech tables; idempotent, and always True
+        once built.  build_field calls it at construction for a field within
+        EAGER_TABLE_CAP; other fields build on first use.
 
         A field above TABLE_CAP raises CapError (check_table_cap).  x -> x * g^m
         is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the powers of g in
         log2(n) numpy steps.  The logs must cover every nonzero element and
-        g * exp[n - 1] must be 1; a g that is not primitive fails.
+        g * exp[n - 1] must be 1; a g that is not primitive fails.  Adding 1
+        to a packed value steps its lowest base-p digit mod p, which gives
+        zech[m] = log(1 + g^m), -1 where 1 + g^m = 0 (m = 0 for p = 2, m = n/2
+        for odd p).  Stored as read-only int32 memoryviews, exp doubled so
+        that exp[la + lb] needs no reduction.
         """
         if self._log is not None:
             return True
@@ -525,20 +556,14 @@ class ExtField:
         log[exp] = np.arange(n, dtype=np.int32)
         if (log[1:] < 0).any() or self.mul_i(int(exp[-1]), g) != 1:
             raise ConsistencyError("generator order mismatch while building tables")
-        self._exp = exp.tolist()
-        self._exp += self._exp                       # in place: no third copy
-        self._log = log.tolist()
+        one_plus = exp + 1
+        one_plus[exp % p == p - 1] -= p
+        # int32 memoryviews over bytes: compact, indexed as Python ints, and
+        # read-only, as are the numpy views _np_tables makes of them
+        self._zech = memoryview(log[one_plus].tobytes()).cast("i")
+        self._exp = memoryview(exp.tobytes() * 2).cast("i")
+        self._log = memoryview(log.tobytes()).cast("i")   # last: it marks the tables built
         return True
-
-    @property
-    def exp_table(self):
-        self.ensure_tables()
-        return self._exp
-
-    @property
-    def log_table(self):
-        self.ensure_tables()
-        return self._log
 
     # -- misc -------------------------------------------------------------------
 
@@ -665,18 +690,14 @@ def check_table_cap(order: int) -> None:
 
 
 def _np_tables(L: ExtField):
-    """(log, zech) of L as int32 arrays, with -1 standing for the zero element.
+    """(log, zech) of L as read-only int32 arrays over its stored tables,
+    with -1 standing for the zero element.
 
-    log[v] is the discrete log of the packed value v.  zech[m] = log(1 + g^m),
-    the Zech logarithm: adding 1 to a packed value steps its lowest base-p
-    digit mod p, and 1 + g^m = 0 exactly when g^m = -1 (m = 0 for p = 2,
-    m = n/2 for odd p).
+    log[v] is the discrete log of the packed value v, and zech[m] =
+    log(1 + g^m) is the Zech logarithm (ExtField.ensure_tables).
     """
-    p, n = L.p, L.group_order
-    log = np.asarray(L.log_table, dtype=np.int32)
-    exp = np.asarray(L.exp_table[:n], dtype=np.int32)
-    one_plus = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-    return log, log[one_plus]
+    L.ensure_tables()
+    return np.frombuffer(L._log, dtype=np.int32), np.frombuffer(L._zech, dtype=np.int32)
 
 
 _FIELD_CACHE: dict[tuple[int, int], ExtField] = {}
@@ -687,7 +708,8 @@ def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtFie
 
     Instances are cached per (p, k).  `cap` bounds p^k, also for a field
     already in the cache; pass None to lift it (the quotient machinery needs
-    large Frobenius-lift fields).
+    large Frobenius-lift fields).  A field with at most EAGER_TABLE_CAP
+    elements is built with its discrete-log tables.
     """
     if cap is not None and p**k > cap:
         raise CapError(f"field size {p}^{k} exceeds cap {cap}")
@@ -700,6 +722,8 @@ def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtFie
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     field = ExtField(p, k, _lex_least_irreducible(p, k))
+    if field.order <= EAGER_TABLE_CAP:
+        field.ensure_tables()
     _FIELD_CACHE[key] = field
     return field
 
@@ -966,9 +990,12 @@ class Embedding:
     frob_matrix(a) - I over F_p.  The source generator class X maps to the
     least (packed) root of the source modulus in that kernel: the least
     conjugate r^(p^i) of the first root r found there.  The map is then
-    F_p-linear: vec(v) @ E, row i of E the vector of gen_image^i, and
-    preimage applies a left inverse of E with an exact check.  A ring
-    homomorphism preserving multiplicative orders.
+    F_p-linear: vec(v) @ E, row i of E the vector of gen_image^i.  From a
+    source within EAGER_TABLE_CAP, apply_i and preimage read a list of all
+    images (one product of every digit row with E) and its inverse dict;
+    from a larger source, apply_i multiplies by E and preimage applies a
+    left inverse of E with an exact check.  A ring homomorphism preserving
+    multiplicative orders.
     """
 
     def __init__(self, source: ExtField, target: ExtField):
@@ -976,6 +1003,7 @@ class Embedding:
             raise ValueError("no embedding: need same p and source degree | target degree")
         self.source = source
         self.target = target
+        self._images = None
         if source is target:
             self.gen_image = target.elem(source.p if source.k > 1 else 0)
             return
@@ -1001,11 +1029,24 @@ class Embedding:
             rows.append(target.digits(g))
             g = target.mul_i(g, roots[0])
         self._matrix = np.array(rows, dtype=np.int64)
-        t, pivots = _rref(self._matrix, p)
-        self._left_inverse = np.zeros((k, a), dtype=np.int64)
-        self._left_inverse[pivots] = t
+        if source.order > EAGER_TABLE_CAP:
+            t, pivots = _rref(self._matrix, p)
+            self._left_inverse = np.zeros((k, a), dtype=np.int64)
+            self._left_inverse[pivots] = t
+            return
+        # the digit rows of every source element times E, packed by the
+        # powers of p (as Python ints when the target is past int64)
+        pw = np.array(source._ppows[:a], dtype=np.int64)
+        digits = np.arange(source.order, dtype=np.int64)[:, None] // pw % p
+        tpw = np.array(target._ppows[:k], dtype=np.int64 if target.order < 1 << 63 else object)
+        self._images = (digits @ self._matrix % p @ tpw).tolist()
+        self._preimages = {y: x for x, y in enumerate(self._images)}
+        if len(self._preimages) != source.order:
+            raise ConsistencyError(f"the embedding of {source!r} is not injective")
 
     def apply_i(self, v: int) -> int:
+        if self._images is not None:
+            return self._images[v]
         if self.source is self.target:
             return v
         vec = np.array(self.source.digits(v), dtype=np.int64)
@@ -1020,6 +1061,11 @@ class Embedding:
         """Inverse image; raises ValueError if y is not in the embedded copy."""
         if y.field is not self.target:
             raise ValueError("element not in the target field")
+        if self._images is not None:
+            x = self._preimages.get(y.value)
+            if x is None:
+                raise ValueError("element is not in the embedded subfield")
+            return FieldElement(self.source, x)
         if self.source is self.target:
             return y
         p = self.target.p

@@ -19,7 +19,7 @@ from maxcurves import (
     singular_points,
 )
 from maxcurves.curves import HomPoly3
-from maxcurves.fields import build_field
+from maxcurves.fields import ExtField, build_field
 
 
 HERMITIAN_COUNTS = {2: 9, 3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
@@ -173,8 +173,9 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
 def _digit_reference_zeros(poly, L, y_lo, y_hi):
     # the sweep kernel before Zech logarithms: every monomial gathers the
     # base-p digit vector of its value at each point into an (N, k) sum
-    exp = np.asarray(L.exp_table, dtype=np.int64)
-    log = np.asarray(L.log_table, dtype=np.int64)
+    L.ensure_tables()
+    exp = np.asarray(L._exp, dtype=np.int64)
+    log = np.asarray(L._log, dtype=np.int64)
     unp = np.zeros((L.order, L.k), dtype=np.int32)
     vals = np.arange(L.order, dtype=np.int64)
     for i in range(L.k):
@@ -284,12 +285,16 @@ ZECH_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 1 <
 
 @pytest.mark.parametrize("p,k", ZECH_FIELDS)
 def test_zech_table_closed_form(p, k):
+    # build_field tables L, so L.add_i would read the Zech table under test;
+    # a fresh ExtField adds digit by digit
     L = build_field(p, k)
     log, zech = counting._np_tables(L)
-    exp, n = L.exp_table, L.group_order
+    exp, n = L._exp, L.group_order
+    ref = ExtField(p, k, L.modulus)
     assert zech.shape == (n,)
+    assert not log.flags.writeable and not zech.flags.writeable
     for m in range(n):
-        one_plus = L.add_i(1, exp[m])
+        one_plus = ref.add_i(1, exp[m])
         if zech[m] < 0:
             assert one_plus == 0
         else:

@@ -20,9 +20,10 @@ from maxcurves import (
     mult_order,
     poly_roots,
 )
+from maxcurves import fields
 from maxcurves.curves import frame_matrix
 from maxcurves.errors import ConsistencyError
-from maxcurves.fields import Embedding, ExtField
+from maxcurves.fields import EAGER_TABLE_CAP, Embedding, ExtField
 from maxcurves.fields import (
     _is_irreducible,
     _lex_least_irreducible,
@@ -76,10 +77,6 @@ def test_tables_past_the_table_cap_raise():
     msg = r"the 1048576-element field exceeds the 2\^18 discrete-log table cap"
     with pytest.raises(CapError, match=msg):
         F.ensure_tables()
-    with pytest.raises(CapError, match=msg):
-        F.exp_table
-    with pytest.raises(CapError, match=msg):
-        F.log_table
     assert F._log is None and F._exp is None
 
 
@@ -378,6 +375,36 @@ def test_char2_table_path_matches_the_bit_vector_path(k):
     assert F._log is None
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 5), (5, 2), (5, 3), (5, 6), (7, 2), (7, 4), (13, 3)])
+def test_odd_table_path_matches_the_polynomial_path(p, k):
+    # build_field tables a small field at construction, so its add_i is the
+    # Zech addition and neg_i a shift by n/2 in logs; a fresh ExtField adds
+    # digit by digit and multiplies on coefficient tuples.  The operands
+    # include 0, 1, -1 and a pair with a + b = 0, where the Zech table
+    # reads -1.
+    T = build_field(p, k)
+    assert T._log is not None
+    F = ExtField(p, k, T.modulus)
+    rng = random.Random(3000 * p + k)
+    xs = [rng.randrange(1, F.order) for _ in range(12)]
+    xs += [0, 1, p - 1, F.neg_i(xs[0])]
+    for a in xs:
+        assert T.neg_i(a) == F.neg_i(a)
+        for e in range(k):
+            assert T.frob_i(a, e) == F.frob_i(a, e)
+        for e in (0, 1, 2, p, F.order, -3):
+            if a or e >= 0:
+                assert T.pow_i(a, e) == F.pow_i(a, e)
+        if a:
+            assert T.inv_i(a) == F.inv_i(a)
+        for b in xs:
+            assert T.add_i(a, b) == F.add_i(a, b)
+            assert T.sub_i(a, b) == F.sub_i(a, b)
+            assert T.mul_i(a, b) == F.mul_i(a, b)
+    assert T.add_i(xs[0], xs[-1]) == 0
+    assert F._log is None
+
+
 def _loop_tables(F):
     # the table build before doubling: one mul_i per power of the generator
     g = F.generator.value
@@ -402,7 +429,7 @@ def _assert_tables_match_the_loop(p, k):
     modulus = build_field(p, k).modulus
     F, ref = ExtField(p, k, modulus), ExtField(p, k, modulus)
     assert F.ensure_tables()
-    assert (F._exp, F._log) == _loop_tables(ref)
+    assert (list(F._exp), list(F._log)) == _loop_tables(ref)
 
 
 @pytest.mark.parametrize("p,k", [(p, k) for p, k in _prime_powers(4096) if k > 1 or p < 64])
@@ -431,6 +458,25 @@ def test_table_build_rejects_a_generator_that_is_not_primitive(p, k, e):
     with pytest.raises(ConsistencyError, match="generator order mismatch"):
         F.ensure_tables()
     assert F._log is None and F._exp is None
+
+
+def test_build_field_tables_every_field_within_the_eager_cap():
+    # every prime power up to 2^14 but the larger prime fields, which
+    # would hold 14 million table entries between them, and the largest
+    # prime below the bound
+    small = [(p, k) for p, k in _prime_powers(EAGER_TABLE_CAP) if k > 1 or p < 64]
+    for p, k in small + [(16381, 1)]:
+        assert build_field(p, k)._log is not None, (p, k)
+
+
+def test_build_field_tables_no_field_past_the_eager_cap(monkeypatch):
+    # an empty cache makes each build_field construct its field, whatever
+    # other tests have tabled on demand
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    for p, k in [(2, 15), (16411, 1), (3, 9), (2, 18)]:
+        assert p**k > EAGER_TABLE_CAP
+        F = build_field(p, k)
+        assert F._log is None and F._zech is None, (p, k)
 
 
 def test_char2_inverse_of_zero_and_reducible_modulus():
@@ -593,6 +639,27 @@ def test_embedding_roundtrip_and_rejection(p, a, b):
         if not _in_image(phi, y):
             with pytest.raises(ValueError):
                 phi.preimage(y)
+
+
+@pytest.mark.parametrize("p,a,b", CENSUS_EMBEDDINGS)
+def test_image_list_matches_the_matrix_path(p, a, b):
+    # every census source is within EAGER_TABLE_CAP, so apply_i reads the
+    # image list and preimage its inverse dict; the reference multiplies
+    # each digit row by the embedding matrix E
+    src, tgt = build_field(p, a), build_field(p, b, cap=None)
+    phi = embed(src, tgt)
+    assert phi._images is not None
+    want = [tgt.pack(np.array(src.digits(v), dtype=np.int64) @ phi._matrix % p)
+            for v in range(src.order)]
+    assert [phi.apply_i(v) for v in range(src.order)] == want
+    assert [phi.preimage(tgt.elem(y)).value for y in want] == list(range(src.order))
+    rng = random.Random(p * 1000 + b)
+    image = set(want)
+    outside = [y for y in [p] + [rng.randrange(tgt.order) for _ in range(20)] if y not in image]
+    assert p in outside             # X generates the target, a proper extension
+    for y in outside:
+        with pytest.raises(ValueError, match="^element is not in the embedded subfield$"):
+            phi.preimage(tgt.elem(y))
 
 
 def test_embedding_homomorphism_bulk():

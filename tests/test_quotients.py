@@ -1,8 +1,13 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxcurves
 from maxcurves import (
     CapError,
     ConsistencyError,
@@ -323,6 +328,19 @@ def test_burnside_characteristic_two_prime_divisor():
     assert set(rep.n_js[1:]) == {57}  # q - sqrt_q + 1 again
 
 
+def test_burnside_characteristic_two_builds_no_tables_of_its_frame_field():
+    # F_(q^3) = F_(2^18) at sqrt_q = 8 is past EAGER_TABLE_CAP, and the count
+    # never asks it for tables.  A fresh interpreter, because other tests
+    # table that field on demand in this one.
+    code = ("from maxcurves import build_field, burnside_quotient_count\n"
+            "assert burnside_quotient_count(8, 19).count == 81\n"
+            "print(build_field(2, 18)._log is None)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(maxcurves.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "True\n"
+
+
 def test_burnside_sqrt_q_4():
     rep = burnside_quotient_count(4, 13)
     assert rep.count == 17 == rep.expected  # genus 0
@@ -531,7 +549,7 @@ def _model_points(sqrt_q, F):
     fundamental points, then (x : y : 1) = (1 : g^(v-u) : g^(-u)) for each
     torus point x = g^u, y = g^v."""
     u, v = quotients._cyclic_model_points(sqrt_q, F)
-    exp, n = F.exp_table, F.group_order
+    exp, n = F._exp, F.group_order
     return [(0, 1, 0), (1, 0, 0), (0, 0, 1)] + [
         (1, exp[a], exp[b]) for a, b in zip(((v - u) % n).tolist(), (-u % n).tolist())]
 

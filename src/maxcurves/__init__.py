@@ -14,8 +14,6 @@ from .fields import (
     build_field,
     embed,
     find_root_of_unity,
-    frame_parameter,
-    frame_scalars,
     frobenius_power,
     mult_order,
     poly_roots,
@@ -34,11 +32,14 @@ from .curves import (
     envelope_model,
     fermat_quotient,
     frame_matrix,
+    frame_parameter,
+    frame_scalars,
     geer_vlugt_curve,
     hermitian_canonical,
     hermitian_fermat,
     quotient_model_rational,
     quotient_plane_model,
+    singer_frame,
     smooth_cyclic_model,
 )
 from .counting import (

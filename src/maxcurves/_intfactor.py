@@ -127,3 +127,12 @@ def split_prime_power(n: int) -> tuple[int, int]:
         raise ValueError(f"{n} is not a prime power")
     ((p, e),) = fac.items()
     return p, e
+
+
+def check_divisor(sqrt_q: int, d: int) -> int:
+    """n = q - sqrt_q + 1, the order of the cyclic automorphism of the
+    Hermitian curve; raises ValueError unless d is a positive divisor of n."""
+    n = sqrt_q * sqrt_q - sqrt_q + 1
+    if d < 1 or n % d:
+        raise ValueError(f"{d} does not divide q - sqrt_q + 1 = {n}")
+    return n

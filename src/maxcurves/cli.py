@@ -97,8 +97,6 @@ MODEL_TAGS = tuple(MODELS)
 
 
 def make_model(tag: str, args) -> CurveModel:
-    if tag not in MODELS:
-        raise ValueError(f"unknown model tag {tag!r}")
     build, flags = MODELS[tag]
     if "sqrt_q" in flags and args.sqrt_q is None:
         raise ValueError(f"model {tag!r} needs --sqrt-q")
@@ -114,38 +112,31 @@ def make_model(tag: str, args) -> CurveModel:
 # ---------------------------------------------------------------------------
 
 def emit(payload, fmt: str, out=None):
+    """Write a cmd_* payload, a dict or a list of row dicts, in one of FORMATS."""
     out = out or sys.stdout
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         return
-    rows = payload if isinstance(payload, list) else None
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        if rows is not None and rows and isinstance(rows[0], dict):
-            cols = CENSUS_COLUMNS if set(CENSUS_COLUMNS) <= set(rows[0]) else sorted(rows[0])
-            writer.writerow(cols)
-            writer.writerows([r.get(c) for c in cols] for r in rows)
-        elif isinstance(payload, dict):
+    if isinstance(payload, dict):
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(("key", "value"))
             writer.writerows((k, json.dumps(payload[k], sort_keys=True)) for k in sorted(payload))
         else:
-            out.write(str(payload) + "\n")
-        return
-    if fmt == "table":
-        if rows is not None and rows and isinstance(rows[0], dict):
-            cols = CENSUS_COLUMNS if set(CENSUS_COLUMNS) <= set(rows[0]) else sorted(rows[0])
-            widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols]
-            out.write("  ".join(c.ljust(w) for c, w in zip(cols, widths)) + "\n")
-            for r in rows:
-                out.write("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(cols, widths)) + "\n")
-        elif isinstance(payload, dict):
             width = max((len(k) for k in payload), default=0)
             for k in sorted(payload):
                 out.write(f"{k.ljust(width)}  {payload[k]}\n")
-        else:
-            out.write(str(payload) + "\n")
         return
-    raise ValueError(f"unknown format {fmt!r}")
+    cols = CENSUS_COLUMNS if set(CENSUS_COLUMNS) <= set(payload[0]) else sorted(payload[0])
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([r.get(c) for c in cols] for r in payload)
+    else:
+        widths = [max(len(c), *(len(str(r.get(c, ""))) for r in payload)) for c in cols]
+        out.write("  ".join(c.ljust(w) for c, w in zip(cols, widths)) + "\n")
+        for r in payload:
+            out.write("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(cols, widths)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -268,10 +268,13 @@ def singular_points(model: CurveModel, k: int = 1) -> list[tuple[int, int, int]]
 
 
 def hasse_weil_bounds(q: int, g: int) -> tuple[int, int]:
-    """(max(0, q+1-2g*sqrt(q)), q+1+2g*sqrt(q)); q must be a square."""
+    """(max(0, q+1-2g*sqrt(q)), q+1+2g*sqrt(q)); q must be a square and
+    g nonnegative."""
     s = math.isqrt(q)
     if s * s != q:
         raise ValueError(f"{q} is not a square")
+    if g < 0:
+        raise ValueError("genus is nonnegative")
     return max(0, q + 1 - 2 * g * s), q + 1 + 2 * g * s
 
 

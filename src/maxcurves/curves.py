@@ -5,11 +5,16 @@ polynomials are stored as {(i, j, k): packed coefficient} maps.  Coordinate
 changes substitute linear forms and are used both to move between the
 singular envelope model, the smooth cyclic model and the Hermitian curve,
 and to express the degree-3 quotient curve over the base field F_q.
+
+The one frame in which the cyclic automorphism of the Hermitian curve is
+diagonal, the Singer frame kappa, is built here (singer_frame) from the
+frame parameter a; every construction that works in that frame reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._intfactor import split_prime_power
 from .errors import ConsistencyError
@@ -21,7 +26,6 @@ from .fields import (
     build_field,
     embed,
     find_root_of_unity,
-    frame_parameter,
     poly_roots,
 )
 
@@ -438,6 +442,54 @@ def smooth_cyclic_model(sqrt_q: int, field: ExtField | None = None) -> CurveMode
                       expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
+@lru_cache(maxsize=None)
+def frame_parameter(sqrt_q: int) -> FieldElement:
+    """The canonical triangle-frame scaling constant a in F_{sqrt_q^3}.
+
+    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0; it
+    lies in F_{sqrt_q^3}, so a^(sqrt_q^3) = a holds by construction.  Every
+    return value is checked to satisfy a^(q + sqrt_q + 1) = 1, the two
+    vanishing frame sums and the nonvanishing third sum; frame_matrix checks
+    the determinant of the frame it spans.  Failure of any of these would
+    mean a bug in the tower arithmetic.
+    """
+    p, h = split_prime_power(sqrt_q)
+    q = sqrt_q * sqrt_q
+    F3 = build_field(p, 3 * h)
+    f = FPoly(F3, [1, 1] + [0] * (sqrt_q - 1) + [1])  # X^(sqrt_q+1) + X + 1
+    roots = [r for r, _ in poly_roots(f)]
+    if len(roots) != sqrt_q + 1:
+        raise ConsistencyError(
+            f"frame polynomial should have {sqrt_q + 1} distinct roots, got {len(roots)}"
+        )
+    admissible = [a for a in roots if (a * a + a + 1).value != 0]
+    if not admissible:
+        raise ConsistencyError("no admissible frame root (a^2+a+1 != 0)")
+    a = min(admissible)
+    if (a ** (q + sqrt_q + 1)).value != 1:
+        raise ConsistencyError("frame root is not a (q+sqrt_q+1)-th root of unity")
+    a1, a2, a3 = frame_scalars(a, sqrt_q)
+    if a1.value != 0 or a2.value != 0:
+        raise ConsistencyError("frame sums a1, a2 do not vanish")
+    if a3.value == 0:
+        raise ConsistencyError("frame sum a3 vanishes")
+    return a
+
+
+def frame_scalars(a: FieldElement, sqrt_q: int) -> tuple[FieldElement, FieldElement, FieldElement]:
+    """The three frame sums attached to a candidate frame constant a.
+
+    a1 = a^(q*sqrt_q + sqrt_q) + a^(q + sqrt_q + 1) + a
+    a2 = a^(q*sqrt_q + q + sqrt_q + 1) + a^(sqrt_q + 1) + 1
+    a3 = a^(q*sqrt_q + sqrt_q + 1) + a^(q + 1) + a^sqrt_q
+    """
+    q = sqrt_q * sqrt_q
+    a1 = a ** (q * sqrt_q + sqrt_q) + a ** (q + sqrt_q + 1) + a
+    a2 = a ** (q * sqrt_q + q + sqrt_q + 1) + a ** (sqrt_q + 1) + 1
+    a3 = a ** (q * sqrt_q + sqrt_q + 1) + a ** (q + 1) + a**sqrt_q
+    return a1, a2, a3
+
+
 def frame_matrix(a: FieldElement, sqrt_q: int) -> ProjMatrix:
     """The circulant coordinate-frame matrix with rows
     (a, 1, b), (b, a, 1), (1, b, a) where b = a^(q+1).
@@ -464,6 +516,20 @@ def frame_matrix(a: FieldElement, sqrt_q: int) -> ProjMatrix:
         if (a ** (sqrt_q + 1) + a + 1).value == 0:
             raise ConsistencyError("frame determinant identity failed on a frame root")
     return mat
+
+
+@lru_cache(maxsize=None)
+def singer_frame(sqrt_q: int) -> ProjMatrix:
+    """The frame kappa over F_{q^3}: frame_matrix of the frame parameter a.
+
+    In the coordinates Y = kappa X the order-(q - sqrt_q + 1) automorphism
+    of the Hermitian curve is diagonal, and the F_q-points of the plane are
+    the Singer set {(z, z^q, z^(q^2))}.  The first entry of the circulant,
+    kappa.rows[0][0], is a.
+    """
+    p, h = split_prime_power(sqrt_q)
+    a = frame_parameter(sqrt_q)
+    return frame_matrix(embed(a.field, build_field(p, 6 * h))(a), sqrt_q)
 
 
 def apply_coord_change(model: CurveModel, mat: ProjMatrix) -> CurveModel:
@@ -529,20 +595,20 @@ def cube_cover_identity(sqrt_q: int, field: ExtField) -> bool:
 def quotient_model_rational(sqrt_q: int) -> CurveModel:
     """The degree-3 quotient curve as an explicit plane model over F_q.
 
-    Builds the frame constant a, composes the frame-coordinates model with
-    the frame matrix over F_{q^3}, rescales by c with c^(s-1) = a, and pulls
-    every coefficient back to F_q through the embedding (ConsistencyError if
-    one is not in F_q).  Expected genus (q - s - 2)/6.
+    Composes the frame-coordinates model with the Singer frame kappa over
+    F_{q^3} (singer_frame), reads the frame constant a off kappa, rescales
+    by c with c^(s-1) = a, and pulls every coefficient back to F_q through
+    the embedding (ConsistencyError if one is not in F_q).  Expected genus
+    (q - s - 2)/6.
     """
     q = sqrt_q * sqrt_q
     if (q - sqrt_q + 1) % 3:
         raise ValueError("needs sqrt_q = 2 (mod 3)")
     p, h = split_prime_power(sqrt_q)
     Fq = build_field(p, 2 * h)
-    Fq3 = build_field(p, 6 * h)
-    a = frame_parameter(sqrt_q)
-    a3 = embed(a.field, Fq3)(a)
-    kappa = frame_matrix(a3, sqrt_q)
+    kappa = singer_frame(sqrt_q)
+    Fq3 = kappa.field
+    a3 = FieldElement(Fq3, kappa.rows[0][0])
     fprime = quotient_plane_model(sqrt_q, Fq3).poly
     gprime = fprime.compose_linear(kappa)
     # pre-scaling Frobenius twist: coeff^q = a^-(s+1) * coeff for every term

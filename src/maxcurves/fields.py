@@ -28,18 +28,18 @@ characteristic adds digit by digit and multiplies and inverts on coefficient
 tuples; in characteristic 2 the packed integer is the coefficient bit
 vector, so addition is XOR, and multiplication (carry-less product, then
 reduction by the sparse modulus) and inversion (binary extended Euclid) are
-shifts and XORs on it.  All arithmetic is exact.
+shifts and XORs on it.  All arithmetic is exact.  Geometry over these
+fields, the Singer frame among it, lives in curves.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 import numpy as np
 
-from ._intfactor import factorize, is_prime, split_prime_power
+from ._intfactor import factorize, is_prime
 from .errors import CapError, ConsistencyError
 
 DEFAULT_ELEM_CAP = 1 << 40
@@ -1097,65 +1097,3 @@ def embed(source: ExtField, target: ExtField) -> Embedding:
         _EMBED_CACHE[key] = got
     return got
 
-
-# ---------------------------------------------------------------------------
-# the canonical frame parameter
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def frame_parameter(sqrt_q: int) -> FieldElement:
-    """The canonical triangle-frame scaling constant a in F_{sqrt_q^3}.
-
-    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0; it
-    lies in F_{sqrt_q^3}, so a^(sqrt_q^3) = a holds by construction.  Every
-    return value is checked to satisfy a^(q + sqrt_q + 1) = 1, the two
-    vanishing frame sums, the nonvanishing third sum, and nonsingularity of
-    the frame matrix; failure of any of these would mean a bug in the tower
-    arithmetic.
-    """
-    p, h = split_prime_power(sqrt_q)
-    q = sqrt_q * sqrt_q
-    F3 = build_field(p, 3 * h)
-    f = FPoly(F3, [1, 1] + [0] * (sqrt_q - 1) + [1])  # X^(sqrt_q+1) + X + 1
-    roots = [r for r, _ in poly_roots(f)]
-    if len(roots) != sqrt_q + 1:
-        raise ConsistencyError(
-            f"frame polynomial should have {sqrt_q + 1} distinct roots, got {len(roots)}"
-        )
-    admissible = [a for a in roots if (a * a + a + 1).value != 0]
-    if not admissible:
-        raise ConsistencyError("no admissible frame root (a^2+a+1 != 0)")
-    a = min(admissible)
-    if (a ** (q + sqrt_q + 1)).value != 1:
-        raise ConsistencyError("frame root is not a (q+sqrt_q+1)-th root of unity")
-    a1, a2, a3 = frame_scalars(a, sqrt_q)
-    if a1.value != 0 or a2.value != 0:
-        raise ConsistencyError("frame sums a1, a2 do not vanish")
-    if a3.value == 0:
-        raise ConsistencyError("frame sum a3 vanishes")
-    det = _frame_det(a, q)
-    if det.value == 0:
-        raise ConsistencyError("frame matrix is singular")
-    if ((a + 1) ** 3) * det != (a * a + a + 1) ** 3:
-        raise ConsistencyError("frame determinant identity failed")
-    return a
-
-
-def frame_scalars(a: FieldElement, sqrt_q: int) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """The three frame sums attached to a candidate frame constant a.
-
-    a1 = a^(q*sqrt_q + sqrt_q) + a^(q + sqrt_q + 1) + a
-    a2 = a^(q*sqrt_q + q + sqrt_q + 1) + a^(sqrt_q + 1) + 1
-    a3 = a^(q*sqrt_q + sqrt_q + 1) + a^(q + 1) + a^sqrt_q
-    """
-    q = sqrt_q * sqrt_q
-    a1 = a ** (q * sqrt_q + sqrt_q) + a ** (q + sqrt_q + 1) + a
-    a2 = a ** (q * sqrt_q + q + sqrt_q + 1) + a ** (sqrt_q + 1) + 1
-    a3 = a ** (q * sqrt_q + sqrt_q + 1) + a ** (q + 1) + a**sqrt_q
-    return a1, a2, a3
-
-
-def _frame_det(a: FieldElement, q: int) -> FieldElement:
-    # determinant of the circulant frame matrix with first row (a, 1, a^(q+1))
-    b = a ** (q + 1)
-    return a**3 + 1 + b**3 - 3 * a * b

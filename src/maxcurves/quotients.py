@@ -8,13 +8,14 @@ For each divisor d of n the quotient curve is counted two ways:
 * for every d, by orbit counting: #quotient(F_q) = (1/d) sum_j N_j where
   N_j is the number of curve points P with Frobenius(P) = g^j(P).  N_0 is
   the plane sweep of the Fermat model.  In the frame kappa that
-  diagonalizes the action, the F_q-points of the plane are the Singer set
-  {(z, z^q, z^(q^2))}, z in F_{q^3}* / F_q*, and a monomial isogeny with
-  kernel <g> carries the twisted fixed points, n to a fibre, onto the
-  points of the trace line Tr_{q^3/q}(z) = 0; the twist index of a fibre
-  is the Kummer character of its z.  So each N_j is n times a count of
-  trace-line points by the residue of z^((q^3 - 1)/n), computed in F_{q^3}
-  with no lift field and no discrete-log table (trace_line_histogram).
+  diagonalizes the action (curves.singer_frame), the F_q-points of the
+  plane are the Singer set {(z, z^q, z^(q^2))}, z in F_{q^3}* / F_q*, and
+  a monomial isogeny with kernel <g> carries the twisted fixed points, n
+  to a fibre, onto the points of the trace line Tr_{q^3/q}(z) = 0; the
+  twist index of a fibre is the Kummer character of its z.  So each N_j
+  is n times a count of trace-line points by the residue of
+  z^((q^3 - 1)/n), computed in F_{q^3} with no lift field and no
+  discrete-log table (trace_line_histogram).
   The Lang solver that counted each twist in a lift field F_{q^s}
   (lang_solve, twisted_fixed_count) is kept only as the tests' reference.
 
@@ -35,7 +36,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._intfactor import euler_phi, factorize, is_prime, split_prime_power
+from ._intfactor import check_divisor, euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
 from .counting import count_projective_points
 from .curves import (
@@ -44,9 +45,9 @@ from .curves import (
     ProjMatrix,
     cyclic_poly,
     fermat_poly,
-    frame_matrix,
     hermitian_fermat,
     identity_matrix,
+    singer_frame,
 )
 from .fields import (
     ExtField,
@@ -56,7 +57,6 @@ from .fields import (
     check_table_cap,
     embed,
     find_root_of_unity,
-    frame_parameter,
 )
 
 # The largest lift order s for which the reference lang_solve builds
@@ -71,10 +71,6 @@ def _normalize_point(F: ExtField, pt):
             inv = F.inv_i(c)
             return tuple(F.mul_i(inv, x) for x in pt)
     raise ValueError("zero vector is not a projective point")
-
-
-def _proj_equal(F: ExtField, ptA, ptB) -> bool:
-    return _normalize_point(F, ptA) == _normalize_point(F, ptB)
 
 
 @dataclass(frozen=True)
@@ -99,20 +95,21 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     with its matrix normalized to entries in F_q.
 
     Constructed as kappa^-1 diag(lam, lam^s, 1) kappa with lam of exact
-    order n in F_{q^3} and kappa the frame matrix; the conjugate is rescaled
-    by its first nonzero entry, which must land every entry in F_q.  The
-    returned action is verified to preserve the Fermat polynomial up to
-    scalar, to have exact projective order n, and to fix a triangle of
-    non-rational points permuted 3-cyclically by Frobenius.
+    order n in F_{q^3} and kappa the Singer frame (singer_frame); the
+    conjugate is rescaled by its first nonzero entry, which must land every
+    entry in F_q.  The returned action is verified to preserve the Fermat
+    polynomial up to scalar and to have exact projective order n.  Its
+    triangle is the columns of kappa^-1, fixed by construction since they
+    are eigenvectors of the conjugate.  Frobenius 3-cycles the triangle, so
+    no triangle point is rational, exactly when kappa (kappa^(q))^-1 is a
+    scalar times a 3-cycle, which trace_line_histogram checks.
     """
     p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
     n = q - sqrt_q + 1
     Fq = build_field(p, 2 * h)
-    Fq3 = build_field(p, 6 * h)
-    a = frame_parameter(sqrt_q)
-    aa = embed(a.field, Fq3)(a)
-    kappa = frame_matrix(aa, sqrt_q)
+    kappa = singer_frame(sqrt_q)
+    Fq3 = kappa.field
     lam = find_root_of_unity(Fq3, n)
     diag = ProjMatrix(
         Fq3,
@@ -134,7 +131,6 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
         _normalize_point(Fq3, tuple(kinv.rows[r][i] for r in range(3)))
         for i in range(3)
     )
-    _check_triangle(Fq3, t3, triangle, 2 * h)
     return CyclicAction(sqrt_q, n, t, triangle, kappa, lam.value)
 
 
@@ -144,25 +140,6 @@ def _check_projective_order(t: ProjMatrix, n: int):
     for ell in factorize(n):
         if t.pow(n // ell).is_scalar():
             raise ConsistencyError("automorphism has smaller projective order than expected")
-
-
-def _check_triangle(Fq3: ExtField, t3: ProjMatrix, triangle, qfrob: int):
-    for pt in triangle:
-        if not _proj_equal(Fq3, t3.apply_i(pt), pt):
-            raise ConsistencyError("triangle point is not fixed by the action")
-        if all(Fq3.frob_i(c, qfrob) == c for c in pt):
-            raise ConsistencyError("triangle point is F_q-rational")
-    frob_images = [
-        _normalize_point(Fq3, tuple(Fq3.frob_i(c, qfrob) for c in pt))
-        for pt in triangle
-    ]
-    perm = []
-    for img in frob_images:
-        if img not in triangle:
-            raise ConsistencyError("Frobenius does not permute the triangle")
-        perm.append(triangle.index(img))
-    if sorted(perm) != [0, 1, 2] or any(perm[i] == i for i in range(3)):
-        raise ConsistencyError("Frobenius is not a 3-cycle on the triangle")
 
 
 def subgroup_action(action: CyclicAction, d: int) -> CyclicAction:
@@ -423,10 +400,8 @@ def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
     the Kummer count m #{z : z^((q^3 - 1)/m) = 1} on the trace line.
     Raises ConsistencyError if either check fails.
     """
+    n = check_divisor(sqrt_q, d)
     action = hermitian_cyclic_action(sqrt_q)
-    n = action.order
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide q - sqrt_q + 1 = {n}")
     q = sqrt_q * sqrt_q
     m = n // d
     n0 = count_projective_points(hermitian_fermat(sqrt_q, action.field)).total
@@ -466,10 +441,7 @@ class HurwitzCheck:
 def hurwitz_genus(sqrt_q: int, d: int) -> int:
     """Quotient genus solved from the Riemann-Hurwitz ledger
     s(s-1) - 2 = d(2g - 2) + 3(d - 1), checked against ((n/d) - 1)/2."""
-    q = sqrt_q * sqrt_q
-    n = q - sqrt_q + 1
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide q - sqrt_q + 1 = {n}")
+    n = check_divisor(sqrt_q, d)
     g = Fraction(sqrt_q * (sqrt_q - 1) - 2 - 3 * (d - 1) + 2 * d, 2 * d)
     if g.denominator != 1:
         raise ConsistencyError("Riemann-Hurwitz genus is not an integer")
@@ -495,9 +467,11 @@ def divisor_report(sqrt_q: int, d: int) -> dict:
     """
     import math
 
-    q = sqrt_q * sqrt_q
-    n = q - sqrt_q + 1
-    admissible = d >= 1 and n % d == 0
+    n = sqrt_q * sqrt_q - sqrt_q + 1
+    try:
+        admissible = check_divisor(sqrt_q, d) == n
+    except ValueError:
+        admissible = False
     report = {"sqrt_q": sqrt_q, "d": d, "n": n, "admissible": admissible,
               "violations": [], "checks": {}}
     if not admissible or d == 1:
@@ -550,9 +524,7 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
     table; a larger field raises CapError before it is built.
     """
     q = sqrt_q * sqrt_q
-    n = q - sqrt_q + 1
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide q - sqrt_q + 1 = {n}")
+    check_divisor(sqrt_q, d)
     if k % 3:
         raise ValueError("the diagonal action needs the triangle field: 3 | k")
     p, h = split_prime_power(sqrt_q)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
+from ._intfactor import check_divisor
 from .errors import ConsistencyError
 
 
@@ -58,11 +59,15 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     run of multiplicity-many consecutive non-gaps certifies cofiniteness.
 
     This is the oracle for every closed genus formula.  Raises ValueError
-    when gcd of the generators exceeds 1 (infinitely many gaps).
+    naming every generator below 1, and when gcd of the generators exceeds
+    1 (infinitely many gaps).
     """
-    gens = sorted({int(g) for g in gens if int(g) > 0})
+    gens = sorted({int(g) for g in gens})
     if not gens:
         raise ValueError("need at least one positive generator")
+    bad = [g for g in gens if g < 1]
+    if bad:
+        raise ValueError(f"generators must be positive, got {', '.join(map(str, bad))}")
     if math.gcd(*gens) != 1 if len(gens) > 1 else gens[0] != 1:
         raise ValueError("generators must be coprime (gcd 1)")
     m = gens[0]
@@ -133,9 +138,7 @@ def first_quotient_nongaps(sqrt_q: int) -> tuple[int, int]:
 def linear_series_dim(sqrt_q: int, d: int) -> int:
     """dim of the distinguished degree-(s+1) linear series on the degree-d
     quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}."""
-    q = sqrt_q * sqrt_q
-    if d < 1 or (q - sqrt_q + 1) % d:
-        raise ValueError(f"{d} does not divide q - sqrt_q + 1")
+    check_divisor(sqrt_q, d)
     sg = hermitian_point_semigroup(sqrt_q)
     return 1 + sum(
         1 for h in range(d, d * sqrt_q + 1, d) if h in sg

@@ -24,6 +24,7 @@ from .curves import (
     branch_expansion_check,
     cube_cover_identity,
     frame_matrix,
+    frame_parameter,
     geer_vlugt_curve,
     hermitian_canonical,
     hermitian_fermat,
@@ -31,7 +32,7 @@ from .curves import (
     ProjMatrix,
 )
 from .errors import CapError
-from .fields import build_field, embed, frame_parameter
+from .fields import build_field, embed
 from .quotients import burnside_quotient_count, hurwitz_genus
 from .semigroups import (
     OrderSequence,

@@ -131,6 +131,30 @@ def test_dim_d_rejects_a_non_divisor(d, capsys):
     assert f"error: {d} does not divide q - sqrt_q + 1" in err
 
 
+@pytest.mark.parametrize("command", ["quotient", "dim-d"])
+def test_a_non_divisor_is_refused_before_the_action_is_built(command, monkeypatch, capsys):
+    from maxcurves import quotients
+
+    def no_action(sqrt_q):
+        raise AssertionError("the cyclic action was built")
+
+    monkeypatch.setattr(quotients, "hermitian_cyclic_action", no_action)
+    code, out, err = run_cli([command, "--sqrt-q", "32", "--d", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: 2 does not divide q - sqrt_q + 1 = 993\n")
+
+
+def test_verify_maximal_rejects_a_negative_genus(capsys):
+    code, out, err = run_cli(
+        ["verify-maximal", "--model", "hermitian", "--sqrt-q", "5", "--genus=-1"], capsys)
+    assert (code, out, err) == (2, "", "error: genus is nonnegative\n")
+
+
+@pytest.mark.parametrize("gens,bad", [("-1,3,5", "-1"), ("0,3,5", "0")])
+def test_semigroup_rejects_a_nonpositive_generator(gens, bad, capsys):
+    code, out, err = run_cli(["semigroup", f"--gens={gens}"], capsys)
+    assert (code, out, err) == (2, "", f"error: generators must be positive, got {bad}\n")
+
+
 def test_sv_command(capsys):
     code, out, _ = run_cli(
         ["sv", "--g", "10", "--degd", "6", "--r", "2", "--eps", "0,1,5",

@@ -119,6 +119,12 @@ def test_hasse_weil_bounds():
         hasse_weil_bounds(24, 1)
 
 
+def test_hasse_weil_bounds_reject_a_negative_genus():
+    # g = -1 would give the interval (36, 16), lower bound above the upper
+    with pytest.raises(ValueError, match="^genus is nonnegative$"):
+        hasse_weil_bounds(25, -1)
+
+
 def test_maximality_verdicts():
     herm = count_projective_points(hermitian_canonical(5))
     assert maximality_check(herm, 10).verdict == "maximal"

@@ -150,6 +150,7 @@ def test_quotient_model_refuses_a_coefficient_outside_f_q(monkeypatch):
     # coefficients outside F_q; the descent must refuse them
     from maxcurves import curves
 
+    curves.singer_frame(5)  # the frame parameter's roots come from the real root finder
     monkeypatch.setattr(curves, "poly_roots", lambda f: [(f.field.generator, 1)])
     with pytest.raises(ConsistencyError, match="quotient model does not descend"):
         quotient_model_rational(5)
@@ -390,3 +391,34 @@ def test_compose_linear_matches_square_and_multiply(p, k, degree):
                 break
         mat = ProjMatrix(F, rows)
         assert poly.compose_linear(mat) == _square_and_multiply_compose(poly, mat)
+
+
+def test_public_names():
+    # the frame code moved from fields to curves; every public name stays
+    import maxcurves
+
+    assert sorted(maxcurves.__all__) == [
+        "BurnsideReport", "CASTELNUOVO_PARAMETER_NOTE", "CapError", "ConsistencyError",
+        "CountReport", "CurveModel", "CyclicAction", "Embedding", "ExtField", "FPoly",
+        "FiberReport", "FieldElement", "HomPoly3", "HurwitzCheck", "LangSolution",
+        "MaximalityVerdict", "NumericalSemigroup", "OrderSequence", "ProjMatrix",
+        "SVReport", "TruncSeries", "apply_coord_change", "artin_schreier_quotient",
+        "branch_expansion_check", "branch_series", "build_field",
+        "burnside_quotient_count", "castelnuovo_bound", "char2_chain_curve",
+        "classify_genus", "count_projective_points", "counting", "cube_cover_identity",
+        "curves", "dim3_order_inequality", "dim3_orders", "divisor_report", "embed",
+        "envelope_model", "errors", "extension_count_prediction", "fermat_quotient",
+        "fiber_statistics", "fields", "find_root_of_unity", "first_nongap_candidates",
+        "first_quotient_nongaps", "frame_matrix", "frame_parameter", "frame_scalars",
+        "frobenius_power", "geer_vlugt_curve", "geer_vlugt_dim", "geer_vlugt_orders",
+        "genus_from_count", "genus_lmm", "hasse_weil_bounds", "hermitian_canonical",
+        "hermitian_cyclic_action", "hermitian_fermat", "hermitian_point_semigroup",
+        "hurwitz_check", "hurwitz_genus", "lang_solve", "linear_series_dim",
+        "maximality_check", "mult_order", "orders_at_quotient_branch",
+        "orders_from_nongaps", "poly_roots", "quotient_model_rational",
+        "quotient_plane_model", "quotient_semigroup", "quotients",
+        "semigroup_from_generators", "semigroups", "singer_frame", "singular_points",
+        "smooth_cyclic_model", "stohr_voloch_degrees", "subgroup_action",
+        "twisted_fixed_count",
+    ]
+    assert not hasattr(maxcurves.fields, "frame_parameter")

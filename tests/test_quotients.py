@@ -23,6 +23,7 @@ from maxcurves import (
     hurwitz_check,
     hurwitz_genus,
     lang_solve,
+    linear_series_dim,
     quotient_model_rational,
     subgroup_action,
     twisted_fixed_count,
@@ -34,9 +35,12 @@ from maxcurves.curves import ProjMatrix, cyclic_poly
 from maxcurves.quotients import (
     FiberReport,
     _normalize_point,
-    _proj_equal,
     identity_matrix,
 )
+
+
+def _proj_equal(F, ptA, ptB) -> bool:
+    return _normalize_point(F, ptA) == _normalize_point(F, ptB)
 
 
 def test_action_orders_and_rationality():
@@ -55,19 +59,42 @@ def test_action_preserves_fermat_model():
     assert scal is not None
 
 
-def test_action_triangle():
-    act = hermitian_cyclic_action(5)
+@pytest.mark.parametrize("sq", [2, 3, 4, 5, 7, 8, 9])
+def test_action_triangle(sq):
+    act = hermitian_cyclic_action(sq)
     assert len(act.triangle) == 3
-    Fq3 = build_field(5, 6)
-    up = embed(act.field, Fq3)
-    t3 = act.matrix.map_entries(up)
+    Fq3 = act.frame.field
+    qfrob = act.field.k
+    t3 = act.matrix.map_entries(embed(act.field, Fq3))
+    perm = []
     for pt in act.triangle:
         # fixed by the action, moved by Frobenius, not rational
         moved = t3.apply_i(pt)
         assert _normalize_point(Fq3, moved) == pt
-        frob = tuple(Fq3.frob_i(c, 2) for c in pt)
-        assert _normalize_point(Fq3, frob) != pt
-        assert _normalize_point(Fq3, frob) in act.triangle
+        frob = _normalize_point(Fq3, tuple(Fq3.frob_i(c, qfrob) for c in pt))
+        assert frob != pt
+        perm.append(act.triangle.index(frob))
+    # Frobenius is a 3-cycle on the triangle
+    assert sorted(perm) == [0, 1, 2] and all(perm[i] != i for i in range(3))
+
+
+@pytest.mark.parametrize("sq", [2, 5, 8, 11])
+def test_one_singer_frame(sq, monkeypatch):
+    # the action and the d = 3 model both work in the one cached frame
+    kappa = maxcurves.singer_frame(sq)
+    assert hermitian_cyclic_action(sq).frame is kappa
+    read = []
+
+    def spy(sqrt_q):
+        read.append(maxcurves.singer_frame(sqrt_q))
+        return read[-1]
+
+    monkeypatch.setattr(maxcurves.curves, "singer_frame", spy)
+    quotient_model_rational(sq)
+    assert len(read) == 1 and read[0] is kappa
+    # the first entry of the circulant is the frame parameter
+    a = maxcurves.frame_parameter(sq)
+    assert kappa.rows[0][0] == embed(a.field, kappa.field).apply_i(a.value)
 
 
 def test_subgroup_action():
@@ -476,6 +503,20 @@ def test_burnside_divisibility_and_caps(monkeypatch):
     monkeypatch.setattr(quotients, "build_field", no_lift_field)
     with pytest.raises(CapError, match=f"^Lang lift order {s} exceeds cap {s - 1}$"):
         lang_solve(u)
+
+
+@pytest.mark.parametrize("sq,d", [(5, 5), (5, 0), (32, 2)])
+def test_a_non_divisor_is_refused_before_the_action_is_built(sq, d, monkeypatch):
+    def no_action(sqrt_q):
+        raise AssertionError("the cyclic action was built")
+
+    monkeypatch.setattr(quotients, "hermitian_cyclic_action", no_action)
+    msg = f"^{d} does not divide q - sqrt_q \\+ 1 = {sq * sq - sq + 1}$"
+    for refuse in (burnside_quotient_count, hurwitz_genus, fiber_statistics,
+                   linear_series_dim):
+        with pytest.raises(ValueError, match=msg):
+            refuse(sq, d)
+    assert not divisor_report(sq, d)["admissible"]
 
 
 def test_hurwitz_genus_values():

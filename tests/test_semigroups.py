@@ -46,6 +46,14 @@ def test_sieve_examples():
         semigroup_from_generators([4, 6])
 
 
+@pytest.mark.parametrize("gens,bad", [([-1, 3, 5], "-1"), ([0, 3, 5], "0"),
+                                      ([-2, 0, 3, 5], "-2, 0")])
+def test_sieve_rejects_nonpositive_generators(gens, bad):
+    # dropping them would silently sieve <3, 5>
+    with pytest.raises(ValueError, match=f"^generators must be positive, got {bad}$"):
+        semigroup_from_generators(gens)
+
+
 def _is_closed(sg):
     # closure under addition up to twice the conductor
     limit = 2 * sg.conductor

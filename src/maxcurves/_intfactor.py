@@ -11,6 +11,7 @@ import math
 from .errors import CapError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RHO_ROUNDS = 64
 
 
 def is_prime(n: int) -> bool:
@@ -65,7 +66,7 @@ def _pollard_rho(n: int, seed: int = 1) -> int:
         seed += 1
 
 
-def factorize(n: int, *, rho_rounds: int = 64) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Full prime factorization as {prime: exponent}; CapError if it stalls."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -94,7 +95,7 @@ def factorize(n: int, *, rho_rounds: int = 64) -> dict[int, int]:
             out[m] = out.get(m, 0) + 1
             continue
         rounds += 1
-        if rounds > rho_rounds:
+        if rounds > _RHO_ROUNDS:
             raise CapError(f"factorization of {n} beyond desk scale")
         d = _pollard_rho(m, seed=rounds)
         stack.append(d)
@@ -131,7 +132,9 @@ def split_prime_power(n: int) -> tuple[int, int]:
 
 def check_divisor(sqrt_q: int, d: int) -> int:
     """n = q - sqrt_q + 1, the order of the cyclic automorphism of the
-    Hermitian curve; raises ValueError unless d is a positive divisor of n."""
+    Hermitian curve; raises ValueError unless sqrt_q is a prime power and d
+    is a positive divisor of n."""
+    split_prime_power(sqrt_q)
     n = sqrt_q * sqrt_q - sqrt_q + 1
     if d < 1 or n % d:
         raise ValueError(f"{d} does not divide q - sqrt_q + 1 = {n}")

@@ -111,9 +111,9 @@ def make_model(tag: str, args) -> CurveModel:
 # output formatting
 # ---------------------------------------------------------------------------
 
-def emit(payload, fmt: str, out=None):
+def emit(payload, fmt: str):
     """Write a cmd_* payload, a dict or a list of row dicts, in one of FORMATS."""
-    out = out or sys.stdout
+    out = sys.stdout
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         return

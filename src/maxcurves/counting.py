@@ -195,7 +195,7 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     dstar = f.degree()
     inf_mult = mult - dstar
     roots = poly_roots(f)
-    squarefree = all(m == 1 for _, m in roots) and f.gcd(f.derivative()).degree() == 0
+    squarefree = f.gcd(f.derivative()).degree() == 0
     ordinary = squarefree and inf_mult <= 1
     rational = len(roots) + (1 if inf_mult == 1 else 0)
     return mult, ordinary, rational

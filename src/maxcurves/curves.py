@@ -6,6 +6,11 @@ changes substitute linear forms and are used both to move between the
 singular envelope model, the smooth cyclic model and the Hermitian curve,
 and to express the degree-3 quotient curve over the base field F_q.
 
+Each model constructor builds over the one field that sqrt_q fixes: F_q,
+or F_{s^3} for the frame and smooth cyclic models.  To lift a model, use
+poly.map_coefficients(embed(model.field, L)); apply_coord_change lifts a
+model to the field of its matrix.
+
 The one frame in which the cyclic automorphism of the Hermitian curve is
 diagonal, the Singer frame kappa, is built here (singer_frame) from the
 frame parameter a; every construction that works in that frame reads it.
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._intfactor import split_prime_power
+from ._intfactor import check_divisor, split_prime_power
 from .errors import ConsistencyError
 from .fields import (
     Embedding,
@@ -46,8 +51,9 @@ class HomPoly3:
 
     @classmethod
     def from_int_coeffs(cls, field: ExtField, terms: dict[tuple[int, int, int], int]):
-        """Coefficients given as plain integers, reduced into the prime field."""
-        return cls(field, {e: field.elem(c).value for e, c in terms.items()})
+        """Coefficients given as plain integers, reduced into the prime field,
+        whose packed values are 0 .. p - 1."""
+        return cls(field, {e: c % field.p for e, c in terms.items()})
 
     # -- evaluation -----------------------------------------------------------
 
@@ -362,19 +368,11 @@ class CurveModel:
 # model constructors
 # ---------------------------------------------------------------------------
 
-def _check_contains(field: ExtField, p: int, k: int, what: str):
-    if field.p != p or field.k % k:
-        raise ValueError(f"{field!r} does not contain {what}")
-
-
-def hermitian_canonical(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def hermitian_canonical(sqrt_q: int) -> CurveModel:
     """The Hermitian curve Y^s Z + Y Z^s = X^(s+1) with s = sqrt_q."""
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 2 * h)
-    _check_contains(field, p, 2 * h, f"F_{sqrt_q**2}")
     poly = HomPoly3.from_int_coeffs(
-        field,
+        build_field(p, 2 * h),
         {(0, sqrt_q, 1): 1, (0, 1, sqrt_q): 1, (sqrt_q + 1, 0, 0): -1},
     )
     return CurveModel(poly, "hermitian", sqrt_q,
@@ -390,28 +388,22 @@ def fermat_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
     )
 
 
-def hermitian_fermat(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def hermitian_fermat(sqrt_q: int) -> CurveModel:
     """The Fermat form X^(s+1) + Y^(s+1) + Z^(s+1), projectively equivalent
     to the canonical Hermitian model over F_q."""
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 2 * h)
-    _check_contains(field, p, 2 * h, f"F_{sqrt_q**2}")
-    return CurveModel(fermat_poly(sqrt_q, field), "hermitian-fermat", sqrt_q,
-                      expected_genus=sqrt_q * (sqrt_q - 1) // 2)
+    return CurveModel(fermat_poly(sqrt_q, build_field(p, 2 * h)), "hermitian-fermat",
+                      sqrt_q, expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
-def envelope_model(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def envelope_model(sqrt_q: int) -> CurveModel:
     """The degree 2(s+1) singular plane model with three 2-fold points at the
     fundamental triangle; requires odd characteristic."""
     p, h = split_prime_power(sqrt_q)
     if p == 2:
         raise ValueError("envelope model needs odd characteristic")
-    if field is None:
-        field = build_field(p, 2 * h)
-    _check_contains(field, p, 2 * h, f"F_{sqrt_q**2}")
     s = sqrt_q
-    poly = HomPoly3.from_int_coeffs(field, {
+    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h), {
         (0, 2, 2 * s): 1,
         (2, 2 * s, 0): 1,
         (2 * s, 0, 2): 1,
@@ -431,14 +423,11 @@ def cyclic_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
     )
 
 
-def smooth_cyclic_model(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def smooth_cyclic_model(sqrt_q: int) -> CurveModel:
     """The smooth model X0^s X2 + X2^s X1 + X1^s X0, defined over F_{s^3},
     on which the diagonal action (X0, X1, X2) -> (c X0, c^s X1, X2) acts."""
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 3 * h)
-    _check_contains(field, p, 3 * h, f"F_{sqrt_q**3}")
-    return CurveModel(cyclic_poly(sqrt_q, field), "smooth-cyclic", sqrt_q,
+    return CurveModel(cyclic_poly(sqrt_q, build_field(p, 3 * h)), "smooth-cyclic", sqrt_q,
                       expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
@@ -559,30 +548,22 @@ def quotient_frame_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
     })
 
 
-def quotient_plane_model(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def quotient_plane_model(sqrt_q: int) -> CurveModel:
     """Degree s+1 plane model of the degree-3 cyclic quotient in the cyclic
     frame: X0^s X2 + X2^s X1 + X1^s X0 - 3 (X0 X1 X2)^((s+1)/3)."""
-    q = sqrt_q * sqrt_q
-    if (q - sqrt_q + 1) % 3:
-        raise ValueError("needs sqrt_q = 2 (mod 3)")
+    check_divisor(sqrt_q, 3)
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 3 * h)
-    _check_contains(field, p, 1, f"F_{p}")
-    return CurveModel(quotient_frame_poly(sqrt_q, field), "quotient-frame", sqrt_q,
-                      expected_genus=(q - sqrt_q - 2) // 6)
+    return CurveModel(quotient_frame_poly(sqrt_q, build_field(p, 3 * h)), "quotient-frame",
+                      sqrt_q, expected_genus=(sqrt_q * sqrt_q - sqrt_q - 2) // 6)
 
 
-def cube_cover_identity(sqrt_q: int, field: ExtField) -> bool:
+def cube_cover_identity(sqrt_q: int) -> bool:
     """Check F'(X0^3, X1^3, X2^3) = G(X0,X1,X2) G(eX0,eX1,X2) G(X0,X1,eX2)
-    as an exact polynomial identity, e a primitive cube root of unity."""
-    if field.p == 3:
-        raise ValueError("no primitive cube root of unity in characteristic 3")
-    if field.group_order % 3:
-        raise ValueError(f"{field!r} has no primitive cube root of unity")
-    if (sqrt_q * sqrt_q - sqrt_q + 1) % 3:
-        raise ValueError("needs sqrt_q = 2 (mod 3)")
-    _check_contains(field, split_prime_power(sqrt_q)[0], 1, "the right prime field")
+    as an exact polynomial identity over F_q, e a primitive cube root of
+    unity; F_q holds one since 3 | n = q - s + 1 forces 3 | s + 1 | q - 1."""
+    check_divisor(sqrt_q, 3)
+    p, h = split_prime_power(sqrt_q)
+    field = build_field(p, 2 * h)
     eps = find_root_of_unity(field, 3).value
     g = cyclic_poly(sqrt_q, field)
     fp = quotient_frame_poly(sqrt_q, field)
@@ -601,16 +582,14 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
     the embedding (ConsistencyError if one is not in F_q).  Expected genus
     (q - s - 2)/6.
     """
+    check_divisor(sqrt_q, 3)
     q = sqrt_q * sqrt_q
-    if (q - sqrt_q + 1) % 3:
-        raise ValueError("needs sqrt_q = 2 (mod 3)")
     p, h = split_prime_power(sqrt_q)
     Fq = build_field(p, 2 * h)
     kappa = singer_frame(sqrt_q)
     Fq3 = kappa.field
     a3 = FieldElement(Fq3, kappa.rows[0][0])
-    fprime = quotient_plane_model(sqrt_q, Fq3).poly
-    gprime = fprime.compose_linear(kappa)
+    gprime = quotient_frame_poly(sqrt_q, Fq3).compose_linear(kappa)
     # pre-scaling Frobenius twist: coeff^q = a^-(s+1) * coeff for every term
     twist = (a3 ** (sqrt_q + 1)).inverse().value
     for e, c in gprime.terms.items():
@@ -657,40 +636,35 @@ def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
                       expected_genus=(p**r - 1) * sqrt_q // 2)
 
 
-def artin_schreier_quotient(sqrt_q: int, t: int, field: ExtField | None = None) -> CurveModel:
+def artin_schreier_quotient(sqrt_q: int, t: int) -> CurveModel:
     """Plane model of y^s + y = x^((s+1)/t), t a divisor of s+1.
     Genus (s-1)((s+1)/t - 1)/2; at t = 1 this is the Hermitian curve."""
     if t < 1 or (sqrt_q + 1) % t:
         raise ValueError(f"t = {t} must divide sqrt_q + 1 = {sqrt_q + 1}")
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 2 * h)
-    _check_contains(field, p, 1, f"F_{p}")
     s = sqrt_q
     e = (s + 1) // t
     deg = max(s, e)
-    poly = HomPoly3.from_int_coeffs(field, {
+    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h), {
         (0, s, deg - s): 1, (0, 1, deg - 1): 1, (e, 0, deg - e): -1,
     })
     genus = (s - 1) * (e - 1) // 2
     return CurveModel(poly, "artin-schreier", sqrt_q, params=(t,), expected_genus=genus)
 
 
-def fermat_quotient(sqrt_q: int, t: int, field: ExtField | None = None) -> CurveModel:
+def fermat_quotient(sqrt_q: int, t: int) -> CurveModel:
     """The Fermat curve x^e + y^e + 1 = 0 with e = (s+1)/t; genus (e-1)(e-2)/2."""
     if t < 1 or (sqrt_q + 1) % t:
         raise ValueError(f"t = {t} must divide sqrt_q + 1 = {sqrt_q + 1}")
     p, h = split_prime_power(sqrt_q)
-    if field is None:
-        field = build_field(p, 2 * h)
-    _check_contains(field, p, 1, f"F_{p}")
     e = (sqrt_q + 1) // t
-    poly = HomPoly3.from_int_coeffs(field, {(e, 0, 0): 1, (0, e, 0): 1, (0, 0, e): 1})
+    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h),
+                                    {(e, 0, 0): 1, (0, e, 0): 1, (0, 0, e): 1})
     return CurveModel(poly, "fermat", sqrt_q, params=(t,),
                       expected_genus=(e - 1) * (e - 2) // 2)
 
 
-def char2_chain_curve(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
+def char2_chain_curve(sqrt_q: int) -> CurveModel:
     """Even-characteristic chain y^(s/2) + y^(s/4) + ... + y = x^(s+1), s = 2^t.
     Genus s(s-2)/4; the additive left side must have degree s/2 for its
     kernel to lie inside F_q.
@@ -698,11 +672,7 @@ def char2_chain_curve(sqrt_q: int, field: ExtField | None = None) -> CurveModel:
     p, h = split_prime_power(sqrt_q)
     if p != 2:
         raise ValueError("chain curve lives in characteristic 2")
-    if sqrt_q < 2:
-        raise ValueError("need sqrt_q a positive power of 2")
-    if field is None:
-        field = build_field(2, 2 * h)
-    _check_contains(field, 2, 1, "F_2")
+    field = build_field(2, 2 * h)
     s = sqrt_q
     deg = s + 1
     terms = {(deg, 0, 0): 1}  # -1 = 1
@@ -730,10 +700,10 @@ class TruncSeries:
         self.coeffs = [c % p for c in cs]
 
     @classmethod
-    def monomial(cls, p, n, exponent, c=1):
+    def monomial(cls, p, n, exponent):
         cs = [0] * (n + 1)
         if exponent <= n:
-            cs[exponent] = c
+            cs[exponent] = 1
         return cls(p, n, cs)
 
     def __add__(self, other):

@@ -947,17 +947,13 @@ def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
     return _split_roots(g, rng, _depth + 1)
 
 
-def poly_roots(f, field: ExtField | None = None) -> list[tuple[FieldElement, int]]:
+def poly_roots(f: FPoly) -> list[tuple[FieldElement, int]]:
     """All roots of f in its field, as (root, multiplicity), sorted by root.
 
     Method: g = gcd(f, X^|F| - X) isolates the distinct roots, seeded
     equal-degree splitting separates them, and multiplicities are read off
     by repeated division.
     """
-    if not isinstance(f, FPoly):
-        if field is None:
-            raise ValueError("field required when passing raw coefficients")
-        f = FPoly(field, f)
     F = f.field
     if f.is_zero():
         raise ValueError("zero polynomial")

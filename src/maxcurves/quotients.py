@@ -123,7 +123,7 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     back = embed(Fq, Fq3)
     t = ProjMatrix(Fq, [back.descend_i(row, "normalized automorphism matrix")
                         for row in t3.rows])
-    fermat = hermitian_fermat(sqrt_q, Fq).poly
+    fermat = hermitian_fermat(sqrt_q).poly
     if fermat.compose_linear(t).proportional_to(fermat) is None:
         raise ConsistencyError("action does not preserve the Fermat model")
     _check_projective_order(t, n)
@@ -401,10 +401,9 @@ def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
     Raises ConsistencyError if either check fails.
     """
     n = check_divisor(sqrt_q, d)
-    action = hermitian_cyclic_action(sqrt_q)
     q = sqrt_q * sqrt_q
     m = n // d
-    n0 = count_projective_points(hermitian_fermat(sqrt_q, action.field)).total
+    n0 = count_projective_points(hermitian_fermat(sqrt_q)).total
     hist = trace_line_histogram(sqrt_q)
     if n * hist[0] != n0:
         raise ConsistencyError(f"trace line gives N_0 = {n * hist[0]}, the plane sweep {n0}")

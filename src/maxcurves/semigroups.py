@@ -124,8 +124,7 @@ def quotient_semigroup(sg: NumericalSemigroup, d: int) -> NumericalSemigroup:
 def first_quotient_nongaps(sqrt_q: int) -> tuple[int, int]:
     """First two positive non-gaps of the degree-3 quotient branch
     semigroup; must equal ((2s - 1)/3, s)."""
-    if (sqrt_q * sqrt_q - sqrt_q + 1) % 3:
-        raise ValueError("needs sqrt_q = 2 (mod 3)")
+    check_divisor(sqrt_q, 3)
     down = quotient_semigroup(hermitian_point_semigroup(sqrt_q), 3)
     positives = [n for n in down.nongaps(down.conductor + 2) if n > 0]
     got = (positives[0], positives[1])

@@ -209,9 +209,9 @@ def check_structural_identities() -> tuple[bool, str]:
         return False, "branch series sq=5"
     if not branch_expansion_check(7, 200):
         return False, "branch series sq=7"
-    if not cube_cover_identity(5, build_field(5, 2)):
+    if not cube_cover_identity(5):
         return False, "cube identity sq=5"
-    if not cube_cover_identity(8, build_field(2, 6)):
+    if not cube_cover_identity(8):
         return False, "cube identity sq=8"
     for sq in (5, 8):
         a = frame_parameter(sq)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from maxcurves.cache import ResultsCache, content_key
-from maxcurves.cli import build_parser, main
+from maxcurves.cli import MODELS, build_parser, emit, main
 
 
 def run_cli(args, capsys):
@@ -141,6 +142,33 @@ def test_a_non_divisor_is_refused_before_the_action_is_built(command, monkeypatc
     monkeypatch.setattr(quotients, "hermitian_cyclic_action", no_action)
     code, out, err = run_cli([command, "--sqrt-q", "32", "--d", "2"], capsys)
     assert (code, out, err) == (2, "", "error: 2 does not divide q - sqrt_q + 1 = 993\n")
+
+
+@pytest.mark.parametrize("args,err", [
+    (["dim-d", "--sqrt-q", "6", "--d", "31"], "error: 6 is not a prime power\n"),
+    (["dim-d", "--sqrt-q", "1", "--d", "1"], "error: 1 is not a prime power\n"),
+    (["quotient", "--sqrt-q", "6", "--d", "31"], "error: 6 is not a prime power\n"),
+    (["construct", "--model", "quotient-frame", "--sqrt-q", "7"],
+     "error: 3 does not divide q - sqrt_q + 1 = 43\n"),
+])
+def test_divisor_arithmetic_refusals(args, err, capsys):
+    assert run_cli(args, capsys) == (2, "", err)
+
+
+def test_model_constructors_take_exactly_their_flags():
+    # a constructor builds over its own field: it takes no argument the
+    # command line does not set
+    for tag, (build, flags) in MODELS.items():
+        assert tuple(inspect.signature(build).parameters) == flags, tag
+
+
+def test_pinned_signatures():
+    from maxcurves import cube_cover_identity, poly_roots
+    from maxcurves._intfactor import factorize
+
+    for fn, params in ((poly_roots, ["f"]), (cube_cover_identity, ["sqrt_q"]),
+                       (emit, ["payload", "fmt"]), (factorize, ["n"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def test_verify_maximal_rejects_a_negative_genus(capsys):

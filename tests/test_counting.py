@@ -263,7 +263,9 @@ def test_sweep_of_a_form_with_x_as_a_factor(p, k):
     # term: (0:0:1) lies on it, and (0:1:0) is its one other point there.
     L = build_field(p, k)
     s = p ** (k // 2)
-    fermat = hermitian_fermat(s, L).poly
+    model = hermitian_fermat(s)
+    assert model.field is L
+    fermat = model.poly
     times_x = HomPoly3(L, {(i + 1, j, kk): c for (i, j, kk), c in fermat.terms.items()})
     got = counting._sweep_zeros(times_x, L)
     assert got == _reference_sweep_zeros(times_x, L)

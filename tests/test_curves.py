@@ -25,6 +25,7 @@ from maxcurves import (
     hermitian_fermat,
     quotient_model_rational,
     quotient_plane_model,
+    smooth_cyclic_model,
 )
 from maxcurves.curves import (
     HomPoly3,
@@ -32,6 +33,7 @@ from maxcurves.curves import (
     envelope_affine_relation,
     fermat_poly,
     identity_matrix,
+    quotient_frame_poly,
 )
 
 
@@ -72,8 +74,7 @@ def test_diagonal_action_weights():
     F = build_field(5, 6)
     lam = find_root_of_unity(F, 21).value
     lam_s = F.pow_i(lam, sq)
-    env = envelope_model(sq, build_field(5, 2)).poly.map_coefficients(
-        embed(build_field(5, 2), F))
+    env = envelope_model(sq).poly.map_coefficients(embed(build_field(5, 2), F))
     assert env.compose_diag(lam, lam_s, 1) == env.scale(F.pow_i(lam, 2 * sq))
     cyc = cyclic_poly(sq, F)
     assert cyc.compose_diag(lam, lam_s, 1) == cyc.scale(F.pow_i(lam, sq))
@@ -117,7 +118,7 @@ def test_envelope_composition_gives_degree_2s2_model():
     sq = 5
     Fq3 = build_field(5, 6)
     a = embed(build_field(5, 3), Fq3)(frame_parameter(sq))
-    env = envelope_model(sq, Fq3)
+    env = envelope_model(sq)
     moved = apply_coord_change(env, frame_matrix(a, sq))
     assert moved.degree == 2 * (sq + 1)
     assert moved.poly.terms  # nonzero
@@ -161,7 +162,7 @@ def test_quotient_model_frobenius_twist_before_scaling():
     sq = 5
     Fq3 = build_field(5, 6)
     a = embed(build_field(5, 3), Fq3)(frame_parameter(sq))
-    gprime = quotient_plane_model(sq, Fq3).poly.compose_linear(frame_matrix(a, sq))
+    gprime = quotient_frame_poly(sq, Fq3).compose_linear(frame_matrix(a, sq))
     twist = (a ** (sq + 1)).inverse().value
     for c in gprime.terms.values():
         assert Fq3.frob_i(c, 2) == Fq3.mul_i(twist, c)
@@ -175,31 +176,43 @@ def test_quotient_model_rational_sq8():
 
 
 def test_quotient_plane_model_divisibility_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^3 does not divide q - sqrt_q \\+ 1 = 43$"):
         quotient_plane_model(7)  # 7 = 1 (mod 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^3 does not divide q - sqrt_q \\+ 1 = 7$"):
         quotient_model_rational(3)  # 3 = 0 (mod 3)
 
 
 def test_constructors_reject_wrong_characteristic():
-    wrong = build_field(2, 6)
-    with pytest.raises(ValueError):
-        quotient_plane_model(5, wrong)
-    with pytest.raises(ValueError):
-        artin_schreier_quotient(5, 2, wrong)
-    with pytest.raises(ValueError):
-        fermat_quotient(5, 2, wrong)
-    with pytest.raises(ValueError):
-        char2_chain_curve(4, build_field(5, 2))
+    with pytest.raises(ValueError, match="^chain curve lives in characteristic 2$"):
+        char2_chain_curve(25)
+    with pytest.raises(ValueError, match="^envelope model needs odd characteristic$"):
+        envelope_model(4)
+
+
+def test_constructors_build_over_their_own_field():
+    assert quotient_plane_model(5).field is build_field(5, 3)
+    assert smooth_cyclic_model(8).field is build_field(2, 9)
+    assert artin_schreier_quotient(5, 2).field is build_field(5, 2)
+    assert fermat_quotient(5, 2).field is build_field(5, 2)
+    assert char2_chain_curve(4).field is build_field(2, 4)
 
 
 def test_cube_cover_identity():
-    assert cube_cover_identity(5, build_field(5, 2))
-    assert cube_cover_identity(8, build_field(2, 6))
-    with pytest.raises(ValueError):
-        cube_cover_identity(5, build_field(5, 1))  # no cube root of unity
-    with pytest.raises(ValueError):
-        cube_cover_identity(8, build_field(3, 2))  # characteristic 3
+    assert cube_cover_identity(5)
+    assert cube_cover_identity(8)
+    assert cube_cover_identity(11)
+    with pytest.raises(ValueError, match="^3 does not divide"):
+        cube_cover_identity(7)  # 7 = 1 (mod 3)
+    with pytest.raises(ValueError, match="^3 does not divide"):
+        cube_cover_identity(9)  # characteristic 3
+
+
+def test_from_int_coeffs_reduces_into_the_prime_field():
+    F25 = build_field(5, 2)
+    # 7 is 2 in F_5, not the packed element 2 + X
+    poly = HomPoly3.from_int_coeffs(F25, {(1, 0, 0): 7, (0, 1, 0): -1})
+    assert poly.terms == {(1, 0, 0): (F25.one * 7).value, (0, 1, 0): 4} == {
+        (1, 0, 0): 2, (0, 1, 0): 4}
 
 
 def test_branch_series_structure():

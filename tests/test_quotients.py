@@ -54,7 +54,7 @@ def test_action_orders_and_rationality():
 
 def test_action_preserves_fermat_model():
     act = hermitian_cyclic_action(5)
-    fermat = hermitian_fermat(5, act.field).poly
+    fermat = hermitian_fermat(5).poly
     scal = fermat.compose_linear(act.matrix).proportional_to(fermat)
     assert scal is not None
 
@@ -245,7 +245,7 @@ def test_lang_solve_reports_exhausted_draws(monkeypatch):
 def test_twisted_counts_d3():
     act = hermitian_cyclic_action(5)
     g3 = subgroup_action(act, 3)
-    fermat = hermitian_fermat(5, act.field)
+    fermat = hermitian_fermat(5)
     for j in (1, 2):
         sol = lang_solve(g3.matrix.pow(j), seed=j)
         assert twisted_fixed_count(sol, fermat) == 21
@@ -254,7 +254,7 @@ def test_twisted_counts_d3():
 def _twist_solution(sq, d, j):
     act = hermitian_cyclic_action(sq)
     u = subgroup_action(act, d).matrix.pow(j)
-    return lang_solve(u, seed=j), hermitian_fermat(sq, act.field)
+    return lang_solve(u, seed=j), hermitian_fermat(sq)
 
 
 def _reference_twisted_count(sol, model):
@@ -446,7 +446,7 @@ def test_burnside_matches_the_lang_reference(sq, d):
     # of the twisted form to F_q, twist by twist
     act = hermitian_cyclic_action(sq)
     g = subgroup_action(act, d)
-    fermat = hermitian_fermat(sq, act.field)
+    fermat = hermitian_fermat(sq)
     reference = [count_projective_points(fermat).total]
     for j in range(1, d):
         sol = lang_solve(g.matrix.pow(j), seed=j)
@@ -481,7 +481,7 @@ def test_action_nonprime_odd_sqrt_q():
     act = hermitian_cyclic_action(9)
     assert act.order == 73
     assert act.field.order == 81
-    fermat = hermitian_fermat(9, act.field).poly
+    fermat = hermitian_fermat(9).poly
     assert fermat.compose_linear(act.matrix).proportional_to(fermat) is not None
 
 
@@ -517,6 +517,13 @@ def test_a_non_divisor_is_refused_before_the_action_is_built(sq, d, monkeypatch)
         with pytest.raises(ValueError, match=msg):
             refuse(sq, d)
     assert not divisor_report(sq, d)["admissible"]
+
+
+def test_a_sqrt_q_that_is_not_a_prime_power_is_refused():
+    for refuse in (hurwitz_genus, linear_series_dim, burnside_quotient_count):
+        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+            refuse(6, 31)
+    assert not divisor_report(6, 31)["admissible"]
 
 
 def test_hurwitz_genus_values():

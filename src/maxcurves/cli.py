@@ -35,6 +35,7 @@ from .curves import (
     hermitian_fermat,
     quotient_model_rational,
     quotient_plane_model,
+    singer_frame,
     smooth_cyclic_model,
 )
 from .errors import CapError, ConsistencyError
@@ -47,8 +48,8 @@ from .quotients import (
 )
 from .semigroups import (
     OrderSequence,
+    in_hermitian_semigroup,
     linear_series_dim,
-    hermitian_point_semigroup,
     semigroup_from_generators,
     stohr_voloch_degrees,
 )
@@ -214,6 +215,7 @@ def cmd_census(args, cache):
     sq = args.sqrt_q
     q = sq * sq
     n = q - sq + 1
+    singer_frame(sq)     # the d = n row needs F_{q^3}: meet its cap before any row
     rows: list[CensusRow] = []
     for d in divisors(n):
         genus = hurwitz_genus(sq, d)
@@ -251,8 +253,7 @@ def cmd_semigroup(args, cache):
 def cmd_dim_d(args, cache):
     sq, d = args.sqrt_q, args.d
     dim = linear_series_dim(sq, d)    # rejects a non-divisor before range() steps by d
-    sg = hermitian_point_semigroup(sq)
-    qualifying = [h for h in range(d, d * sq + 1, d) if h in sg]
+    qualifying = [h for h in range(d, d * sq + 1, d) if in_hermitian_semigroup(sq, h)]
     payload = {"sqrt_q": sq, "d": d, "dim": dim, "qualifying": qualifying}
     return payload, True
 

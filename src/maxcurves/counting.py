@@ -9,14 +9,15 @@ log-add per distinct z-exponent e, through the Zech logarithm
 Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  The line at infinity
 is one more row of the same kernel, and (0:0:1) is read off the Z^deg
 coefficient.  Each vanishing point is classified smooth or singular via the
-three partials.
+three partials (first Hasse derivatives).
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
 count: at every rational singular point that is an ordinary multiple point
 (distinct tangents) the rational branches are counted from the rational
 tangent directions.  The degree-3 quotient models need this; their plane
-models acquire rational nodes away from the coordinate triangle.
+models acquire rational nodes away from the coordinate triangle.  Each
+tangent cone is read from Hasse derivatives at its point.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .curves import CurveModel, HomPoly3, ProjMatrix
+from .curves import CurveModel, HomPoly3
 from .fields import (
     ExtField,
     FPoly,
@@ -170,30 +171,28 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
 def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     """(multiplicity, ordinary, rational_tangents) at a normalized point.
 
-    The point is translated to the origin of its chart; the lowest-degree
-    binary form of the dehomogenized polynomial is the tangent cone.  The
-    point is ordinary when that form has distinct roots over the closure;
-    rational branches of an ordinary point biject with rational tangent
-    directions.
+    On the point's chart, with u and v along the two other axes, the
+    coefficient of u^a v^b in poly(pt + u e_u + v e_v) is the Hasse
+    derivative D_u^(a) D_v^(b) poly at pt (HomPoly3.hasse).  The
+    lowest-degree nonzero part, found for m = 0, 1, 2, ... in turn, is the
+    tangent cone and m the multiplicity.  The point is ordinary when that
+    form has distinct roots over the closure; rational branches of an
+    ordinary point biject with rational tangent directions.
     """
     F = poly.field
-    shifted = poly.compose_linear(_translation(F, pt))
     ua, va = _chart_axes(pt)
-    by_deg: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, j, kk), c in shifted.terms.items():
-        e = (i, j, kk)
-        d = e[ua] + e[va]
-        by_deg.setdefault(d, {})[(e[ua], e[va])] = c
-    mult = min(by_deg)
+    for mult in range(poly.degree + 1):
+        coeffs = [poly.hasse(ua, mult - j).hasse(va, j).eval_i(*pt) for j in range(mult + 1)]
+        if any(coeffs):
+            break
+    else:
+        raise ValueError("the zero form has no tangent cone")
     if mult == 0:
         raise ValueError("point is not on the curve")
     if mult == 1:
         raise ValueError("point is smooth")
-    form = by_deg[mult]
-    coeffs = [form.get((mult - j, j), 0) for j in range(mult + 1)]
     f = FPoly(F, coeffs)
-    dstar = f.degree()
-    inf_mult = mult - dstar
+    inf_mult = mult - f.degree()
     roots = poly_roots(f)
     squarefree = f.gcd(f.derivative()).degree() == 0
     ordinary = squarefree and inf_mult <= 1
@@ -207,16 +206,6 @@ def _chart_axes(pt):
     if pt[1] == 1:
         return 0, 2
     return 0, 1
-
-
-def _translation(F: ExtField, pt) -> ProjMatrix:
-    # linear map sending the chart origin to pt (columns); P(M x) recentres
-    x0, y0, z0 = pt
-    if x0 == 1:
-        return ProjMatrix(F, [[1, 0, 0], [y0, 1, 0], [z0, 0, 1]], check=False)
-    if y0 == 1:
-        return ProjMatrix(F, [[1, x0, 0], [0, 1, 0], [0, z0, 1]], check=False)
-    return ProjMatrix(F, [[1, 0, x0], [0, 1, y0], [0, 0, 1]], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     base = model.field
     poly, L = _lift_poly(model, k)
     zeros = _sweep_zeros(poly, L)
-    parts = [poly.partial(i) for i in range(3)]
+    parts = [poly.hasse(i, 1) for i in range(3)]
     sing_pts = [
         pt for pt in zeros
         if all(pp.eval_i(*pt) == 0 for pp in parts)

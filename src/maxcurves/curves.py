@@ -1,10 +1,11 @@
 """Sparse homogeneous plane models and projective coordinate changes.
 
-The models built here have at most six monomials at any sqrt_q, so
-polynomials are stored as {(i, j, k): packed coefficient} maps.  Coordinate
-changes substitute linear forms and are used both to move between the
-singular envelope model, the smooth cyclic model and the Hermitian curve,
-and to express the degree-3 quotient curve over the base field F_q.
+Polynomials are sparse {(i, j, k): packed coefficient} maps.  The
+constructors' forms have at most six monomials, but a coordinate change
+fills a form in: quotient_model_rational(32) has 505.  Coordinate changes
+(compose_linear) move between the singular envelope model, the smooth
+cyclic model and the Hermitian curve, and express the degree-3 quotient
+curve over F_q; local data at a point comes from HomPoly3.hasse.
 
 Each model constructor builds over the one field that sqrt_q fixes: F_q,
 or F_{s^3} for the frame and smooth cyclic models.  To lift a model, use
@@ -18,6 +19,7 @@ frame parameter a; every construction that works in that frame reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,25 +77,20 @@ class HomPoly3:
 
     # -- calculus and symmetry --------------------------------------------------
 
-    def partial(self, axis: int) -> HomPoly3:
+    def hasse(self, axis: int, order: int) -> HomPoly3:
+        """The order-th Hasse derivative along axis: each monomial X^e goes to
+        C(e[axis], order) X^(e - order e_axis), the binomial taken mod p.
+        hasse(axis, 1) is the partial derivative, and by the Hasse-Taylor
+        expansion the coefficient of u^a v^b in f(P + u e_i + v e_j) is
+        f.hasse(i, a).hasse(j, b) at P, in every characteristic."""
         F = self.field
         out: dict[tuple[int, int, int], int] = {}
         for e, c in self.terms.items():
-            n = e[axis]
-            if n % F.p == 0:
-                continue
-            new = list(e)
-            new[axis] = n - 1
-            out[tuple(new)] = F.mul_i(c, n % F.p)
-        return HomPoly3(F, out)
-
-    def compose_diag(self, d0: int, d1: int, d2: int) -> HomPoly3:
-        """Substitute Xi -> di * Xi (di packed field values)."""
-        F = self.field
-        out = {}
-        for (i, j, k), c in self.terms.items():
-            s = F.mul_i(F.mul_i(F.pow_i(d0, i), F.pow_i(d1, j)), F.pow_i(d2, k))
-            out[(i, j, k)] = F.mul_i(c, s)
+            b = math.comb(e[axis], order) % F.p
+            if b:
+                new = list(e)
+                new[axis] -= order
+                out[tuple(new)] = F.mul_i(c, b)
         return HomPoly3(F, out)
 
     def scale(self, c) -> HomPoly3:
@@ -514,11 +511,13 @@ def singer_frame(sqrt_q: int) -> ProjMatrix:
     In the coordinates Y = kappa X the order-(q - sqrt_q + 1) automorphism
     of the Hermitian curve is diagonal, and the F_q-points of the plane are
     the Singer set {(z, z^q, z^(q^2))}.  The first entry of the circulant,
-    kappa.rows[0][0], is a.
+    kappa.rows[0][0], is a.  F_{q^3} is built first, so that the element
+    cap refuses it before the root finding of frame_parameter.
     """
     p, h = split_prime_power(sqrt_q)
+    Fq3 = build_field(p, 6 * h)
     a = frame_parameter(sqrt_q)
-    return frame_matrix(embed(a.field, build_field(p, 6 * h))(a), sqrt_q)
+    return frame_matrix(embed(a.field, Fq3)(a), sqrt_q)
 
 
 def apply_coord_change(model: CurveModel, mat: ProjMatrix) -> CurveModel:
@@ -568,8 +567,8 @@ def cube_cover_identity(sqrt_q: int) -> bool:
     g = cyclic_poly(sqrt_q, field)
     fp = quotient_frame_poly(sqrt_q, field)
     lhs = HomPoly3(field, {(3 * i, 3 * j, 3 * k): c for (i, j, k), c in fp.terms.items()})
-    one = field.one.value
-    rhs = g._mul(g.compose_diag(eps, eps, one))._mul(g.compose_diag(one, one, eps))
+    rhs = g._mul(g.compose_linear(ProjMatrix(field, [[eps, 0, 0], [0, eps, 0], [0, 0, 1]])))
+    rhs = rhs._mul(g.compose_linear(ProjMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, eps]])))
     return lhs == rhs
 
 

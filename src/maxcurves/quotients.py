@@ -403,8 +403,8 @@ def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
     n = check_divisor(sqrt_q, d)
     q = sqrt_q * sqrt_q
     m = n // d
+    hist = trace_line_histogram(sqrt_q)   # meets the F_{q^3} element cap before the sweep
     n0 = count_projective_points(hermitian_fermat(sqrt_q)).total
-    hist = trace_line_histogram(sqrt_q)
     if n * hist[0] != n0:
         raise ConsistencyError(f"trace line gives N_0 = {n * hist[0]}, the plane sweep {n0}")
     n_js = [n0] + [n * hist[j * m] for j in range(1, d)]

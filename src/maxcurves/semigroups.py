@@ -93,18 +93,22 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
         bound *= 2
 
 
+def in_hermitian_semigroup(sqrt_q: int, h: int) -> bool:
+    """Whether h lies in hermitian_point_semigroup(sqrt_q), without building
+    its gap set: h = a s + b with 0 <= b < s is a gap iff b >= 1 and
+    a + b <= s - 1, so h >= 0 is a non-gap iff s | h or a + b >= s."""
+    a, b = divmod(h, sqrt_q)
+    return h >= 0 and (b == 0 or a + b >= sqrt_q)
+
+
 def hermitian_point_semigroup(sqrt_q: int) -> NumericalSemigroup:
     """Weierstrass semigroup at a ramified branch point of the Hermitian
-    curve: gaps {r*s + t + 1 : r, t >= 0, r + t <= s - 2}; genus s(s-1)/2."""
+    curve: gaps {r*s + t + 1 : r, t >= 0, r + t <= s - 2}, all below
+    s(s - 1); genus s(s-1)/2."""
     if sqrt_q < 2:
         raise ValueError("need sqrt_q >= 2")
     s = sqrt_q
-    gaps = {
-        r * s + t + 1
-        for r in range(s - 1)
-        for t in range(s - 1 - r)
-    }
-    sg = NumericalSemigroup(gaps)
+    sg = NumericalSemigroup(h for h in range(1, s * (s - 1)) if not in_hermitian_semigroup(s, h))
     if sg.genus != s * (s - 1) // 2:
         raise ConsistencyError("Hermitian branch semigroup has the wrong genus")
     return sg
@@ -138,10 +142,7 @@ def linear_series_dim(sqrt_q: int, d: int) -> int:
     """dim of the distinguished degree-(s+1) linear series on the degree-d
     quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}."""
     check_divisor(sqrt_q, d)
-    sg = hermitian_point_semigroup(sqrt_q)
-    return 1 + sum(
-        1 for h in range(d, d * sqrt_q + 1, d) if h in sg
-    )
+    return 1 + sum(1 for h in range(d, d * sqrt_q + 1, d) if in_hermitian_semigroup(sqrt_q, h))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from maxcurves import counting, curves, semigroups
 from maxcurves.cache import ResultsCache, content_key
 from maxcurves.cli import MODELS, build_parser, emit, main
 
@@ -100,6 +101,21 @@ def test_quotient_past_the_element_cap_exits_2(capsys):
     assert f"error: field size 2^42 exceeds cap {2**40}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--sqrt-q", "128", "--d", "3"],
+    ["census", "--sqrt-q", "128"],
+])
+def test_the_element_cap_refuses_before_any_work(argv, monkeypatch, capsys):
+    # F_{q^3} = F_{2^42} is refused before the N_0 sweep over F_{2^14} and
+    # before the root finding of the frame parameter in F_{2^21}
+    def no_work(*args):
+        raise AssertionError("work done before the element cap")
+
+    monkeypatch.setattr(counting, "_sweep_zeros", no_work)
+    monkeypatch.setattr(curves, "frame_parameter", no_work)
+    assert run_cli(argv, capsys) == (2, "", f"error: field size 2^42 exceeds cap {2**40}\n")
+
+
 @pytest.mark.parametrize("sqrt_q", ["9", "11", "13", "16"])
 def test_census_measures_every_row(sqrt_q, capsys):
     code, out, _ = run_cli(["census", "--sqrt-q", sqrt_q], capsys)
@@ -123,6 +139,19 @@ def test_dim_d_command(capsys):
     payload = json.loads(out)
     assert payload["dim"] == 5
     assert payload["qualifying"] == [14, 21, 28, 35]
+
+
+def test_dim_d_reads_membership_without_the_gap_set(monkeypatch, capsys):
+    # the gap set of the branch semigroup has s(s - 1)/2 elements; dim-d asks
+    # s membership questions, and at sqrt_q = 8192 builds no gap set
+    def no_gap_set(*args):
+        raise AssertionError("gap set built")
+
+    monkeypatch.setattr(semigroups, "hermitian_point_semigroup", no_gap_set)
+    monkeypatch.setattr(semigroups, "NumericalSemigroup", no_gap_set)
+    code, out, _ = run_cli(["dim-d", "--sqrt-q", "8192", "--d", "1"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"sqrt_q": 8192, "d": 1, "dim": 2, "qualifying": [8192]}
 
 
 @pytest.mark.parametrize("d", [0, 2])

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from maxcurves import (
     artin_schreier_quotient,
     char2_chain_curve,
     count_projective_points,
+    envelope_model,
     extension_count_prediction,
     fermat_quotient,
     geer_vlugt_curve,
@@ -18,8 +22,8 @@ from maxcurves import (
     quotient_model_rational,
     singular_points,
 )
-from maxcurves.curves import HomPoly3
-from maxcurves.fields import ExtField, build_field
+from maxcurves.curves import HomPoly3, ProjMatrix
+from maxcurves.fields import ExtField, FPoly, build_field, poly_roots
 
 
 HERMITIAN_COUNTS = {2: 9, 3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
@@ -360,3 +364,120 @@ def test_genus_count_roundtrip_property():
         assert genus_from_count(n, q) == g
 
     roundtrip()
+
+
+# ---------------------------------------------------------------------------
+# tangent cones from Hasse derivatives
+# ---------------------------------------------------------------------------
+
+def _reference_tangent_cone_data(poly, pt):
+    # tangent_cone_data before Hasse derivatives: a translation moves pt to
+    # the origin of its chart, compose_linear expands the whole form there,
+    # and the lowest-degree part in the two chart variables is the cone
+    F = poly.field
+    x0, y0, z0 = pt
+    if x0 == 1:
+        rows, (ua, va) = [[1, 0, 0], [y0, 1, 0], [z0, 0, 1]], (1, 2)
+    elif y0 == 1:
+        rows, (ua, va) = [[1, x0, 0], [0, 1, 0], [0, z0, 1]], (0, 2)
+    else:
+        rows, (ua, va) = [[1, 0, x0], [0, 1, y0], [0, 0, 1]], (0, 1)
+    shifted = poly.compose_linear(ProjMatrix(F, rows, check=False))
+    by_deg: dict[int, dict[tuple[int, int], int]] = {}
+    for e, c in shifted.terms.items():
+        by_deg.setdefault(e[ua] + e[va], {})[(e[ua], e[va])] = c
+    mult = min(by_deg)
+    form = by_deg[mult]
+    f = FPoly(F, [form.get((mult - j, j), 0) for j in range(mult + 1)])
+    inf_mult = mult - f.degree()
+    ordinary = f.gcd(f.derivative()).degree() == 0 and inf_mult <= 1
+    return mult, ordinary, len(poly_roots(f)) + (1 if inf_mult == 1 else 0)
+
+
+def _cone_cases():
+    # every model tag at small sqrt_q (the t-tags and geer-vlugt at a few
+    # parameters each), k = 1, 2 up to 4096 elements, and the degree-12
+    # quotient model at sqrt_q = 11 with its 37 rational nodes
+    cases = []
+    for tag, (build, flags) in cli.MODELS.items():
+        if flags == ("sqrt_q",):
+            args = [(s,) for s in (2, 3, 4, 5, 7, 8)]
+        elif flags == ("sqrt_q", "t"):
+            args = [(3, 2), (4, 5), (5, 2), (5, 3), (7, 4), (8, 3)]
+        else:
+            args = [(2, 4, 1), (2, 4, 2), (3, 4, 1), (2, 6, 1)]
+        for a in args:
+            try:
+                model = build(*a)
+            except ValueError:     # envelope, quotient and chain constraints
+                continue
+            cases += [pytest.param(model, k, id=f"{tag}-{'-'.join(map(str, a))}-k{k}")
+                      for k in (1, 2) if model.field.order**k <= 4096]
+    return cases + [pytest.param(quotient_model_rational(11), 1, id="quotient-rational-11-k1")]
+
+
+@pytest.mark.parametrize("model,k", _cone_cases())
+def test_tangent_cones_match_the_translated_form(model, k):
+    rep = count_projective_points(model, k)
+    poly, _ = counting._lift_poly(model, k)
+    for pt in rep.singular_points:
+        assert counting.tangent_cone_data(poly, pt) == _reference_tangent_cone_data(poly, pt)
+
+
+def test_tangent_cone_refusals():
+    poly = hermitian_canonical(5).poly          # Y^5 Z + Y Z^5 = X^6
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        counting.tangent_cone_data(poly, (1, 0, 0))
+    with pytest.raises(ValueError, match="^point is smooth$"):
+        counting.tangent_cone_data(poly, (0, 1, 0))
+
+
+HASSE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("p,k", HASSE_FIELDS)
+def test_hasse_taylor_identity(p, k):
+    # f(P + u e_i + v e_j) = sum over a, b of (D_i^(a) D_j^(b) f)(P) u^a v^b
+    # for every u, v in F, on a form of degree 2p + 1, so that exponents
+    # pass p and binomials vanish mod p
+    F = build_field(p, k)
+    rng = random.Random(100 * p + k)
+    deg = 2 * p + 1
+    monos = [(a, b, deg - a - b) for a in range(deg + 1) for b in range(deg + 1 - a)]
+    f = HomPoly3(F, {e: rng.randrange(1, F.order) for e in rng.sample(monos, 8)})
+    assert f.hasse(0, 1).terms == {
+        (a - 1, b, c): F.mul_i(v, a % p) for (a, b, c), v in f.terms.items() if a % p}
+    powers = [[F.pow_i(u, a) for a in range(deg + 1)] for u in range(F.order)]
+    for i, j in itertools.permutations(range(3), 2):
+        derivs = {(a, b): f.hasse(i, a).hasse(j, b)
+                  for a in range(deg + 1) for b in range(deg + 1 - a)}
+        for _ in range(3):
+            P = [rng.randrange(F.order) for _ in range(3)]
+            taylor = {ab: d.eval_i(*P) for ab, d in derivs.items()}
+            for u, v in itertools.product(range(F.order), repeat=2):
+                want = 0
+                for (a, b), c in taylor.items():
+                    want = F.add_i(want, F.mul_i(c, F.mul_i(powers[u][a], powers[v][b])))
+                moved = list(P)
+                moved[i] = F.add_i(moved[i], u)
+                moved[j] = F.add_i(moved[j], v)
+                assert f.eval_i(*moved) == want, (i, j, P, u, v)
+
+
+@pytest.mark.parametrize("model,k", [
+    (quotient_model_rational(8), 1),
+    (envelope_model(5), 2),
+])
+def test_count_makes_no_coordinate_change(monkeypatch, model, k):
+    # singular points and their tangent cones are read at the point; no
+    # copy of the form is built by substitution
+    calls = []
+    compose = HomPoly3.compose_linear
+
+    def spy(self, mat):
+        calls.append(mat)
+        return compose(self, mat)
+
+    monkeypatch.setattr(HomPoly3, "compose_linear", spy)
+    rep = count_projective_points(model, k)
+    assert rep.singular and calls == []

@@ -74,10 +74,11 @@ def test_diagonal_action_weights():
     F = build_field(5, 6)
     lam = find_root_of_unity(F, 21).value
     lam_s = F.pow_i(lam, sq)
+    diag = ProjMatrix(F, [[lam, 0, 0], [0, lam_s, 0], [0, 0, 1]])
     env = envelope_model(sq).poly.map_coefficients(embed(build_field(5, 2), F))
-    assert env.compose_diag(lam, lam_s, 1) == env.scale(F.pow_i(lam, 2 * sq))
+    assert env.compose_linear(diag) == env.scale(F.pow_i(lam, 2 * sq))
     cyc = cyclic_poly(sq, F)
-    assert cyc.compose_diag(lam, lam_s, 1) == cyc.scale(F.pow_i(lam, sq))
+    assert cyc.compose_linear(diag) == cyc.scale(F.pow_i(lam, sq))
 
 
 def test_frame_matrix_det_identity_many_roots():

@@ -23,6 +23,7 @@ from maxcurves import (
     stohr_voloch_degrees,
 )
 from maxcurves._intfactor import divisors
+from maxcurves.semigroups import in_hermitian_semigroup
 
 
 def hermitian_nongap_rows(sqrt_q: int, rows: int = 7) -> set[int]:
@@ -85,6 +86,16 @@ def test_hermitian_point_semigroup():
     assert sorted(h3.gaps) == [1, 2, 4]
     for sq in (3, 5, 8, 11, 13):
         assert hermitian_point_semigroup(sq).genus == sq * (sq - 1) // 2
+
+
+def test_membership_matches_the_gap_set():
+    # the closed form against the gap set {r s + t + 1 : r + t <= s - 2},
+    # written out, for every h from -2 to s^2 + 2s
+    for s in range(2, 41):
+        gaps = {r * s + t + 1 for r in range(s - 1) for t in range(s - 1 - r)}
+        got = {h for h in range(-2, s * s + 2 * s) if not in_hermitian_semigroup(s, h)}
+        assert got == gaps | {-2, -1}, s
+        assert hermitian_point_semigroup(s).gaps == gaps
 
 
 @pytest.mark.parametrize("sq", [3, 5, 11])

@@ -8,8 +8,17 @@ into the logs of its row coefficients C_e(y), and each point then costs one
 log-add per distinct z-exponent e, through the Zech logarithm
 Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  The line at infinity
 is one more row of the same kernel, and (0:0:1) is read off the Z^deg
-coefficient.  Each vanishing point is classified smooth or singular via the
-three partials (first Hasse derivatives).
+coefficient.
+
+The model's coefficients lie in a subfield F_(p^j) of the swept field L,
+so the Frobenius sigma: v -> v^(p^j) fixes the form and permutes its zeros
+(_frobenius_orbits).  The kernel sweeps only the rows y least in their
+sigma-orbit; the zeros of every other row are sigma^i images, merged back
+into sweep order.  When the coefficients generate L, sigma is the identity
+and every row is swept.  Each zero in a swept row, and each zero at z least
+in its orbit on the line at infinity, is classified smooth or singular via
+the three partials (first Hasse derivatives); sigma keeps that class, so
+each singular point's orbit joins it.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -17,7 +26,9 @@ count: at every rational singular point that is an ordinary multiple point
 (distinct tangents) the rational branches are counted from the rational
 tangent directions.  The degree-3 quotient models need this; their plane
 models acquire rational nodes away from the coordinate triangle.  Each
-tangent cone is read from Hasse derivatives at its point.
+tangent cone is read from Hasse derivatives at its point, once per
+sigma-orbit of singular points, as sigma keeps the multiplicity, whether
+the point is ordinary and its number of rational tangent lines.
 """
 
 from __future__ import annotations
@@ -101,8 +112,37 @@ def _log_add(a, b, zech, n):
     return s
 
 
-def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, y_lo: int, y_hi: int):
-    """Packed (y, z) pairs with poly(1, y, z) = 0, y in [y_lo, y_hi).
+def _frobenius_orbits(poly: HomPoly3, L: ExtField):
+    """(sigma, m, least) for the Frobenius sigma: v -> v^(p^j) of the least
+    j | L.k that fixes every coefficient of poly.
+
+    sigma[v] is the packed value of v^(p^j) (an int64 array over the packed
+    values of L), m = L.k / j is its order, and least[v] says whether v is
+    the least packed value of its sigma-orbit.  As sigma fixes the form, it
+    permutes the zeros of poly and its singular points, keeping
+    multiplicity, ordinariness and the number of rational tangent lines.
+    m = 1 when the coefficients generate L; every orbit is then one element.
+    """
+    p, n = L.p, L.group_order
+    coeffs = set(poly.terms.values())
+    j = next(j for j in range(1, L.k + 1)
+             if L.k % j == 0 and all(L.frob_i(c, j) == c for c in coeffs))
+    log, _ = _np_tables(L)
+    exp = np.frombuffer(L._exp, dtype=np.int32)
+    sigma = exp[log.astype(np.int64) * p**j % n].astype(np.int64)
+    sigma[0] = 0
+    m = L.k // j
+    values = np.arange(L.order)
+    least = np.ones(L.order, dtype=bool)
+    image = values
+    for _ in range(m - 1):
+        image = sigma[image]
+        least &= image >= values
+    return sigma, m, least
+
+
+def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
+    """Packed (y, z) pairs with poly(1, y, z) = 0, y in the int64 array ys.
 
     poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
     C_e(y) are folded from the monomials; each point then costs one log-add
@@ -111,8 +151,7 @@ def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, y_lo: int, y_hi: int
     log, zech = tables
     n = np.int32(L.group_order)   # an int32 n keeps n * mask in int32
     q = L.order
-    ys = np.arange(y_lo, y_hi)
-    logy = log[y_lo:y_hi].astype(np.int64)
+    logy = log[ys].astype(np.int64)
     coeff: dict[int, np.ndarray] = {}
     for (_, j, e), c in poly.terms.items():
         if j:
@@ -140,22 +179,34 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
     """All normalized projective zeros of poly over L, in sweep order.
 
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
-    affine chart is swept in order of y, in blocks of at most _SWEEP_BLOCK
-    points (one y-row when a row is longer), which bounds the numpy
-    temporaries.  The line at infinity is the row y = 0 of the X-free terms
-    with each Y exponent moved onto X, since poly(0, 1, z) = that form at
-    (1, 0, z).  (0:0:1) is a zero when poly has no Z^deg term.
+    kernel sweeps only the rows y that are least in their orbit under the
+    Frobenius sigma that fixes poly (_frobenius_orbits), in blocks of at
+    most _SWEEP_BLOCK points (one y-row when a row is longer), which bounds
+    the numpy temporaries.  (1:y:z) is a zero exactly when
+    (1:sigma(y):sigma(z)) is, so the zeros of every other row are sigma^i
+    images of those; the images are merged, de-duplicated and sorted back
+    into sweep order.  The line at infinity is the row y = 0 of the X-free
+    terms with each Y exponent moved onto X, since poly(0, 1, z) = that
+    form at (1, 0, z).  (0:0:1) is a zero when poly has no Z^deg term.
     """
     q = L.order
     tables = _np_tables(L)
-    rows = max(1, _SWEEP_BLOCK // q)   # y-values per numpy pass
-    pts = []
-    for y_lo in range(0, q, rows):
-        ys, zs = _bulk_affine_zeros(poly, L, tables, y_lo, min(y_lo + rows, q))
-        pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
+    sigma, m, least = _frobenius_orbits(poly, L)
+    rows = np.flatnonzero(least)       # never empty: 0 is its own orbit
+    block = max(1, _SWEEP_BLOCK // q)  # y-values per numpy pass
+    found = [_bulk_affine_zeros(poly, L, tables, rows[i:i + block])
+             for i in range(0, rows.size, block)]
+    ys = np.concatenate([y for y, _ in found])
+    zs = np.concatenate([z for _, z in found])
+    keys = [ys * q + zs]
+    for _ in range(m - 1):
+        ys, zs = sigma[ys], sigma[zs]
+        keys.append(ys * q + zs)
+    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
+    pts = [(1, *divmod(key, q)) for key in sorted(set(np.concatenate(keys).tolist()))]
     at_inf = {(j, 0, k): c for (i, j, k), c in poly.terms.items() if not i}
     if at_inf:
-        zs = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, 0, 1)[1]
+        zs = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, np.zeros(1, dtype=np.int64))[1]
     else:                   # X divides poly: the whole line is on the curve
         zs = range(q)
     pts.extend((0, 1, int(z)) for z in zs)
@@ -178,6 +229,8 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     tangent cone and m the multiplicity.  The point is ordinary when that
     form has distinct roots over the closure; rational branches of an
     ordinary point biject with rational tangent directions.
+    rational_tangents counts the distinct rational tangent lines, a
+    repeated one once, on every chart alike.
     """
     F = poly.field
     ua, va = _chart_axes(pt)
@@ -196,7 +249,7 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     roots = poly_roots(f)
     squarefree = f.gcd(f.derivative()).degree() == 0
     ordinary = squarefree and inf_mult <= 1
-    rational = len(roots) + (1 if inf_mult == 1 else 0)
+    rational = len(roots) + (1 if inf_mult else 0)   # distinct rational lines
     return mult, ordinary, rational
 
 
@@ -222,21 +275,37 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     base = model.field
     poly, L = _lift_poly(model, k)
     zeros = _sweep_zeros(poly, L)
+    sigma, m, least = _frobenius_orbits(poly, L)
+    # the partials at one zero of each row least in its sigma-orbit, and at
+    # z least in its orbit on the line at infinity ((0:0:1) is fixed)
+    least = least.tolist()
     parts = [poly.hasse(i, 1) for i in range(3)]
-    sing_pts = [
+    seeds = [
         pt for pt in zeros
-        if all(pp.eval_i(*pt) == 0 for pp in parts)
+        if least[pt[1] if pt[0] else pt[2]]
+        and all(pp.eval_i(*pt) == 0 for pp in parts)
     ]
+    orbits = []             # (singular seed, size of its sigma-orbit)
+    closure = set()
+    for pt in seeds:
+        if pt not in closure:
+            orbit, img = {pt}, pt
+            for _ in range(m - 1):
+                img = tuple(int(sigma[c]) for c in img)
+                orbit.add(img)
+            orbits.append((pt, len(orbit)))
+            closure |= orbit
+    sing_pts = sorted(closure, key=_sweep_key)
     total = len(zeros)
     singular = len(sing_pts)
     smooth = total - singular
     branches: int | None = 0
-    for pt in sing_pts:
+    for pt, size in orbits:
         mult, ordinary, rational = tangent_cone_data(poly, pt)
         if not ordinary:
             branches = None
             break
-        branches += rational
+        branches += rational * size
     resolved = smooth + branches if branches is not None else None
     return CountReport(
         model_tag=model.tag(),
@@ -249,6 +318,13 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
         resolved_total=resolved,
         singular_points=tuple(sing_pts),
     )
+
+
+def _sweep_key(pt):
+    """Sort key of a normalized point: (1:y:z) by (y, z), then (0:1:z) by z,
+    then (0:0:1)."""
+    x, y, z = pt
+    return -x, y if x else -y, z
 
 
 def singular_points(model: CurveModel, k: int = 1) -> list[tuple[int, int, int]]:

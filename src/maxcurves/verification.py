@@ -11,6 +11,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import counting
 from ._intfactor import divisors
 from .counting import (
@@ -257,16 +259,17 @@ def check_property_suites() -> tuple[bool, str]:
             moved = apply_coord_change(model, mat)
             if count_projective_points(moved).total != base:
                 return False, f"count changed under coordinates, k={k}"
-    # partition determinism: the affine chart swept in y-blocks of 1, 7 and
-    # 30 rows gives the sweep's zeros in the sweep's order
+    # partition determinism: every row of the affine chart, swept in
+    # y-blocks of 1, 7 and 30 rows, gives the zeros of the sweep over one
+    # row per Frobenius orbit, in the sweep's order
     poly, L = counting._lift_poly(hermitian_fermat(5), 2)
     want = [pt[1:] for pt in counting._sweep_zeros(poly, L) if pt[0] == 1]
     tables = counting._np_tables(L)
     for rows in (1, 7, 30):
         got = []
         for y in range(0, L.order, rows):
-            ys, zs = counting._bulk_affine_zeros(poly, L, tables, y,
-                                                 min(y + rows, L.order))
+            ys = np.arange(y, min(y + rows, L.order))
+            ys, zs = counting._bulk_affine_zeros(poly, L, tables, ys)
             got.extend(zip(ys.tolist(), zs.tolist()))
         if got != want:
             return False, f"the sweep in {rows}-row y-blocks disagrees"

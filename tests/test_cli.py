@@ -2,12 +2,16 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import maxcurves
 from maxcurves import counting, curves, semigroups
 from maxcurves.cache import ResultsCache, content_key
 from maxcurves.cli import MODELS, build_parser, emit, main
@@ -530,3 +534,19 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
         assert out
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_counts_never_import_numpy_ma():
+    # numpy.ma costs a fresh process about 13 ms and 1.7 MiB on its first
+    # import (np.unique pulls it in), more than the whole twisted count of
+    # quotient --sqrt-q 8 --d 19; a fresh interpreter runs both commands
+    code = ("import contextlib, io, sys\n"
+            "from maxcurves.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main('count --model hermitian --sqrt-q 8 --k 2'.split()) == 0\n"
+            "    assert main('quotient --sqrt-q 8 --d 19'.split()) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(maxcurves.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "False\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from maxcurves import (
     quotient_model_rational,
     singular_points,
 )
-from maxcurves.curves import HomPoly3, ProjMatrix
+from maxcurves.curves import CurveModel, HomPoly3, ProjMatrix, apply_coord_change
 from maxcurves.fields import ExtField, FPoly, build_field, poly_roots
 
 
@@ -157,11 +158,19 @@ def test_extension_prediction_formula():
     assert extension_count_prediction(25, 10, 3) == 25**3 + 1 + 2 * 10 * 125
 
 
+def _necklaces(r, m):
+    # the number of orbits of v -> v^r on F_(r^m): (1/m) sum over e | m of
+    # phi(e) r^(m/e) (Lidl-Niederreiter, Thm 2.14, counted by Burnside)
+    phi = [sum(math.gcd(i, e) == 1 for i in range(1, e + 1)) for e in range(m + 1)]
+    return sum(phi[e] * r ** (m // e) for e in range(1, m + 1) if m % e == 0) // m
+
+
 @pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
 def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     # y-blocks of one row and of several rows give the same zeros in the
-    # same order as one pass over the whole affine chart; the kernel covers
-    # the affine chart once and the line at infinity (one more row) once
+    # same order as one pass over the orbit rows; the kernel covers one row
+    # per orbit of v -> v^5 on the affine chart once and the line at
+    # infinity (one more row) once
     poly, L = counting._lift_poly(hermitian_fermat(5), k)
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
     want = counting._sweep_zeros(poly, L)
@@ -170,13 +179,13 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     sweep_pass = counting._bulk_affine_zeros
     sizes = []
 
-    def recorded(poly, L, tables, y_lo, y_hi):
-        sizes.append((y_hi - y_lo) * L.order)
-        return sweep_pass(poly, L, tables, y_lo, y_hi)
+    def recorded(poly, L, tables, ys):
+        sizes.append(ys.size * L.order)
+        return sweep_pass(poly, L, tables, ys)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
     assert counting._sweep_zeros(poly, L) == want
-    assert sum(sizes) == L.order ** 2 + L.order
+    assert sum(sizes) == (_necklaces(5, 2 * k) + 1) * L.order
     assert max(sizes) <= max(block, L.order)
 
 
@@ -249,7 +258,7 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     poly, L = counting._lift_poly(model, k)
     q = L.order
     want_y, want_z = _digit_reference_zeros(poly, L, 0, q)
-    got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), 0, q)
+    got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), np.arange(q))
     assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
     # two-row y-blocks: same zeros, same order
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 2 * q)
@@ -391,12 +400,12 @@ def _reference_tangent_cone_data(poly, pt):
     f = FPoly(F, [form.get((mult - j, j), 0) for j in range(mult + 1)])
     inf_mult = mult - f.degree()
     ordinary = f.gcd(f.derivative()).degree() == 0 and inf_mult <= 1
-    return mult, ordinary, len(poly_roots(f)) + (1 if inf_mult == 1 else 0)
+    return mult, ordinary, len(poly_roots(f)) + (1 if inf_mult else 0)
 
 
-def _cone_cases():
+def _model_cases(ks):
     # every model tag at small sqrt_q (the t-tags and geer-vlugt at a few
-    # parameters each), k = 1, 2 up to 4096 elements, and the degree-12
+    # parameters each), k in ks up to 4096 elements, and the degree-12
     # quotient model at sqrt_q = 11 with its 37 rational nodes
     cases = []
     for tag, (build, flags) in cli.MODELS.items():
@@ -412,16 +421,26 @@ def _cone_cases():
             except ValueError:     # envelope, quotient and chain constraints
                 continue
             cases += [pytest.param(model, k, id=f"{tag}-{'-'.join(map(str, a))}-k{k}")
-                      for k in (1, 2) if model.field.order**k <= 4096]
+                      for k in ks if model.field.order**k <= 4096]
     return cases + [pytest.param(quotient_model_rational(11), 1, id="quotient-rational-11-k1")]
 
 
-@pytest.mark.parametrize("model,k", _cone_cases())
+@pytest.mark.parametrize("model,k", _model_cases((1, 2)))
 def test_tangent_cones_match_the_translated_form(model, k):
     rep = count_projective_points(model, k)
     poly, _ = counting._lift_poly(model, k)
     for pt in rep.singular_points:
         assert counting.tangent_cone_data(poly, pt) == _reference_tangent_cone_data(poly, pt)
+
+
+def test_tangent_cones_agree_on_the_triangle_of_the_envelope():
+    # envelope_model(5) is invariant under the cyclic shift of coordinates,
+    # and its three triangle points each carry one repeated rational tangent
+    # line: at (0:1:0) it is the line at infinity of the chart, elsewhere a
+    # finite one, and each counts once
+    poly = envelope_model(5).poly
+    cones = {counting.tangent_cone_data(poly, pt) for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    assert cones == {(2, False, 1)}
 
 
 def test_tangent_cone_refusals():
@@ -481,3 +500,120 @@ def test_count_makes_no_coordinate_change(monkeypatch, model, k):
     monkeypatch.setattr(HomPoly3, "compose_linear", spy)
     rep = count_projective_points(model, k)
     assert rep.singular and calls == []
+
+
+# ---------------------------------------------------------------------------
+# one kernel row per Frobenius orbit
+# ---------------------------------------------------------------------------
+
+def _full_row_sweep(poly, L):
+    # _sweep_zeros before the orbit sweep: the kernel on every row of the
+    # affine chart, in blocks of at most 2^16 points, then the line at
+    # infinity
+    q = L.order
+    tables = counting._np_tables(L)
+    rows = max(1, (1 << 16) // q)
+    pts = []
+    for y0 in range(0, q, rows):
+        ys, zs = counting._bulk_affine_zeros(poly, L, tables, np.arange(y0, min(y0 + rows, q)))
+        pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
+    return pts + _scalar_line_at_infinity(poly, L)
+
+
+def _reference_count(poly, L):
+    # count_projective_points before the orbit sweep: every row swept, the
+    # partials tested at every zero and a tangent cone read at every
+    # singular point
+    zeros = _full_row_sweep(poly, L)
+    parts = [poly.hasse(i, 1) for i in range(3)]
+    sing = [pt for pt in zeros if all(pp.eval_i(*pt) == 0 for pp in parts)]
+    branches = 0
+    for pt in sing:
+        mult, ordinary, rational = counting.tangent_cone_data(poly, pt)
+        if not ordinary:
+            branches = None
+            break
+        branches += rational
+    smooth = len(zeros) - len(sing)
+    resolved = None if branches is None else smooth + branches
+    return zeros, (len(zeros), len(sing), smooth, branches, resolved, tuple(sing))
+
+
+def _report_numbers(rep):
+    return (rep.total, rep.singular, rep.smooth, rep.rational_branches,
+            rep.resolved_total, rep.singular_points)
+
+
+@pytest.mark.parametrize("model,k", _model_cases((1, 2, 3)))
+def test_orbit_sweep_matches_the_full_row_sweep(model, k):
+    poly, L = counting._lift_poly(model, k)
+    zeros, numbers = _reference_count(poly, L)
+    assert counting._sweep_zeros(poly, L) == zeros
+    assert _report_numbers(count_projective_points(model, k)) == numbers
+
+
+@pytest.mark.parametrize("sq,k,p", [(3, 1, 3), (2, 2, 2), (4, 1, 2)])
+def test_orbit_sweep_of_a_form_over_all_of_its_field(sq, k, p):
+    # a random coordinate change moves the form's coefficients off every
+    # proper subfield: sigma is then the identity and every orbit one element
+    rng = random.Random(1000 * sq + k)
+    model = hermitian_canonical(sq)
+    L = build_field(p, model.field.k * k)
+    while True:
+        try:
+            mat = ProjMatrix(L, [[L.random_element(rng) for _ in range(3)] for _ in range(3)])
+            break
+        except ValueError:
+            continue
+    moved = apply_coord_change(model, mat)
+    assert moved.field is L
+    sigma, m, least = counting._frobenius_orbits(moved.poly, L)
+    assert m == 1 and least.all() and (sigma == np.arange(L.order)).all()
+    zeros, numbers = _reference_count(moved.poly, L)
+    assert counting._sweep_zeros(moved.poly, L) == zeros
+    assert _report_numbers(count_projective_points(moved)) == numbers
+    assert count_projective_points(moved).total == count_projective_points(model, k).total
+
+
+@pytest.mark.parametrize("p,k,terms", [
+    (2, 3, {(2, 0, 0): 1}),
+    (3, 2, {(2, 0, 0): 1}),
+    (2, 3, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}),
+    (2, 5, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}),
+    (3, 1, {(2, 0, 0): 1, (0, 2, 0): 1}),
+])
+def test_orbit_sweep_of_forms_with_no_affine_zero(p, k, terms):
+    # X^2 has no zero on the chart x = 1 and contains the line at infinity,
+    # every point of it singular.  X^2 + XY + Y^2 over F_(2^odd) and
+    # X^2 + Y^2 over F_3 have no affine zero either: their one point is
+    # (0:0:1), a node with no rational tangent
+    L = build_field(p, k)
+    poly = HomPoly3(L, terms)
+    zeros, numbers = _reference_count(poly, L)
+    assert zeros and all(pt[0] == 0 for pt in zeros)
+    assert counting._sweep_zeros(poly, L) == zeros
+    assert _report_numbers(count_projective_points(CurveModel(poly, "test"))) == numbers
+
+
+@pytest.mark.parametrize("model,k,r,m", [
+    (hermitian_canonical(8), 2, 2, 12),        # F_4096, coefficients in F_2
+    (quotient_model_rational(8), 2, 8, 4),     # coefficients in F_8
+    (hermitian_fermat(3), 3, 3, 6),            # F_729
+    (envelope_model(5), 2, 5, 4),              # F_625
+])
+def test_the_kernel_sees_one_row_per_orbit(monkeypatch, model, k, r, m):
+    # 352 orbits of v -> v^2 on F_4096, and so on: the kernel sweeps one
+    # row per orbit and the line at infinity
+    poly, L = counting._lift_poly(model, k)
+    sigma, got_m, least = counting._frobenius_orbits(poly, L)
+    assert (got_m, L.order) == (m, r**m)
+    sweep_pass = counting._bulk_affine_zeros
+    rows = []
+
+    def recorded(poly, L, tables, ys):
+        rows.append(ys.size)
+        return sweep_pass(poly, L, tables, ys)
+
+    monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
+    counting._sweep_zeros(poly, L)
+    assert sum(rows) == _necklaces(r, m) + 1 == int(least.sum()) + 1

@@ -56,6 +56,12 @@ GOLDEN = {
     "count-artin-schreier-5-2": "count --model artin-schreier --sqrt-q 5 --t 2",
     "count-fermat-5-3": "count --model fermat --sqrt-q 5 --t 3",
     "count-char2-chain-4-k2": "count --model char2-chain --sqrt-q 4 --k 2",
+    # the orbit sweep over an extension: nodes, odd characteristic,
+    # non-ordinary points and a smooth model
+    "count-quotient-rational-8-k2": "count --model quotient-rational --sqrt-q 8 --k 2",
+    "count-hermitian-9-k2": "count --model hermitian --sqrt-q 9 --k 2",
+    "count-envelope-7-k2": "count --model envelope --sqrt-q 7 --k 2",
+    "count-smooth-cyclic-4-k2": "count --model smooth-cyclic --sqrt-q 4 --k 2",
     "verify-maximal-quotient-rational-5": "verify-maximal --model quotient-rational --sqrt-q 5",
     "verify-maximal-envelope-5": "verify-maximal --model envelope --sqrt-q 5",
     "quotient-8-19": "quotient --sqrt-q 8 --d 19",

@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sqrt-q", dest="sqrt_q", type=int, required=True)
     sp.set_defaults(fn=cmd_census)
 
-    sp = add_parser("semigroup", help="sieve a numerical semigroup")
+    sp = add_parser("semigroup", help="a numerical semigroup from its generators: an exact "
+                                           "Apery-set computation, independent of "
+                                           "the closed genus formulas")
     sp.add_argument("--gens", required=True, help="comma-separated generators")
     sp.set_defaults(fn=cmd_semigroup)
 

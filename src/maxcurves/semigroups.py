@@ -2,10 +2,11 @@
 Stohr-Voloch ramification/Frobenius arithmetic.
 
 Everything in this module is exact integer or Fraction arithmetic.  The
-brute-force sieve over generators is the oracle against which the closed
-genus formulas for semigroups generated by (ell, m, m+1) are tested, and
-the gap set of the Hermitian branch semigroup drives the quotient-curve
-dimension and order computations.
+exact Apery-set computation over generators, independent of the closed
+formulas it checks, is the oracle against which the closed genus formulas
+for semigroups generated by (ell, m, m+1) are tested, and the gap set of
+the Hermitian branch semigroup drives the quotient-curve dimension and
+order computations.
 """
 
 from __future__ import annotations
@@ -13,17 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from itertools import chain
 
 from ._intfactor import check_divisor
-from .errors import ConsistencyError
+from .errors import CapError, ConsistencyError
+
+GAP_CAP = 1 << 24
+"""The most gaps a semigroup built from generators may have: its gap set is
+listed element by element."""
 
 
 class NumericalSemigroup:
     """A cofinite additive submonoid of N, stored by its finite gap set."""
 
     def __init__(self, gaps):
-        gaps = frozenset(int(g) for g in gaps)
-        if 0 in gaps or any(g < 0 for g in gaps):
+        gaps = frozenset(map(int, gaps))
+        if gaps and min(gaps) < 1:
             raise ValueError("gaps must be positive integers")
         self.gaps = gaps
         self.genus = len(gaps)
@@ -55,12 +61,19 @@ class NumericalSemigroup:
 
 
 def semigroup_from_generators(gens) -> NumericalSemigroup:
-    """Brute-force sieve: reachable sums of the generators, extended until a
-    run of multiplicity-many consecutive non-gaps certifies cofiniteness.
+    """Exact Apery-set computation, independent of the closed formulas it
+    checks: with m the least generator, w[r] is the least element congruent
+    to r mod m, and the gaps are exactly the n < w[n mod m].
+
+    w is found by round-robin shortest paths on the m residues (Boecker and
+    Liptak 2007): each further generator g splits the residues into
+    gcd(m, g) cycles r -> r + g, and each cycle is walked once around from
+    its least known w, keeping the smaller of the carried value and w[r].
 
     This is the oracle for every closed genus formula.  Raises ValueError
     naming every generator below 1, and when gcd of the generators exceeds
-    1 (infinitely many gaps).
+    1 (infinitely many gaps); raises CapError before listing more than
+    GAP_CAP gaps.
     """
     gens = sorted({int(g) for g in gens})
     if not gens:
@@ -71,26 +84,37 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
     if math.gcd(*gens) != 1 if len(gens) > 1 else gens[0] != 1:
         raise ValueError("generators must be coprime (gcd 1)")
     m = gens[0]
-    bound = max(gens) * m + 1
-    while True:
-        reach = [False] * (bound + 1)
-        reach[0] = True
-        for n in range(1, bound + 1):
-            for g in gens:
-                if n >= g and reach[n - g]:
-                    reach[n] = True
-                    break
-        run = 0
-        ok_at = None
-        for n in range(bound + 1):
-            run = run + 1 if reach[n] else 0
-            if run >= m:
-                ok_at = n
-                break
-        if ok_at is not None:
-            gaps = [n for n in range(ok_at) if not reach[n]]
-            return NumericalSemigroup(gaps)
-        bound *= 2
+    # every residue 1..m-1 is itself a gap
+    _check_gap_cap(m - 1)
+    # a shortest path has at most m - 1 steps of at most gens[-1] each, so
+    # every w[r] is below `unknown`; the walk's + g and min commute with
+    # truncation at `unknown`, so starting from it loses nothing
+    unknown = m * gens[-1]
+    w = [0] + [unknown] * (m - 1)
+    for g in gens[1:]:
+        d = math.gcd(m, g)
+        for p in range(d):
+            n = min(w[p::d])
+            if n == unknown:
+                continue
+            for _ in range(m // d - 1):
+                n += g
+                r = n % m
+                if w[r] < n:
+                    n = w[r]
+                else:
+                    w[r] = n
+    # the gaps in residue r are r, r + m, ..., w[r] - m
+    _check_gap_cap(sum(v // m for v in w))
+    return NumericalSemigroup(chain.from_iterable(range(r, w[r], m) for r in range(1, m)))
+
+
+def _check_gap_cap(gaps: int) -> None:
+    if gaps > GAP_CAP:
+        raise CapError(
+            f"the semigroup has at least {gaps} gaps, above the "
+            f"2^{GAP_CAP.bit_length() - 1} gap cap"
+        )
 
 
 def in_hermitian_semigroup(sqrt_q: int, h: int) -> bool:
@@ -169,7 +193,7 @@ def genus_lmm(ell: int, m: int) -> tuple[str, int | Fraction]:
     le = Fraction(ell)
     if le <= Fraction(3 * m, 5):
         bounds.append(max(Fraction(m * m + 4, 8), Fraction(m * m + 3 * m, 10)))
-    # the boundary ell = 3m/5 belongs to the first row only: the sieve
+    # the boundary ell = 3m/5 belongs to the first row only: the oracle
     # genus of (6, 10, 11) is 13, above the second row's 37/3
     if Fraction(3 * m, 5) < le < (2 * m + 2) // 3:
         bounds.append(Fraction(m * m - 5 * m + 24, 6))

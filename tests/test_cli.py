@@ -216,6 +216,20 @@ def test_semigroup_rejects_a_nonpositive_generator(gens, bad, capsys):
     assert (code, out, err) == (2, "", f"error: generators must be positive, got {bad}\n")
 
 
+@pytest.mark.parametrize("gens,gaps", [
+    # m - 1 = 2^24 + 1 residues are gaps: refused before the Apery set is listed
+    ("16777218,16777219", 16777217),
+    # the genus (a - 1)a/2 of <a, a + 1> is read off the Apery set
+    ("100000,100001", 4999950000),
+    ("6000,6001", 17997000),
+    ("5794,5795", 16782321),
+])
+def test_semigroup_past_the_gap_cap_exits_2(gens, gaps, capsys):
+    code, out, err = run_cli(["semigroup", f"--gens={gens}"], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: the semigroup has at least {gaps} gaps, above the 2^24 gap cap\n")
+
+
 def test_sv_command(capsys):
     code, out, _ = run_cli(
         ["sv", "--g", "10", "--degd", "6", "--r", "2", "--eps", "0,1,5",

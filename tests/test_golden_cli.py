@@ -79,6 +79,8 @@ GOLDEN = {
     "dim-d-8-19": "dim-d --sqrt-q 8 --d 19",
     "sv-hermitian-5": "sv --g 10 --degd 6 --r 2 --eps 0,1,5 --nu 0,5 --q 25",
     "semigroup-5-6": "semigroup --gens 5,6",
+    "semigroup-97-100-101": "semigroup --gens 97,100,101",
+    "semigroup-3-5-6-table": "semigroup --gens 3,5,6 --format table",
     "field-5-3": "field --p 5 --k 3",
     "field-2-12-table": "field --p 2 --k 12 --format table",
 }

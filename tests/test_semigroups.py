@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxcurves import (
@@ -23,7 +24,7 @@ from maxcurves import (
     stohr_voloch_degrees,
 )
 from maxcurves._intfactor import divisors
-from maxcurves.semigroups import in_hermitian_semigroup
+from maxcurves.semigroups import NumericalSemigroup, in_hermitian_semigroup
 
 
 def hermitian_nongap_rows(sqrt_q: int, rows: int = 7) -> set[int]:
@@ -55,6 +56,64 @@ def test_sieve_rejects_nonpositive_generators(gens, bad):
         semigroup_from_generators(gens)
 
 
+def _reference_sieve(gens) -> NumericalSemigroup:
+    """Brute-force sieve: reachable sums of the generators, extended until a
+    run of multiplicity-many consecutive non-gaps certifies cofiniteness.
+
+    The oracle before the Apery-set computation, kept verbatim as its
+    reference.
+    """
+    gens = sorted({int(g) for g in gens})
+    if not gens:
+        raise ValueError("need at least one positive generator")
+    bad = [g for g in gens if g < 1]
+    if bad:
+        raise ValueError(f"generators must be positive, got {', '.join(map(str, bad))}")
+    if math.gcd(*gens) != 1 if len(gens) > 1 else gens[0] != 1:
+        raise ValueError("generators must be coprime (gcd 1)")
+    m = gens[0]
+    bound = max(gens) * m + 1
+    while True:
+        reach = [False] * (bound + 1)
+        reach[0] = True
+        for n in range(1, bound + 1):
+            for g in gens:
+                if n >= g and reach[n - g]:
+                    reach[n] = True
+                    break
+        run = 0
+        ok_at = None
+        for n in range(bound + 1):
+            run = run + 1 if reach[n] else 0
+            if run >= m:
+                ok_at = n
+                break
+        if ok_at is not None:
+            gaps = [n for n in range(ok_at) if not reach[n]]
+            return NumericalSemigroup(gaps)
+        bound *= 2
+
+
+def _assert_matches_the_sieve(gens):
+    sg, ref = semigroup_from_generators(gens), _reference_sieve(gens)
+    assert (sg.gaps, sg.genus, sg.conductor) == (ref.gaps, ref.genus, ref.conductor), gens
+
+
+@pytest.mark.parametrize("m", range(4, 41))
+def test_apery_oracle_matches_the_sieve_on_lmm(m):
+    for ell in range((m + 1) // 2, m):
+        _assert_matches_the_sieve([ell, m, m + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+def test_apery_oracle_matches_the_sieve(gens):
+    # duplicates and a generator 1 included; a gcd above 1 is refused, and
+    # its message is pinned by test_sieve_examples
+    assume(math.gcd(*gens) == 1)
+    _assert_matches_the_sieve(gens)
+
+
 def _is_closed(sg):
     # closure under addition up to twice the conductor
     limit = 2 * sg.conductor
@@ -65,10 +124,6 @@ def _is_closed(sg):
 @settings(max_examples=120, deadline=None)
 @given(st.sets(st.integers(2, 24), min_size=2, max_size=4))
 def test_sieve_is_closed_and_cofinal(gens):
-    import math
-
-    from hypothesis import assume
-
     gens = sorted(gens)
     assume(math.gcd(*gens) == 1)
     sg = semigroup_from_generators(gens)
@@ -174,8 +229,10 @@ def test_genus_lmm_exact_cases():
         genus_lmm(2, 5)
 
 
-def test_genus_lmm_bounds_dominate_sieve():
-    for m in range(4, 31):
+def test_genus_lmm_agrees_with_the_oracle_to_m_120():
+    # 3598 semigroups, past the m <= 40 of verify-paper's criterion 6
+    cases = 0
+    for m in range(4, 121):
         for ell in range((m + 1) // 2, m):
             kind, val = genus_lmm(ell, m)
             oracle = semigroup_from_generators([ell, m, m + 1]).genus
@@ -183,6 +240,8 @@ def test_genus_lmm_bounds_dominate_sieve():
                 assert val == oracle, (ell, m)
             else:
                 assert oracle <= val, (ell, m)
+            cases += 1
+    assert cases == 3598
 
 
 def test_genus_lmm_boundary_row():

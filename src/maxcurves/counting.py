@@ -12,13 +12,15 @@ coefficient.
 
 The model's coefficients lie in a subfield F_(p^j) of the swept field L,
 so the Frobenius sigma: v -> v^(p^j) fixes the form and permutes its zeros
-(_frobenius_orbits).  The kernel sweeps only the rows y least in their
-sigma-orbit; the zeros of every other row are sigma^i images, merged back
-into sweep order.  When the coefficients generate L, sigma is the identity
-and every row is swept.  Each zero in a swept row, and each zero at z least
-in its orbit on the line at infinity, is classified smooth or singular via
-the three partials (first Hasse derivatives); sigma keeps that class, so
-each singular point's orbit joins it.
+(_frobenius_orbits).  sigma^i maps the zeros of row y one-to-one onto those
+of row sigma^i(y), so the kernel sweeps only the rows y least in their
+sigma-orbit, and each zero found there is counted once per row of its
+orbit: the affine total is the sum of |orbit(y)| over those zeros.  When
+the coefficients generate L, sigma is the identity and every row is swept.
+Each zero in a swept row, and each zero at z least in its orbit on the
+line at infinity, is classified smooth or singular via the three partials
+(first Hasse derivatives); sigma keeps that class, so each singular point's
+orbit joins it.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -33,6 +35,7 @@ the point is ordinary and its number of rational tangent lines.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -91,6 +94,8 @@ _SWEEP_BLOCK = 1 << 16    # points per numpy pass of the plane sweep
 
 
 def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
+    if k < 1:
+        raise ValueError(f"the extension degree k must be at least 1, not {k}")
     base = model.field
     check_table_cap(base.order**k)
     if k == 1:
@@ -113,12 +118,13 @@ def _log_add(a, b, zech, n):
 
 
 def _frobenius_orbits(poly: HomPoly3, L: ExtField):
-    """(sigma, m, least) for the Frobenius sigma: v -> v^(p^j) of the least
-    j | L.k that fixes every coefficient of poly.
+    """(sigma, m, least, size) for the Frobenius sigma: v -> v^(p^j) of the
+    least j | L.k that fixes every coefficient of poly.
 
     sigma[v] is the packed value of v^(p^j) (an int64 array over the packed
-    values of L), m = L.k / j is its order, and least[v] says whether v is
-    the least packed value of its sigma-orbit.  As sigma fixes the form, it
+    values of L), m = L.k / j is its order, least[v] says whether v is the
+    least packed value of its sigma-orbit, and size[v] is the size of that
+    orbit, the least i >= 1 with sigma^i(v) = v.  As sigma fixes the form, it
     permutes the zeros of poly and its singular points, keeping
     multiplicity, ordinariness and the number of rational tangent lines.
     m = 1 when the coefficients generate L; every orbit is then one element.
@@ -134,11 +140,13 @@ def _frobenius_orbits(poly: HomPoly3, L: ExtField):
     m = L.k // j
     values = np.arange(L.order)
     least = np.ones(L.order, dtype=bool)
+    size = np.full(L.order, m)
     image = values
-    for _ in range(m - 1):
+    for i in range(1, m):
         image = sigma[image]
         least &= image >= values
-    return sigma, m, least
+        np.copyto(size, i, where=(image == values) & (size == m))
+    return sigma, m, least, size
 
 
 def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
@@ -175,44 +183,29 @@ def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
     return ys[idx // q], idx % q
 
 
-def _sweep_zeros(poly: HomPoly3, L: ExtField) -> list[tuple[int, int, int]]:
-    """All normalized projective zeros of poly over L, in sweep order.
+def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
+    """(ys, zs, inf): the zeros (1:y:z) of poly over L with y in the int64
+    array rows, as two int64 arrays in sweep order (by y, then z), and the z
+    of its zeros (0:1:z) on the line at infinity, ascending.
 
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
-    kernel sweeps only the rows y that are least in their orbit under the
-    Frobenius sigma that fixes poly (_frobenius_orbits), in blocks of at
-    most _SWEEP_BLOCK points (one y-row when a row is longer), which bounds
-    the numpy temporaries.  (1:y:z) is a zero exactly when
-    (1:sigma(y):sigma(z)) is, so the zeros of every other row are sigma^i
-    images of those; the images are merged, de-duplicated and sorted back
-    into sweep order.  The line at infinity is the row y = 0 of the X-free
-    terms with each Y exponent moved onto X, since poly(0, 1, z) = that
-    form at (1, 0, z).  (0:0:1) is a zero when poly has no Z^deg term.
+    kernel sweeps rows in blocks of at most _SWEEP_BLOCK points (one y-row
+    when a row is longer), which bounds the numpy temporaries.  The line at
+    infinity is the row y = 0 of the X-free terms with each Y exponent moved
+    onto X, since poly(0, 1, z) = that form at (1, 0, z).
     """
-    q = L.order
     tables = _np_tables(L)
-    sigma, m, least = _frobenius_orbits(poly, L)
-    rows = np.flatnonzero(least)       # never empty: 0 is its own orbit
-    block = max(1, _SWEEP_BLOCK // q)  # y-values per numpy pass
+    block = max(1, _SWEEP_BLOCK // L.order)  # y-values per numpy pass
     found = [_bulk_affine_zeros(poly, L, tables, rows[i:i + block])
              for i in range(0, rows.size, block)]
     ys = np.concatenate([y for y, _ in found])
     zs = np.concatenate([z for _, z in found])
-    keys = [ys * q + zs]
-    for _ in range(m - 1):
-        ys, zs = sigma[ys], sigma[zs]
-        keys.append(ys * q + zs)
-    # sorted(set()) rather than np.unique, whose first call imports numpy.ma
-    pts = [(1, *divmod(key, q)) for key in sorted(set(np.concatenate(keys).tolist()))]
     at_inf = {(j, 0, k): c for (i, j, k), c in poly.terms.items() if not i}
     if at_inf:
-        zs = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, np.zeros(1, dtype=np.int64))[1]
+        inf = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, np.zeros(1, dtype=np.int64))[1]
     else:                   # X divides poly: the whole line is on the curve
-        zs = range(q)
-    pts.extend((0, 1, int(z)) for z in zs)
-    if (0, 0, poly.degree) not in poly.terms:
-        pts.append((0, 0, 1))
-    return pts
+        inf = np.arange(L.order)
+    return ys, zs, inf
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +267,19 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     """
     base = model.field
     poly, L = _lift_poly(model, k)
-    zeros = _sweep_zeros(poly, L)
-    sigma, m, least = _frobenius_orbits(poly, L)
-    # the partials at one zero of each row least in its sigma-orbit, and at
-    # z least in its orbit on the line at infinity ((0:0:1) is fixed)
-    least = least.tolist()
+    sigma, m, least, orbit_size = _frobenius_orbits(poly, L)
+    # rows is never empty: 0 is its own orbit
+    ys, zs, inf = _sweep_zeros(poly, L, np.flatnonzero(least))
+    origin = (0, 0, poly.degree) not in poly.terms     # (0:0:1) is a zero
+    # the partials at the zeros of the rows least in their sigma-orbit, and
+    # at z least in its orbit on the line at infinity ((0:0:1) is fixed)
     parts = [poly.hasse(i, 1) for i in range(3)]
-    seeds = [
-        pt for pt in zeros
-        if least[pt[1] if pt[0] else pt[2]]
-        and all(pp.eval_i(*pt) == 0 for pp in parts)
-    ]
+    reps = itertools.chain(
+        ((1, y, z) for y, z in zip(ys.tolist(), zs.tolist())),
+        ((0, 1, z) for z in inf[least[inf]].tolist()),
+        [(0, 0, 1)] * origin,
+    )
+    seeds = [pt for pt in reps if all(pp.eval_i(*pt) == 0 for pp in parts)]
     orbits = []             # (singular seed, size of its sigma-orbit)
     closure = set()
     for pt in seeds:
@@ -296,7 +291,7 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
             orbits.append((pt, len(orbit)))
             closure |= orbit
     sing_pts = sorted(closure, key=_sweep_key)
-    total = len(zeros)
+    total = int(orbit_size[ys].sum()) + inf.size + origin
     singular = len(sing_pts)
     smooth = total - singular
     branches: int | None = 0

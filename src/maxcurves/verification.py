@@ -260,18 +260,21 @@ def check_property_suites() -> tuple[bool, str]:
             if count_projective_points(moved).total != base:
                 return False, f"count changed under coordinates, k={k}"
     # partition determinism: every row of the affine chart, swept in
-    # y-blocks of 1, 7 and 30 rows, gives the zeros of the sweep over one
-    # row per Frobenius orbit, in the sweep's order
+    # y-blocks of 1, 7 and 30 rows, gives in the rows least in their
+    # Frobenius orbit the zeros of the orbit sweep, in its order, and as
+    # many zeros as the sweep's total weighted by orbit size
     poly, L = counting._lift_poly(hermitian_fermat(5), 2)
-    want = [pt[1:] for pt in counting._sweep_zeros(poly, L) if pt[0] == 1]
+    _, _, least, orbit_size = counting._frobenius_orbits(poly, L)
+    want_y, want_z, _ = counting._sweep_zeros(poly, L, np.flatnonzero(least))
+    affine = int(orbit_size[want_y].sum())
     tables = counting._np_tables(L)
     for rows in (1, 7, 30):
-        got = []
-        for y in range(0, L.order, rows):
-            ys = np.arange(y, min(y + rows, L.order))
-            ys, zs = counting._bulk_affine_zeros(poly, L, tables, ys)
-            got.extend(zip(ys.tolist(), zs.tolist()))
-        if got != want:
+        found = [counting._bulk_affine_zeros(poly, L, tables, np.arange(y, min(y + rows, L.order)))
+                 for y in range(0, L.order, rows)]
+        ys, zs = (np.concatenate(a) for a in zip(*found))
+        kept = least[ys]
+        if (ys.size != affine or not np.array_equal(ys[kept], want_y)
+                or not np.array_equal(zs[kept], want_z)):
             return False, f"the sweep in {rows}-row y-blocks disagrees"
     return True, "field axioms, embeddings, coordinate invariance, partitions all hold"
 

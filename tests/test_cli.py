@@ -302,6 +302,19 @@ def test_count_past_the_table_cap_exits_2(monkeypatch, capsys):
     assert "the 3814697265625-element field exceeds the 2^18 discrete-log table cap" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_count_k_below_one_exits_2(k, monkeypatch, capsys):
+    # refused by name before the table cap reads 25^k, a float at k < 0,
+    # and before build_field would refuse a degree below 1 without naming k
+    def no_work(*args):
+        raise AssertionError("work done before k was checked")
+
+    monkeypatch.setattr(counting, "check_table_cap", no_work)
+    monkeypatch.setattr(counting, "build_field", no_work)
+    assert run_cli(["count", "--model", "hermitian", "--sqrt-q", "5", f"--k={k}"], capsys) == (
+        2, "", f"error: the extension degree k must be at least 1, not {k}\n")
+
+
 def test_model_serialization_is_reproducible():
     # every deterministic choice (moduli, frame root, scaling constant)
     # feeds these hashes; a change here means construction drifted across

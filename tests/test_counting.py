@@ -165,6 +165,23 @@ def _necklaces(r, m):
     return sum(phi[e] * r ** (m // e) for e in range(1, m + 1) if m % e == 0) // m
 
 
+def _expanded_sweep(poly, L):
+    # the orbit sweep's representatives with their sigma^i images merged
+    # back into sweep order, as the sweep returned them before it kept the
+    # representatives only, and the total weighted by orbit size that the
+    # count reads off the representatives
+    sigma, m, least, orbit_size = counting._frobenius_orbits(poly, L)
+    ys, zs, inf = counting._sweep_zeros(poly, L, np.flatnonzero(least))
+    origin = (0, 0, poly.degree) not in poly.terms
+    total = int(orbit_size[ys].sum()) + inf.size + origin
+    images = set()
+    for _ in range(m):
+        images.update(zip(ys.tolist(), zs.tolist()))
+        ys, zs = sigma[ys], sigma[zs]
+    pts = [(1, y, z) for y, z in sorted(images)]
+    return pts + [(0, 1, z) for z in inf.tolist()] + [(0, 0, 1)] * origin, total
+
+
 @pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
 def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     # y-blocks of one row and of several rows give the same zeros in the
@@ -172,9 +189,11 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     # per orbit of v -> v^5 on the affine chart once and the line at
     # infinity (one more row) once
     poly, L = counting._lift_poly(hermitian_fermat(5), k)
+    rows = np.flatnonzero(counting._frobenius_orbits(poly, L)[2])
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
-    want = counting._sweep_zeros(poly, L)
-    assert len(want) == 126
+    want = counting._sweep_zeros(poly, L, rows)
+    pts, total = _expanded_sweep(poly, L)
+    assert len(pts) == total == 126
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", block)
     sweep_pass = counting._bulk_affine_zeros
     sizes = []
@@ -184,7 +203,8 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
         return sweep_pass(poly, L, tables, ys)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
-    assert counting._sweep_zeros(poly, L) == want
+    got = counting._sweep_zeros(poly, L, rows)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert sum(sizes) == (_necklaces(5, 2 * k) + 1) * L.order
     assert max(sizes) <= max(block, L.order)
 
@@ -260,13 +280,15 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     want_y, want_z = _digit_reference_zeros(poly, L, 0, q)
     got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), np.arange(q))
     assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
-    # two-row y-blocks: same zeros, same order
+    # two-row y-blocks of the orbit rows, sigma-expanded: same zeros, same
+    # order, and the weighted total counts them
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 2 * q)
-    zeros = counting._sweep_zeros(poly, L)
+    zeros, total = _expanded_sweep(poly, L)
     affine = [pt for pt in zeros if pt[0] == 1]
     assert affine == [(1, int(y), int(z)) for y, z in zip(want_y, want_z)]
     # the line at infinity, swept by the kernel, against the scalar walk
     assert zeros[len(affine):] == _scalar_line_at_infinity(poly, L)
+    assert total == len(zeros)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (2, 6)])
@@ -280,12 +302,12 @@ def test_sweep_of_a_form_with_x_as_a_factor(p, k):
     assert model.field is L
     fermat = model.poly
     times_x = HomPoly3(L, {(i + 1, j, kk): c for (i, j, kk), c in fermat.terms.items()})
-    got = counting._sweep_zeros(times_x, L)
-    assert got == _reference_sweep_zeros(times_x, L)
+    got, total = _expanded_sweep(times_x, L)
+    assert got == _reference_sweep_zeros(times_x, L) and total == len(got)
     assert got[-L.order - 1:] == [(0, 1, z) for z in range(L.order)] + [(0, 0, 1)]
     no_z_power = HomPoly3(L, {(1, s, 0): 1, (0, s, 1): 1})   # Y^s (X + Z)
-    got = counting._sweep_zeros(no_z_power, L)
-    assert got == _reference_sweep_zeros(no_z_power, L)
+    got, total = _expanded_sweep(no_z_power, L)
+    assert got == _reference_sweep_zeros(no_z_power, L) and total == len(got)
     assert [pt for pt in got if pt[0] == 0] == [(0, 1, 0), (0, 0, 1)]
 
 
@@ -298,7 +320,7 @@ def test_sweep_makes_no_scalar_evaluation(monkeypatch):
         raise AssertionError("scalar evaluation in the sweep")
 
     monkeypatch.setattr(HomPoly3, "eval_i", no_eval)
-    assert counting._sweep_zeros(poly, L) == want
+    assert _expanded_sweep(poly, L) == (want, len(want))
 
 
 ZECH_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 1 << 12]
@@ -548,7 +570,7 @@ def _report_numbers(rep):
 def test_orbit_sweep_matches_the_full_row_sweep(model, k):
     poly, L = counting._lift_poly(model, k)
     zeros, numbers = _reference_count(poly, L)
-    assert counting._sweep_zeros(poly, L) == zeros
+    assert _expanded_sweep(poly, L) == (zeros, len(zeros))
     assert _report_numbers(count_projective_points(model, k)) == numbers
 
 
@@ -567,10 +589,11 @@ def test_orbit_sweep_of_a_form_over_all_of_its_field(sq, k, p):
             continue
     moved = apply_coord_change(model, mat)
     assert moved.field is L
-    sigma, m, least = counting._frobenius_orbits(moved.poly, L)
+    sigma, m, least, orbit_size = counting._frobenius_orbits(moved.poly, L)
     assert m == 1 and least.all() and (sigma == np.arange(L.order)).all()
+    assert (orbit_size == 1).all()
     zeros, numbers = _reference_count(moved.poly, L)
-    assert counting._sweep_zeros(moved.poly, L) == zeros
+    assert _expanded_sweep(moved.poly, L) == (zeros, len(zeros))
     assert _report_numbers(count_projective_points(moved)) == numbers
     assert count_projective_points(moved).total == count_projective_points(model, k).total
 
@@ -591,7 +614,7 @@ def test_orbit_sweep_of_forms_with_no_affine_zero(p, k, terms):
     poly = HomPoly3(L, terms)
     zeros, numbers = _reference_count(poly, L)
     assert zeros and all(pt[0] == 0 for pt in zeros)
-    assert counting._sweep_zeros(poly, L) == zeros
+    assert _expanded_sweep(poly, L) == (zeros, len(zeros))
     assert _report_numbers(count_projective_points(CurveModel(poly, "test"))) == numbers
 
 
@@ -603,10 +626,14 @@ def test_orbit_sweep_of_forms_with_no_affine_zero(p, k, terms):
 ])
 def test_the_kernel_sees_one_row_per_orbit(monkeypatch, model, k, r, m):
     # 352 orbits of v -> v^2 on F_4096, and so on: the kernel sweeps one
-    # row per orbit and the line at infinity
+    # row per orbit and the line at infinity.  The orbits of the least
+    # values cover L once, and the values whose orbit size divides e are the
+    # r^e elements of the subfield F_(r^e)
     poly, L = counting._lift_poly(model, k)
-    sigma, got_m, least = counting._frobenius_orbits(poly, L)
+    sigma, got_m, least, orbit_size = counting._frobenius_orbits(poly, L)
     assert (got_m, L.order) == (m, r**m)
+    assert int(orbit_size[least].sum()) == L.order
+    assert all(int((e % orbit_size == 0).sum()) == r**e for e in range(1, m + 1) if m % e == 0)
     sweep_pass = counting._bulk_affine_zeros
     rows = []
 
@@ -615,5 +642,5 @@ def test_the_kernel_sees_one_row_per_orbit(monkeypatch, model, k, r, m):
         return sweep_pass(poly, L, tables, ys)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
-    counting._sweep_zeros(poly, L)
+    counting._sweep_zeros(poly, L, np.flatnonzero(least))
     assert sum(rows) == _necklaces(r, m) + 1 == int(least.sum()) + 1

@@ -5,10 +5,12 @@ then (0:0:1)) by a vectorized numpy sweep in the discrete-log domain, so the
 swept field must be within TABLE_CAP; larger fields raise CapError.  On the
 chart x = 1 the form is sum_e C_e(y) z^e: each y-block folds the monomials
 into the logs of its row coefficients C_e(y), and each point then costs one
-log-add per distinct z-exponent e, through the Zech logarithm
-Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)).  The line at infinity
-is one more row of the same kernel, and (0:0:1) is read off the Z^deg
-coefficient.
+log-add per distinct z-exponent e but the last, through the Zech logarithm
+Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)), and one comparison:
+the point is a zero where that sum's log equals the log of minus the last
+term, the last term's shifted by log(-1) (0 in characteristic 2, n/2
+otherwise, n = |L*|).  The line at infinity is one more row of the same
+kernel, and (0:0:1) is read off the Z^deg coefficient.
 
 The model's coefficients lie in a subfield F_(p^j) of the swept field L,
 so the Frobenius sigma: v -> v^(p^j) fixes the form and permutes its zeros
@@ -19,8 +21,9 @@ orbit: the affine total is the sum of |orbit(y)| over those zeros.  When
 the coefficients generate L, sigma is the identity and every row is swept.
 Each zero in a swept row, and each zero at z least in its orbit on the
 line at infinity, is classified smooth or singular via the three partials
-(first Hasse derivatives); sigma keeps that class, so each singular point's
-orbit joins it.
+(first Hasse derivatives), which the same kernel tests at the sweep's
+arrays of those zeros, so only singular points become tuples; sigma keeps
+that class, so each singular point's orbit joins it.
 
 A plane model of a curve with rational singular points undercounts the
 places of the nonsingular model, so the report also carries a resolved
@@ -35,7 +38,6 @@ the point is ordinary and its number of rational tangent lines.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -105,12 +107,18 @@ def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
 
 
 def _log_add(a, b, zech, n):
-    """Elementwise log(g^a + g^b) of logs in [0, n), with -1 for zero."""
-    d = b - a
-    d += n * (d < 0)          # b - a mod n, or n when a = -1 (overwritten)
+    """Elementwise log(g^a + g^b) of int32 logs in [0, n), with -1 for zero.
+
+    Each reduction mod n takes the lesser of x and x +- n viewed as uint32,
+    where the one below 0 wraps to above 2^31.
+    """
+    un = np.uint32(n)
+    d = (b - a).view(np.uint32)
+    np.minimum(d, d + un, out=d)    # b - a mod n (overwritten where a or b is -1)
     r = zech.take(d, mode="clip")
-    s = r + a
-    s -= n * (s >= n)
+    s = (r + a).view(np.uint32)
+    np.minimum(s, s - un, out=s)
+    s = s.view(np.int32)
     np.copyto(s, -1, where=r < 0)
     np.copyto(s, b, where=a < 0)
     np.copyto(s, a, where=b < 0)
@@ -149,38 +157,63 @@ def _frobenius_orbits(poly: HomPoly3, L: ExtField):
     return sigma, m, least, size
 
 
-def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
-    """Packed (y, z) pairs with poly(1, y, z) = 0, y in the int64 array ys.
+def _vanishing(poly: HomPoly3, L: ExtField, tables, ys, zs):
+    """Boolean mask of poly(1, y, z) = 0 over the int64 arrays ys and zs,
+    broadcast against each other: a column of y against every z is a grid
+    of the plane, two arrays of one shape are a list of points.
 
     poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
-    C_e(y) are folded from the monomials; each point then costs one log-add
-    per distinct z-exponent e.
+    C_e(y) are folded from the monomials, and every z-power but the last is
+    log-added; the form vanishes where that sum equals -C_e(y) z^e of the
+    last e, whose log is shifted by log(-1), 0 in characteristic 2 and n/2
+    otherwise.  A z-power term is reduced mod n as in _log_add, then set to
+    -1 at the rows where C_e(y) = 0 and at z = 0.
     """
     log, zech = tables
-    n = np.int32(L.group_order)   # an int32 n keeps n * mask in int32
-    q = L.order
+    n = L.group_order
     logy = log[ys].astype(np.int64)
     coeff: dict[int, np.ndarray] = {}
     for (_, j, e), c in poly.terms.items():
         if j:
             t = np.where(logy < 0, -1, (log[c] + j * logy) % n).astype(np.int32)
         else:
-            t = np.full(ys.size, log[c], dtype=np.int32)
+            t = np.full(ys.shape, log[c], dtype=np.int32)
         coeff[e] = _log_add(coeff[e], t, zech, n) if e in coeff else t
-    logz = log[:q].astype(np.int64)
+    last = max(coeff)
+    if L.p != 2:            # -C_e(y) for the last e
+        c = coeff[last]
+        coeff[last] = np.where(c < 0, c, (c + n // 2) % n)
+    shape = np.broadcast_shapes(ys.shape, zs.shape)
+    logz = log[zs].astype(np.int64)
+    z0 = np.flatnonzero(zs == 0)
     acc = None
     for e in sorted(coeff):
-        ce = coeff[e]
         if e == 0:
-            term = np.broadcast_to(ce[:, None], (ys.size, q))
+            term = np.broadcast_to(coeff[e], shape)
         else:
-            term = ce[:, None] + (e * logz % n).astype(np.int32)
-            term -= n * (term >= n)
-            term[:, 0] = -1           # z = 0
-            term[ce < 0] = -1         # C_e(y) = 0
-        acc = term if acc is None else _log_add(acc, term, zech, n)
-    idx = np.flatnonzero(acc < 0)
+            term = coeff[e] + (e * logz % n).astype(np.int32)
+            u = term.view(np.uint32)
+            np.minimum(u, u - np.uint32(n), out=u)
+            term[np.flatnonzero(coeff[e] < 0)] = -1    # the rows with C_e(y) = 0
+            term[..., z0] = -1
+        if e != last:
+            acc = term if acc is None else _log_add(acc, term, zech, n)
+    return term < 0 if acc is None else acc == term
+
+
+def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
+    """Packed (y, z) pairs with poly(1, y, z) = 0, y in the int64 array ys,
+    by _vanishing on the grid of ys against every z."""
+    q = L.order
+    idx = np.flatnonzero(_vanishing(poly, L, tables, ys[:, None], np.arange(q)))
     return ys[idx // q], idx % q
+
+
+def _at_infinity(poly: HomPoly3) -> HomPoly3:
+    """The form whose value at (1, 0, z) is poly(0, 1, z): the X-free terms
+    of poly with each Y exponent moved onto X.  It has no terms when X
+    divides poly."""
+    return HomPoly3(poly.field, {(j, 0, k): c for (i, j, k), c in poly.terms.items() if not i})
 
 
 def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
@@ -191,8 +224,7 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
     kernel sweeps rows in blocks of at most _SWEEP_BLOCK points (one y-row
     when a row is longer), which bounds the numpy temporaries.  The line at
-    infinity is the row y = 0 of the X-free terms with each Y exponent moved
-    onto X, since poly(0, 1, z) = that form at (1, 0, z).
+    infinity is the row y = 0 of _at_infinity(poly).
     """
     tables = _np_tables(L)
     block = max(1, _SWEEP_BLOCK // L.order)  # y-values per numpy pass
@@ -200,12 +232,36 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
              for i in range(0, rows.size, block)]
     ys = np.concatenate([y for y, _ in found])
     zs = np.concatenate([z for _, z in found])
-    at_inf = {(j, 0, k): c for (i, j, k), c in poly.terms.items() if not i}
-    if at_inf:
-        inf = _bulk_affine_zeros(HomPoly3(L, at_inf), L, tables, np.zeros(1, dtype=np.int64))[1]
+    at_inf = _at_infinity(poly)
+    if at_inf.terms:
+        inf = _bulk_affine_zeros(at_inf, L, tables, np.zeros(1, dtype=np.int64))[1]
     else:                   # X divides poly: the whole line is on the curve
         inf = np.arange(L.order)
     return ys, zs, inf
+
+
+def _singular_seeds(poly: HomPoly3, L: ExtField, ys, zs, inf, origin: bool):
+    """The singular points among the zeros (1:y:z) with y, z in the int64
+    arrays ys, zs, (0:1:z) with z in inf, and (0:0:1) when origin, as
+    tuples in that order.
+
+    A zero is singular where the three partials (first Hasse derivatives)
+    vanish.  Each partial goes through _vanishing at the points where the
+    ones before it vanish; a partial with no terms vanishes everywhere.  At
+    (0:1:z) a partial is its _at_infinity form at (1:0:z), and at (0:0:1)
+    it is its coefficient of Z to its degree.
+    """
+    tables = _np_tables(L)
+    parts = [pp for pp in (poly.hasse(i, 1) for i in range(3)) if pp.terms]
+    for pp in parts:
+        keep = _vanishing(pp, L, tables, ys, zs)
+        ys, zs = ys[keep], zs[keep]
+        at_inf = _at_infinity(pp)
+        if at_inf.terms:
+            inf = inf[_vanishing(at_inf, L, tables, np.zeros_like(inf), inf)]
+    origin = origin and all((0, 0, pp.degree) not in pp.terms for pp in parts)
+    return ([(1, y, z) for y, z in zip(ys.tolist(), zs.tolist())]
+            + [(0, 1, z) for z in inf.tolist()] + [(0, 0, 1)] * origin)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +329,7 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     origin = (0, 0, poly.degree) not in poly.terms     # (0:0:1) is a zero
     # the partials at the zeros of the rows least in their sigma-orbit, and
     # at z least in its orbit on the line at infinity ((0:0:1) is fixed)
-    parts = [poly.hasse(i, 1) for i in range(3)]
-    reps = itertools.chain(
-        ((1, y, z) for y, z in zip(ys.tolist(), zs.tolist())),
-        ((0, 1, z) for z in inf[least[inf]].tolist()),
-        [(0, 0, 1)] * origin,
-    )
-    seeds = [pt for pt in reps if all(pp.eval_i(*pt) == 0 for pp in parts)]
+    seeds = _singular_seeds(poly, L, ys, zs, inf[least[inf]], origin)
     orbits = []             # (singular seed, size of its sigma-orbit)
     closure = set()
     for pt in seeds:

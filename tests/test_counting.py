@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcurves import cli, counting
 from maxcurves import (
@@ -644,3 +646,109 @@ def test_the_kernel_sees_one_row_per_orbit(monkeypatch, model, k, r, m):
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
     counting._sweep_zeros(poly, L, np.flatnonzero(least))
     assert sum(rows) == _necklaces(r, m) + 1 == int(least.sum()) + 1
+
+
+# ---------------------------------------------------------------------------
+# zero tests on the Zech kernel: the last z-power by one comparison, the
+# partials at the sweep's zero arrays
+# ---------------------------------------------------------------------------
+
+def _reference_singular_seeds(poly, ys, zs, inf, origin):
+    # the singular filter before the log domain: the three partials
+    # evaluated by scalar field arithmetic at each point, in order
+    parts = [poly.hasse(i, 1) for i in range(3)]
+    reps = itertools.chain(
+        ((1, y, z) for y, z in zip(ys.tolist(), zs.tolist())),
+        ((0, 1, z) for z in inf.tolist()),
+        [(0, 0, 1)] * origin,
+    )
+    return [pt for pt in reps if all(pp.eval_i(*pt) == 0 for pp in parts)]
+
+
+@pytest.mark.parametrize("model,k", _sweep_cases())
+def test_singular_seeds_match_the_scalar_filter(model, k):
+    # at the count's representatives (the zeros in the rows least in their
+    # orbit, and at z least in its orbit at infinity) and at every zero
+    poly, L = counting._lift_poly(model, k)
+    least = counting._frobenius_orbits(poly, L)[2]
+    origin = (0, 0, poly.degree) not in poly.terms
+    ys, zs, inf = counting._sweep_zeros(poly, L, np.flatnonzero(least))
+    for args in ((ys, zs, inf[least[inf]], origin),
+                 counting._sweep_zeros(poly, L, np.arange(L.order)) + (origin,)):
+        want = _reference_singular_seeds(poly, *args)
+        assert counting._singular_seeds(poly, L, *args) == want
+    assert _report_numbers(count_projective_points(model, k)) == _reference_count(poly, L)[1]
+
+
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 10) if p**k <= 729]
+FORM_SHAPES = ("any", "one z-power", "last row coefficient vanishes", "times X")
+
+
+@st.composite
+def _sparse_forms(draw):
+    # (L, form, shape): up to five random monomials of degree at most 7
+    # (8 times X) over a field with at most 729 elements, in one of
+    # FORM_SHAPES.  "one z-power" puts every monomial at one power of Z.
+    # "last row coefficient vanishes" puts them below a top power of Z and
+    # gives it the coefficient y^a - y0^a on the chart x = 1, zero at
+    # y = y0.  "times X" has no X-free term
+    L = build_field(*draw(st.sampled_from(SMALL_FIELDS)))
+    shape = draw(st.sampled_from(FORM_SHAPES))
+    coeff = st.integers(1, L.order - 1)
+    if shape == FORM_SHAPES[2]:
+        d = draw(st.integers(2, 7))
+        e_top = draw(st.integers(1, d - 1))
+    else:
+        d = draw(st.integers(1, 7))
+        e_top = draw(st.integers(0, d))
+    if shape == FORM_SHAPES[1]:
+        exps = [(d - e_top - j, j, e_top) for j in range(d - e_top + 1)]
+    elif shape == FORM_SHAPES[2]:
+        exps = [(i, d - e - i, e) for e in range(e_top) for i in range(d - e + 1)]
+    else:
+        exps = [(i, d - e - i, e) for e in range(d + 1) for i in range(d - e + 1)]
+    if shape == FORM_SHAPES[3]:
+        exps = [(i + 1, j, e) for i, j, e in exps]
+    terms = {e: draw(coeff) for e in draw(st.lists(st.sampled_from(exps), min_size=1,
+                                                   max_size=5, unique=True))}
+    if shape == FORM_SHAPES[2]:
+        a = draw(st.integers(1, d - e_top))
+        y0 = draw(st.integers(0, L.order - 1))
+        terms[d - e_top - a, a, e_top] = 1
+        terms[d - e_top, 0, e_top] = L.neg_i(L.pow_i(y0, a))
+    return L, HomPoly3(L, terms), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_forms(), st.data())
+def test_zech_zero_tests_on_sparse_forms(form, data):
+    # the kernel against the digit-vector sweep on a block of rows, and
+    # each partial's zero test against scalar evaluation at the zeros found
+    # and at random points, on the chart x = 1 and at infinity
+    L, poly, _ = form
+    q = L.order
+    tables = counting._np_tables(L)
+    y_lo = data.draw(st.integers(0, q - 1))
+    y_hi = min(q, y_lo + max(1, 4096 // q))
+    ys, zs = counting._bulk_affine_zeros(poly, L, tables, np.arange(y_lo, y_hi))
+    want_y, want_z = _digit_reference_zeros(poly, L, y_lo, y_hi)
+    assert np.array_equal(ys, want_y) and np.array_equal(zs, want_z)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                               max_size=20))
+    py = np.concatenate([ys, np.array([y for y, _ in pairs], dtype=np.int64)])
+    pz = np.concatenate([zs, np.array([z for _, z in pairs], dtype=np.int64)])
+    inf = np.arange(q)
+    for pp in (poly.hasse(i, 1) for i in range(3)):
+        if not pp.terms:
+            continue
+        got = counting._vanishing(pp, L, tables, py, pz)
+        assert got.tolist() == [pp.eval_i(1, y, z) == 0 for y, z in zip(py.tolist(), pz.tolist())]
+        at_inf = counting._at_infinity(pp)
+        if at_inf.terms:
+            got = counting._vanishing(at_inf, L, tables, np.zeros_like(inf), inf)
+            assert got.tolist() == [pp.eval_i(0, 1, z) == 0 for z in range(q)]
+        else:
+            assert all(pp.eval_i(0, 1, z) == 0 for z in range(q))
+    origin = poly.eval_i(0, 0, 1) == 0
+    assert (counting._singular_seeds(poly, L, py, pz, inf, origin)
+            == _reference_singular_seeds(poly, py, pz, inf, origin))

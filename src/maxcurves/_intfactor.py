@@ -1,17 +1,14 @@
 """Integer primality and factorization helpers (desk scale).
 
-Deterministic Miller-Rabin for 64-bit-ish inputs, trial division plus
-Pollard rho for factoring group orders p^k - 1.  Everything is exact.
+Deterministic Miller-Rabin for 64-bit inputs, and trial division by the
+primes below 2^22, which factors every n below 2^44.  Everything is exact.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import CapError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_RHO_ROUNDS = 64
 
 
 def is_prime(n: int) -> bool:
@@ -38,36 +35,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, seed: int = 1) -> int:
-    # Brent's cycle variant; n odd composite, not a prime power of small primes.
-    while True:
-        y, c, m = 2 + seed, 1 + seed, 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        seed += 1
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Full prime factorization as {prime: exponent}; CapError if it stalls."""
+    """Full prime factorization as {prime: exponent}.
+
+    Trial division by every prime below 2^22 leaves a cofactor that is 1,
+    a prime, or a composite above 2^44; the last raises CapError.
+    """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -85,21 +58,11 @@ def factorize(n: int) -> dict[int, int]:
         else:
             f += steps[i % 8]
             i += 1
-    stack = [n] if n > 1 else []
-    rounds = 0
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        rounds += 1
-        if rounds > _RHO_ROUNDS:
-            raise CapError(f"factorization of {n} beyond desk scale")
-        d = _pollard_rho(m, seed=rounds)
-        stack.append(d)
-        stack.append(m // d)
+    if n > 1:
+        if not is_prime(n):
+            raise CapError(f"cannot factor {n}: it is above 2^44 and has no "
+                           f"prime factor below 2^22")
+        out[n] = out.get(n, 0) + 1
     return out
 
 

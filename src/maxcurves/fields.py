@@ -145,6 +145,16 @@ def _vgcd(a, b, p):
     return a
 
 
+def _vxpow(e, f, p):
+    """X^e mod f by square-and-multiply, from the top bit of e."""
+    r = (1,)
+    for bit in bin(e)[2:]:
+        r = _vdivmod(_vmul(r, r, p), f, p)[1]
+        if bit == "1":
+            r = _vdivmod((0,) + r, f, p)[1]
+    return r
+
+
 def _is_irreducible(f, p):
     """Rabin's test for a monic f of degree k >= 2 with f(0) != 0.
 
@@ -160,7 +170,7 @@ def _is_irreducible(f, p):
         if _vgcd(_vsub((0,) * pj + (1,), x, p), f, p) != (1,):
             return False
         pj *= p
-    qmat = _power_rows(f, p, _vdivmod((0,) * p + (1,), f, p)[1])  # the Q-matrix
+    qmat = _power_rows(f, p, _vxpow(p, f, p))  # the Q-matrix
     h = np.zeros(k, dtype=np.int64)
     h[1] = 1
     powers = [h]
@@ -679,6 +689,12 @@ class FieldElement:
         return f"{self.field!r}:{list(self.coeffs())}"
 
 
+def check_elem_cap(p: int, k: int, cap: int = DEFAULT_ELEM_CAP) -> None:
+    """Raise CapError if F_{p^k} has more than `cap` elements."""
+    if p**k > cap:
+        raise CapError(f"field size {p}^{k} exceeds cap {cap}")
+
+
 def check_table_cap(order: int) -> None:
     """Raise CapError unless a field of `order` elements is within TABLE_CAP,
     the size up to which its discrete-log tables are built."""
@@ -711,8 +727,8 @@ def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtFie
     large Frobenius-lift fields).  A field with at most EAGER_TABLE_CAP
     elements is built with its discrete-log tables.
     """
-    if cap is not None and p**k > cap:
-        raise CapError(f"field size {p}^{k} exceeds cap {cap}")
+    if cap is not None:
+        check_elem_cap(p, k, cap)
     key = (p, k)
     field = _FIELD_CACHE.get(key)
     if field is not None:

@@ -17,7 +17,8 @@ For each divisor d of n the quotient curve is counted two ways:
   z^((q^3 - 1)/n), computed in F_{q^3} with no lift field and no
   discrete-log table (trace_line_histogram).
   The Lang solver that counted each twist in a lift field F_{q^s}
-  (lang_solve, twisted_fixed_count) is kept only as the tests' reference.
+  (lang_solve, twisted_fixed_count) is kept only as the tests' reference,
+  a scalar trace with no fast path.
 
 Riemann-Hurwitz bookkeeping for the degree-d covering (totally ramified at
 exactly the three triangle points) pins the quotient genus to
@@ -32,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,10 +162,11 @@ def subgroup_action(action: CyclicAction, d: int) -> CyclicAction:
 # Lang torsor solver: the reference for burnside_quotient_count
 #
 # No count in the package calls lang_solve or twisted_fixed_count; the tests
-# compare burnside_quotient_count's twisted counts against them.  They stay
-# here because the benchmark harness (perfbench/spans.py) rebinds both by
-# name and perfbench/test_harness.py asserts maxcurves.lang_solve; they
-# leave with the benchmark change that renames those hooks.
+# compare burnside_quotient_count's twisted counts against them, so the
+# solver is the plain scalar trace, with no fast path.  They stay here
+# because the benchmark harness (perfbench/spans.py) rebinds both by name
+# and perfbench/test_harness.py asserts maxcurves.lang_solve; they move to
+# the tests with the benchmark change that renames those hooks.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -213,16 +215,13 @@ def lang_solve(n: ProjMatrix, *, seed: int = 0) -> LangSolution:
     an A.  With theta(v) = M v^(q), M = (eN)^-1, (eN)^s = I makes theta^s
     the identity, so the trace sum_{i<s} theta^i maps L^3 F_q-linearly onto
     V and a seeded uniform vector of L^3 traces to a uniform vector of V.
-    M lies over F_q, so theta^i(v) = M^i v^(q^i), read off the Frobenius
-    orbit of v.  With the entries of M^i as F_p digits on the basis beta^t
-    of F_q, entry j of a column is sum_t beta^t r_t, each r_t an F_p
-    combination of the orbit: the three draws walk their orbits together by
-    numpy products, and each entry costs one product in L per t.  Three
-    such columns are independent with probability prod_{i=1..3} (1 - q^-i)
-    >= 0.67; up to _LANG_TRIES seeded triples are drawn.  When s = 1,
-    eN = I and A = I.  Raises CapError when s exceeds LIFT_ORDER_CAP,
-    before L is built, and ConsistencyError if every draw is singular (which
-    would contradict Lang's theorem) or the residual check fails.
+    Each draw is traced one column at a time: s - 1 steps of theta by
+    frob_i and ProjMatrix.apply_i, summed in L.  Three such columns are
+    independent with probability prod_{i=1..3} (1 - q^-i) >= 0.67; up to
+    _LANG_TRIES seeded triples are drawn.  When s = 1, eN = I and A = I.
+    Raises CapError when s exceeds LIFT_ORDER_CAP, before L is built, and
+    ConsistencyError if every draw is singular (which would contradict
+    Lang's theorem) or the residual check fails.
     Reference only (see the section note): no count in the package calls it.
     """
     Fq = n.field
@@ -232,30 +231,23 @@ def lang_solve(n: ProjMatrix, *, seed: int = 0) -> LangSolution:
     L = build_field(Fq.p, Fq.k * s, cap=None)
     qfrob = Fq.k
     twist = n.scale(e)
-    up = embed(Fq, L)
-    nl = twist.map_entries(up)
+    nl = twist.map_entries(embed(Fq, L))
     if s == 1:
         a = identity_matrix(L)
     else:
-        m = twist.inverse()
-        powers = [identity_matrix(Fq)]
-        for _ in range(s - 1):
-            powers.append(m @ powers[-1])
-        # coef[i, j, l, t]: digit t of (M^i)[j][l]; beta^t is X^t's image
-        coef = np.array([[[Fq.digits(x) for x in row] for row in mp.rows]
-                         for mp in powers], dtype=np.int64)
-        basis = [up.apply_i(Fq.p**t) for t in range(Fq.k)]
-        frob = L.frob_matrix(qfrob)
+        nl_inv = nl.inverse()
+
+        def trace(v):
+            acc = cur = v
+            for _ in range(s - 1):
+                cur = nl_inv.apply_i(tuple(L.frob_i(c, qfrob) for c in cur))
+                acc = tuple(map(L.add_i, acc, cur))
+            return acc
+
         rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
         for _ in range(_LANG_TRIES):
-            draws = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
-            # orbit[i, d, l] = vec(v_l^(q^i)) for draw d; r[d, j, t] = vec(r_t)
-            orbit = [np.array([[L.digits(x) for x in v] for v in draws], dtype=np.int64)]
-            for _ in range(s - 1):
-                orbit.append(orbit[-1] @ frob % L.p)
-            r = np.einsum("ijlt,idlk->djtk", coef, np.array(orbit)) % L.p
-            cols = [[reduce(L.add_i, map(L.mul_i, basis, map(L.pack, entry)))
-                     for entry in draw] for draw in r.tolist()]
+            cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
+                    for _ in range(3)]
             a = ProjMatrix(L, list(zip(*cols)), check=False)
             if a.det().value:
                 break

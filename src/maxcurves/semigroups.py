@@ -16,8 +16,9 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from itertools import chain
 
-from ._intfactor import check_divisor
+from ._intfactor import check_divisor, split_prime_power
 from .errors import CapError, ConsistencyError
+from .fields import check_elem_cap
 
 GAP_CAP = 1 << 24
 """The most gaps a semigroup built from generators may have: its gap set is
@@ -164,8 +165,13 @@ def first_quotient_nongaps(sqrt_q: int) -> tuple[int, int]:
 
 def linear_series_dim(sqrt_q: int, d: int) -> int:
     """dim of the distinguished degree-(s+1) linear series on the degree-d
-    quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}."""
+    quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}.
+
+    It asks s membership questions, so a sqrt_q whose F_q is past the
+    field element cap is refused (CapError) before the first one."""
     check_divisor(sqrt_q, d)
+    p, e = split_prime_power(sqrt_q)
+    check_elem_cap(p, 2 * e)
     return 1 + sum(1 for h in range(d, d * sqrt_q + 1, d) if in_hermitian_semigroup(sqrt_q, h))
 
 

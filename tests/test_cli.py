@@ -158,6 +158,21 @@ def test_dim_d_reads_membership_without_the_gap_set(monkeypatch, capsys):
     assert json.loads(out) == {"sqrt_q": 8192, "d": 1, "dim": 2, "qualifying": [8192]}
 
 
+def test_dim_d_refuses_a_sqrt_q_past_the_field_cap(monkeypatch, capsys):
+    # dim-d asks s membership questions: F_q past the element cap is refused
+    # before the first
+    from maxcurves import cli
+
+    def no_membership_test(*args):
+        raise AssertionError("membership tested")
+
+    monkeypatch.setattr(semigroups, "in_hermitian_semigroup", no_membership_test)
+    monkeypatch.setattr(cli, "in_hermitian_semigroup", no_membership_test)
+    code, out, err = run_cli(["dim-d", "--sqrt-q", "1000000007", "--d", "1"], capsys)
+    assert (code, out, err) == (
+        2, "", "error: field size 1000000007^2 exceeds cap 1099511627776\n")
+
+
 @pytest.mark.parametrize("d", [0, 2])
 def test_dim_d_rejects_a_non_divisor(d, capsys):
     code, out, err = run_cli(["dim-d", "--sqrt-q", "5", "--d", str(d)], capsys)

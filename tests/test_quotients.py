@@ -195,6 +195,54 @@ def test_lang_solve_every_conjugated_twist(sq, d):
         _check_lang_solution(P.inverse() @ g.matrix.pow(j) @ P, j)
 
 
+def _scalar_trace_lang_matrix(u, seed):
+    # reference: lang_solve's seeded draws traced by the closed form
+    # sum_{i<s} P_i v^(q^i), P_i = M M^(q) ... M^(q^(i-1)), M = (eN)^-1,
+    # rather than by s - 1 steps of v -> M v^(q)
+    Fq = u.field
+    _, e, s = quotients.lang_twist_order(u)
+    L = build_field(Fq.p, Fq.k * s, cap=None)
+    nl = u.scale(e).map_entries(embed(Fq, L))
+    if s == 1:
+        return identity_matrix(L)
+    m = nl.inverse()
+    powers = [identity_matrix(L)]
+    for i in range(1, s):
+        powers.append(powers[-1] @ m.frobenius(Fq.k * (i - 1)))
+    rng = random.Random(Fq.order * 1000003 + s * 1009 + seed)
+
+    def trace(v):
+        acc = (0, 0, 0)
+        for i, p_i in enumerate(powers):
+            term = p_i.apply_i(tuple(L.frob_i(c, Fq.k * i) for c in v))
+            acc = tuple(map(L.add_i, acc, term))
+        return acc
+
+    for _ in range(quotients._LANG_TRIES):
+        cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
+                for _ in range(3)]
+        a = ProjMatrix(L, list(zip(*cols)), check=False)
+        if a.det().value:
+            return a
+    raise AssertionError("reference trace found no invertible draw")
+
+
+@pytest.mark.parametrize("sq,d,j_end,conjugate", [
+    (2, 3, 3, False), (3, 7, 7, False), (4, 13, 13, False), (5, 7, 7, False),
+    (5, 21, 21, False), (8, 19, 19, False), (3, 7, 7, True), (5, 7, 7, True)])
+def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
+    # twists j = 1 .. j_end - 1, every one; the action matrices are
+    # symmetric, so conjugating by a non-symmetric rational P is what shows
+    # a transposed (j, l) index of the powers of (eN)^-1
+    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    P = ProjMatrix(g.field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    for j in range(1, j_end):
+        u = g.matrix.pow(j)
+        if conjugate:
+            u = P.inverse() @ u @ P
+        assert lang_solve(u, seed=j).matrix == _scalar_trace_lang_matrix(u, j)
+
+
 @pytest.mark.parametrize("j", [1, 2, 21, 42])
 def test_lang_solve_at_lift_order_43(j):
     # odd p at a long Frobenius orbit: every twist of (7, 43) lifts to

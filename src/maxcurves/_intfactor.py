@@ -1,22 +1,33 @@
 """Integer primality and factorization helpers (desk scale).
 
-Deterministic Miller-Rabin for 64-bit inputs, and trial division by the
-primes below 2^22, which factors every n below 2^44.  Everything is exact.
+Miller-Rabin with the first thirteen primes as bases, exact below
+3317044064679887385961981 (about 2^81.5) and refused above it, and trial
+division by the primes below 2^22, which factors every n below 2^44.
+Everything is exact.
 """
 
 from __future__ import annotations
 
 from .errors import CapError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# A composite n that is a strong probable prime to every base is at least
+# _MR_BOUND, the least such n (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by _MR_BASES and then a strong
+    probable-prime test to each of them.  That is exact below _MR_BOUND; a
+    larger n with no factor among the bases raises CapError."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _MR_BOUND:
+        raise CapError(f"cannot test {n} for primality: Miller-Rabin with bases "
+                       f"2 to 41 is exact only below {_MR_BOUND}")
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -39,7 +50,8 @@ def factorize(n: int) -> dict[int, int]:
     """Full prime factorization as {prime: exponent}.
 
     Trial division by every prime below 2^22 leaves a cofactor that is 1,
-    a prime, or a composite above 2^44; the last raises CapError.
+    a prime, or a composite above 2^44; the last raises CapError, as does a
+    cofactor of at least _MR_BOUND, which is_prime cannot decide.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -59,7 +71,7 @@ def factorize(n: int) -> dict[int, int]:
             f += steps[i % 8]
             i += 1
     if n > 1:
-        if not is_prime(n):
+        if n >= _MR_BOUND or not is_prime(n):
             raise CapError(f"cannot factor {n}: it is above 2^44 and has no "
                            f"prime factor below 2^22")
         out[n] = out.get(n, 0) + 1

@@ -48,8 +48,8 @@ from .quotients import (
 )
 from .semigroups import (
     OrderSequence,
-    in_hermitian_semigroup,
     linear_series_dim,
+    linear_series_orders,
     semigroup_from_generators,
     stohr_voloch_degrees,
 )
@@ -252,9 +252,8 @@ def cmd_semigroup(args, cache):
 
 def cmd_dim_d(args, cache):
     sq, d = args.sqrt_q, args.d
-    dim = linear_series_dim(sq, d)    # rejects a non-divisor before range() steps by d
-    qualifying = [h for h in range(d, d * sq + 1, d) if in_hermitian_semigroup(sq, h)]
-    payload = {"sqrt_q": sq, "d": d, "dim": dim, "qualifying": qualifying}
+    qualifying = linear_series_orders(sq, d)
+    payload = {"sqrt_q": sq, "d": d, "dim": 1 + len(qualifying), "qualifying": qualifying}
     return payload, True
 
 

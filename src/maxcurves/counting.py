@@ -3,9 +3,10 @@
 Points are swept in normalized-representative order ((1:y:z), then (0:1:z),
 then (0:0:1)) by a vectorized numpy sweep in the discrete-log domain, so the
 swept field must be within TABLE_CAP; larger fields raise CapError.  On the
-chart x = 1 the form is sum_e C_e(y) z^e: each y-block folds the monomials
-into the logs of its row coefficients C_e(y), and each point then costs one
-log-add per distinct z-exponent e but the last, through the Zech logarithm
+chart x = 1 the form is sum_e C_e(y) z^e.  A count folds the monomials once
+into the logs of the row coefficients C_e(y) at every y of L, and each
+y-block gathers them by index; each point then costs one log-add per
+distinct z-exponent e but the last, through the Zech logarithm
 Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)), and one comparison:
 the point is a zero where that sum's log equals the log of minus the last
 term, the last term's shifted by log(-1) (0 in characteristic 2, n/2
@@ -33,7 +34,10 @@ tangent directions.  The degree-3 quotient models need this; their plane
 models acquire rational nodes away from the coordinate triangle.  Each
 tangent cone is read from Hasse derivatives at its point, once per
 sigma-orbit of singular points, as sigma keeps the multiplicity, whether
-the point is ordinary and its number of rational tangent lines.
+the point is ordinary and its number of rational tangent lines.  The
+derivative forms are built once per chart per count.  A node's cone
+(m = 2) is decided by its discriminant in odd characteristic and by an
+absolute trace in characteristic 2, with no root finding.
 """
 
 from __future__ import annotations
@@ -157,55 +161,72 @@ def _frobenius_orbits(poly: HomPoly3, L: ExtField):
     return sigma, m, least, size
 
 
-def _vanishing(poly: HomPoly3, L: ExtField, tables, ys, zs):
-    """Boolean mask of poly(1, y, z) = 0 over the int64 arrays ys and zs,
-    broadcast against each other: a column of y against every z is a grid
-    of the plane, two arrays of one shape are a list of points.
+def _row_coefficients(poly: HomPoly3, L: ExtField, tables):
+    """[(e, logs)], e ascending over the z-exponents of poly(1, y, z) =
+    sum_e C_e(y) z^e: logs[y] is the int32 log of C_e(y) at every packed y
+    of L, -1 where C_e(y) = 0.  The logs of the last e are shifted by
+    log(-1), 0 in characteristic 2 and n/2 otherwise, to read log -C_e(y).
 
-    poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
-    C_e(y) are folded from the monomials, and every z-power but the last is
-    log-added; the form vanishes where that sum equals -C_e(y) z^e of the
-    last e, whose log is shifted by log(-1), 0 in characteristic 2 and n/2
-    otherwise.  A z-power term is reduced mod n as in _log_add, then set to
-    -1 at the rows where C_e(y) = 0 and at z = 0.
+    It depends only on the form and the field, so a count folds it once
+    per form from the monomials, and _vanishing gathers it by y.
     """
     log, zech = tables
     n = L.group_order
-    logy = log[ys].astype(np.int64)
+    logy = log.astype(np.int64)
     coeff: dict[int, np.ndarray] = {}
     for (_, j, e), c in poly.terms.items():
         if j:
             t = np.where(logy < 0, -1, (log[c] + j * logy) % n).astype(np.int32)
         else:
-            t = np.full(ys.shape, log[c], dtype=np.int32)
+            t = np.full(L.order, log[c], dtype=np.int32)
         coeff[e] = _log_add(coeff[e], t, zech, n) if e in coeff else t
     last = max(coeff)
-    if L.p != 2:            # -C_e(y) for the last e
+    if L.p != 2:
         c = coeff[last]
         coeff[last] = np.where(c < 0, c, (c + n // 2) % n)
+    return sorted(coeff.items())
+
+
+def _vanishing(row_logs, L: ExtField, tables, ys, zs):
+    """Boolean mask of poly(1, y, z) = 0 over the int64 arrays ys and zs,
+    broadcast against each other: a column of y against every z is a grid
+    of the plane, two arrays of one shape are a list of points.  row_logs
+    is _row_coefficients(poly, L, tables).
+
+    poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
+    C_e(y) are gathered at ys, and every z-power but the last is log-added;
+    the form vanishes where that sum equals -C_e(y) z^e of the last e.  A
+    z-power term is reduced mod n as in _log_add, then set to -1 at the
+    rows where C_e(y) = 0 and at z = 0.
+    """
+    log, zech = tables
+    n = L.group_order
+    last = row_logs[-1][0]
     shape = np.broadcast_shapes(ys.shape, zs.shape)
     logz = log[zs].astype(np.int64)
     z0 = np.flatnonzero(zs == 0)
     acc = None
-    for e in sorted(coeff):
+    for e, logs in row_logs:
+        c = logs[ys]
         if e == 0:
-            term = np.broadcast_to(coeff[e], shape)
+            term = np.broadcast_to(c, shape)
         else:
-            term = coeff[e] + (e * logz % n).astype(np.int32)
+            term = c + (e * logz % n).astype(np.int32)
             u = term.view(np.uint32)
             np.minimum(u, u - np.uint32(n), out=u)
-            term[np.flatnonzero(coeff[e] < 0)] = -1    # the rows with C_e(y) = 0
+            term[np.flatnonzero(c < 0)] = -1    # the rows with C_e(y) = 0
             term[..., z0] = -1
         if e != last:
             acc = term if acc is None else _log_add(acc, term, zech, n)
     return term < 0 if acc is None else acc == term
 
 
-def _bulk_affine_zeros(poly: HomPoly3, L: ExtField, tables, ys):
+def _bulk_affine_zeros(row_logs, L: ExtField, tables, ys):
     """Packed (y, z) pairs with poly(1, y, z) = 0, y in the int64 array ys,
-    by _vanishing on the grid of ys against every z."""
+    by _vanishing on the grid of ys against every z; row_logs is
+    _row_coefficients(poly, L, tables)."""
     q = L.order
-    idx = np.flatnonzero(_vanishing(poly, L, tables, ys[:, None], np.arange(q)))
+    idx = np.flatnonzero(_vanishing(row_logs, L, tables, ys[:, None], np.arange(q)))
     return ys[idx // q], idx % q
 
 
@@ -227,14 +248,16 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
     infinity is the row y = 0 of _at_infinity(poly).
     """
     tables = _np_tables(L)
+    row_logs = _row_coefficients(poly, L, tables)
     block = max(1, _SWEEP_BLOCK // L.order)  # y-values per numpy pass
-    found = [_bulk_affine_zeros(poly, L, tables, rows[i:i + block])
+    found = [_bulk_affine_zeros(row_logs, L, tables, rows[i:i + block])
              for i in range(0, rows.size, block)]
     ys = np.concatenate([y for y, _ in found])
     zs = np.concatenate([z for _, z in found])
     at_inf = _at_infinity(poly)
     if at_inf.terms:
-        inf = _bulk_affine_zeros(at_inf, L, tables, np.zeros(1, dtype=np.int64))[1]
+        inf = _bulk_affine_zeros(_row_coefficients(at_inf, L, tables), L, tables,
+                                 np.zeros(1, dtype=np.int64))[1]
     else:                   # X divides poly: the whole line is on the curve
         inf = np.arange(L.order)
     return ys, zs, inf
@@ -254,11 +277,12 @@ def _singular_seeds(poly: HomPoly3, L: ExtField, ys, zs, inf, origin: bool):
     tables = _np_tables(L)
     parts = [pp for pp in (poly.hasse(i, 1) for i in range(3)) if pp.terms]
     for pp in parts:
-        keep = _vanishing(pp, L, tables, ys, zs)
+        keep = _vanishing(_row_coefficients(pp, L, tables), L, tables, ys, zs)
         ys, zs = ys[keep], zs[keep]
         at_inf = _at_infinity(pp)
         if at_inf.terms:
-            inf = inf[_vanishing(at_inf, L, tables, np.zeros_like(inf), inf)]
+            inf = inf[_vanishing(_row_coefficients(at_inf, L, tables), L, tables,
+                                 np.zeros_like(inf), inf)]
     origin = origin and all((0, 0, pp.degree) not in pp.terms for pp in parts)
     return ([(1, y, z) for y, z in zip(ys.tolist(), zs.tolist())]
             + [(0, 1, z) for z in inf.tolist()] + [(0, 0, 1)] * origin)
@@ -268,7 +292,7 @@ def _singular_seeds(poly: HomPoly3, L: ExtField, ys, zs, inf, origin: bool):
 # branch resolution at rational singular points
 # ---------------------------------------------------------------------------
 
-def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
+def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int], forms: dict | None = None):
     """(multiplicity, ordinary, rational_tangents) at a normalized point.
 
     On the point's chart, with u and v along the two other axes, the
@@ -279,12 +303,25 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     form has distinct roots over the closure; rational branches of an
     ordinary point biject with rational tangent directions.
     rational_tangents counts the distinct rational tangent lines, a
-    repeated one once, on every chart alike.
+    repeated one once, on every chart alike.  A node (m = 2) is decided by
+    its discriminant (_node_lines); poly_roots counts the lines for m >= 3.
+
+    The derivative forms depend only on the chart, not on the point: forms
+    is the caller's memo of them for this poly, keyed by (u axis, v axis,
+    a, b), and a count hands one memo to every call, so each form is built
+    once per chart.
     """
     F = poly.field
     ua, va = _chart_axes(pt)
+    if forms is None:
+        forms = {}
     for mult in range(poly.degree + 1):
-        coeffs = [poly.hasse(ua, mult - j).hasse(va, j).eval_i(*pt) for j in range(mult + 1)]
+        coeffs = []
+        for j in range(mult + 1):
+            key = (ua, va, mult - j, j)
+            if key not in forms:
+                forms[key] = poly.hasse(ua, mult - j).hasse(va, j)
+            coeffs.append(forms[key].eval_i(*pt))
         if any(coeffs):
             break
     else:
@@ -293,6 +330,8 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
         raise ValueError("point is not on the curve")
     if mult == 1:
         raise ValueError("point is smooth")
+    if mult == 2:
+        return (2, *_node_lines(F, *coeffs))
     f = FPoly(F, coeffs)
     inf_mult = mult - f.degree()
     roots = poly_roots(f)
@@ -300,6 +339,37 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int]):
     ordinary = squarefree and inf_mult <= 1
     rational = len(roots) + (1 if inf_mult else 0)   # distinct rational lines
     return mult, ordinary, rational
+
+
+def _node_lines(F: ExtField, c: int, b: int, a: int) -> tuple[bool, int]:
+    """(ordinary, rational_tangents) of the nonzero cone c u^2 + b uv + a v^2
+    over F, with packed coefficients.
+
+    a = 0: u = 0 is a line, and the other is b v + c u = 0, distinct from it
+    when b != 0.  Otherwise the lines are the roots t = v/u of
+    a t^2 + b t + c.  In odd characteristic they coincide when b^2 - 4ac = 0,
+    and are two rational lines or none as that is a square or not (Euler's
+    criterion).  In characteristic 2 they coincide when b = 0 (every element
+    is a square); otherwise t = (b/a) s turns the quadratic into
+    s^2 + s + ac/b^2, which has two roots in F or none as the absolute trace
+    of ac/b^2 is 0 or 1.
+    """
+    if a == 0:
+        return (True, 2) if b else (False, 1)
+    ac = F.mul_i(a, c)
+    if F.p == 2:
+        if b == 0:
+            return False, 1
+        x = F.mul_i(ac, F.inv_i(F.mul_i(b, b)))
+        trace = x
+        for _ in range(F.k - 1):
+            x = F.mul_i(x, x)
+            trace ^= x
+        return True, 2 if trace == 0 else 0
+    disc = F.sub_i(F.mul_i(b, b), F.mul_i(4 % F.p, ac))
+    if disc == 0:
+        return False, 1
+    return True, 2 if F.pow_i(disc, F.group_order // 2) == 1 else 0
 
 
 def _chart_axes(pt):
@@ -345,8 +415,9 @@ def count_projective_points(model: CurveModel, k: int = 1) -> CountReport:
     singular = len(sing_pts)
     smooth = total - singular
     branches: int | None = 0
+    forms: dict = {}        # the cone forms of this count, by chart
     for pt, size in orbits:
-        mult, ordinary, rational = tangent_cone_data(poly, pt)
+        mult, ordinary, rational = tangent_cone_data(poly, pt, forms)
         if not ordinary:
             branches = None
             break

@@ -163,16 +163,22 @@ def first_quotient_nongaps(sqrt_q: int) -> tuple[int, int]:
     return got
 
 
-def linear_series_dim(sqrt_q: int, d: int) -> int:
-    """dim of the distinguished degree-(s+1) linear series on the degree-d
-    quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}.
+def linear_series_orders(sqrt_q: int, d: int) -> list[int]:
+    """The h = d, 2d, ..., d*s in the branch semigroup, ascending: the
+    orders that linear_series_dim counts.
 
     It asks s membership questions, so a sqrt_q whose F_q is past the
     field element cap is refused (CapError) before the first one."""
     check_divisor(sqrt_q, d)
     p, e = split_prime_power(sqrt_q)
     check_elem_cap(p, 2 * e)
-    return 1 + sum(1 for h in range(d, d * sqrt_q + 1, d) if in_hermitian_semigroup(sqrt_q, h))
+    return [h for h in range(d, d * sqrt_q + 1, d) if in_hermitian_semigroup(sqrt_q, h)]
+
+
+def linear_series_dim(sqrt_q: int, d: int) -> int:
+    """dim of the distinguished degree-(s+1) linear series on the degree-d
+    quotient: 1 + #{h > 0 : h in branch semigroup, d | h, h <= d*s}."""
+    return 1 + len(linear_series_orders(sqrt_q, d))
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,10 @@ def check_property_suites() -> tuple[bool, str]:
     want_y, want_z, _ = counting._sweep_zeros(poly, L, np.flatnonzero(least))
     affine = int(orbit_size[want_y].sum())
     tables = counting._np_tables(L)
+    row_logs = counting._row_coefficients(poly, L, tables)
     for rows in (1, 7, 30):
-        found = [counting._bulk_affine_zeros(poly, L, tables, np.arange(y, min(y + rows, L.order)))
+        found = [counting._bulk_affine_zeros(row_logs, L, tables,
+                                             np.arange(y, min(y + rows, L.order)))
                  for y in range(0, L.order, rows)]
         ys, zs = (np.concatenate(a) for a in zip(*found))
         kept = least[ys]

@@ -161,16 +161,30 @@ def test_dim_d_reads_membership_without_the_gap_set(monkeypatch, capsys):
 def test_dim_d_refuses_a_sqrt_q_past_the_field_cap(monkeypatch, capsys):
     # dim-d asks s membership questions: F_q past the element cap is refused
     # before the first
-    from maxcurves import cli
-
     def no_membership_test(*args):
         raise AssertionError("membership tested")
 
     monkeypatch.setattr(semigroups, "in_hermitian_semigroup", no_membership_test)
-    monkeypatch.setattr(cli, "in_hermitian_semigroup", no_membership_test)
     code, out, err = run_cli(["dim-d", "--sqrt-q", "1000000007", "--d", "1"], capsys)
     assert (code, out, err) == (
         2, "", "error: field size 1000000007^2 exceeds cap 1099511627776\n")
+
+
+@pytest.mark.parametrize("sq,d", [(5, 7), (8, 19), (17, 7)])
+def test_dim_d_asks_each_membership_question_once(monkeypatch, capsys, sq, d):
+    # one pass over h = d, 2d, ..., d*s gives both dim and the qualifying h
+    asked = []
+    member = semigroups.in_hermitian_semigroup
+
+    def recorded(s, h):
+        asked.append(h)
+        return member(s, h)
+
+    monkeypatch.setattr(semigroups, "in_hermitian_semigroup", recorded)
+    code, out, _ = run_cli(["dim-d", "--sqrt-q", str(sq), "--d", str(d)], capsys)
+    payload = json.loads(out)
+    assert code == 0 and asked == list(range(d, d * sq + 1, d))
+    assert payload["dim"] == 1 + len(payload["qualifying"]) == semigroups.linear_series_dim(sq, d)
 
 
 @pytest.mark.parametrize("d", [0, 2])

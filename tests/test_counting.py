@@ -200,9 +200,9 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     sweep_pass = counting._bulk_affine_zeros
     sizes = []
 
-    def recorded(poly, L, tables, ys):
+    def recorded(row_logs, L, tables, ys):
         sizes.append(ys.size * L.order)
-        return sweep_pass(poly, L, tables, ys)
+        return sweep_pass(row_logs, L, tables, ys)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
     got = counting._sweep_zeros(poly, L, rows)
@@ -280,7 +280,9 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     poly, L = counting._lift_poly(model, k)
     q = L.order
     want_y, want_z = _digit_reference_zeros(poly, L, 0, q)
-    got_y, got_z = counting._bulk_affine_zeros(poly, L, counting._np_tables(L), np.arange(q))
+    tables = counting._np_tables(L)
+    row_logs = counting._row_coefficients(poly, L, tables)
+    got_y, got_z = counting._bulk_affine_zeros(row_logs, L, tables, np.arange(q))
     assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
     # two-row y-blocks of the orbit rows, sigma-expanded: same zeros, same
     # order, and the weighted total counts them
@@ -475,6 +477,146 @@ def test_tangent_cone_refusals():
         counting.tangent_cone_data(poly, (0, 1, 0))
 
 
+def _node_form(L, cone, chart):
+    # X (c0 Y^2 + b YZ + a Z^2) + Y^3 + Z^3, whose point (1:0:0) is double
+    # with that tangent cone in u = Y, v = Z, with its coordinates rotated
+    # so that the node is the point of the given chart and the cone has the
+    # same coefficients in that chart's (u, v)
+    c0, b, a = cone
+    terms = {(1, 2, 0): c0, (1, 1, 1): b, (1, 0, 2): a, (0, 3, 0): 1, (0, 0, 3): 1}
+    move = [lambda i, j, k: (i, j, k), lambda i, j, k: (j, i, k), lambda i, j, k: (j, k, i)][chart]
+    pt = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][chart]
+    return HomPoly3(L, {move(*e): c for e, c in terms.items()}), pt
+
+
+def _absolute_trace(L, x):
+    t = 0
+    for _ in range(L.k):
+        t, x = L.add_i(t, x), L.mul_i(x, x)
+    return t
+
+
+def _node_cases():
+    # (field, (c0, b, a), (ordinary, rational tangents)) for the cone
+    # c0 u^2 + b uv + a v^2 of a node
+    F8, F5 = build_field(2, 3), build_field(5, 1)
+    by_trace = {_absolute_trace(F8, c): c for c in range(1, F8.order)}
+    return [
+        pytest.param(F8, (1, 0, 1), (False, 1), id="char2-b0"),
+        pytest.param(F8, (2, 0, 1), (False, 1), id="char2-b0-c-not-1"),
+        pytest.param(F8, (by_trace[0], 1, 1), (True, 2), id="char2-trace0"),
+        pytest.param(F8, (by_trace[1], 1, 1), (True, 0), id="char2-trace1"),
+        pytest.param(F8, (0, 3, 5), (True, 2), id="char2-c0-zero"),
+        pytest.param(F5, (1, 2, 1), (False, 1), id="odd-disc-zero"),
+        pytest.param(F5, (4, 0, 1), (True, 2), id="odd-disc-square"),
+        pytest.param(F5, (2, 0, 1), (True, 0), id="odd-disc-nonsquare"),
+        pytest.param(F5, (0, 3, 2), (True, 2), id="odd-c0-zero"),
+        pytest.param(F5, (1, 1, 0), (True, 2), id="odd-c2-zero-b-nonzero"),
+        pytest.param(F5, (1, 0, 0), (False, 1), id="odd-c2-zero-b-zero"),
+        pytest.param(F8, (1, 1, 0), (True, 2), id="char2-c2-zero-b-nonzero"),
+        pytest.param(F8, (1, 0, 0), (False, 1), id="char2-c2-zero-b-zero"),
+    ]
+
+
+@pytest.mark.parametrize("L,cone,want", _node_cases())
+@pytest.mark.parametrize("chart", [0, 1, 2])
+def test_node_cones_on_hand_built_points(monkeypatch, L, cone, want, chart):
+    # the m = 2 cone is decided by its discriminant (odd p) or by b and the
+    # absolute trace of ac/b^2 (p = 2), with no root finding
+    poly, pt = _node_form(L, cone, chart)
+    want_data = _reference_tangent_cone_data(poly, pt)
+
+    def no_roots(f):
+        raise AssertionError("poly_roots called for a node")
+
+    monkeypatch.setattr(counting, "poly_roots", no_roots)
+    assert counting.tangent_cone_data(poly, pt) == want_data == (2, *want)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_node_cones_on_every_quadratic(p, k):
+    # every nonzero cone c0 u^2 + b uv + a v^2 over a small field
+    L = build_field(p, k)
+    seen = set()
+    for cone in itertools.product(range(L.order), repeat=3):
+        if any(cone):
+            poly, pt = _node_form(L, cone, 0)
+            got = counting.tangent_cone_data(poly, pt)
+            assert got == _reference_tangent_cone_data(poly, pt), cone
+            seen.add(got)
+    assert seen == {(2, False, 1), (2, True, 2), (2, True, 0)}
+
+
+def test_cone_forms_are_built_once_per_chart(monkeypatch):
+    # one count hands one memo to all its cones and the next count a new
+    # one; with that memo each Hasse derivative form is built once per
+    # chart, not once per singular point
+    model = quotient_model_rational(11)      # 37 rational nodes
+    memos = []
+    cone = counting.tangent_cone_data
+
+    def recorded(poly, pt, forms=None):
+        memos.append(forms)
+        return cone(poly, pt, forms)
+
+    monkeypatch.setattr(counting, "tangent_cone_data", recorded)
+    rep = count_projective_points(model)
+    first = len(memos)
+    count_projective_points(model)
+    assert first and len(memos) == 2 * first and memos[0] is not memos[first]
+    assert all(m is memos[0] for m in memos[:first])
+    assert all(m is memos[first] for m in memos[first:])
+    monkeypatch.undo()
+    want = [_reference_tangent_cone_data(model.poly, pt) for pt in rep.singular_points]
+    built = []
+    hasse = HomPoly3.hasse
+
+    def counted(self, axis, order):
+        built.append((axis, order))
+        return hasse(self, axis, order)
+
+    monkeypatch.setattr(HomPoly3, "hasse", counted)
+    forms = {}
+    assert [counting.tangent_cone_data(model.poly, pt, forms)
+            for pt in rep.singular_points] == want
+    charts = {counting._chart_axes(pt) for pt in rep.singular_points}
+    assert {key[:2] for key in forms} == charts
+    assert len(built) == 2 * len(forms) == 2 * 6 * len(charts)   # m = 0, 1, 2
+
+
+@pytest.mark.parametrize("model,k", [(quotient_model_rational(5), 2), (hermitian_fermat(5), 2)])
+def test_a_count_folds_each_form_once(monkeypatch, model, k):
+    # the row coefficients of a form are folded once per count, however
+    # many y-blocks the sweep takes: the form itself, its form at infinity,
+    # and each partial and its form at infinity where there are zeros to
+    # test, at most eight folds
+    folded, passes = [], []
+    fold, sweep_pass = counting._row_coefficients, counting._bulk_affine_zeros
+
+    def recorded_fold(poly, L, tables):
+        folded.append(poly)
+        return fold(poly, L, tables)
+
+    def recorded_pass(row_logs, L, tables, ys):
+        passes.append(ys.size)
+        return sweep_pass(row_logs, L, tables, ys)
+
+    monkeypatch.setattr(counting, "_row_coefficients", recorded_fold)
+    monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded_pass)
+    runs = []
+    for block in (7, 1 << 40):
+        monkeypatch.setattr(counting, "_SWEEP_BLOCK", block)
+        folded.clear()
+        passes.clear()
+        count_projective_points(model, k)
+        runs.append((list(folded), len(passes)))
+    poly, L = counting._lift_poly(model, k)
+    (by_row, row_passes), (at_once, one_pass) = runs
+    assert (row_passes, one_pass) == (int(counting._frobenius_orbits(poly, L)[2].sum()) + 1, 2)
+    assert by_row == at_once and by_row[:2] == [poly, counting._at_infinity(poly)]
+    assert by_row.count(poly) == 1 and len(by_row) <= 8
+
+
 HASSE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
@@ -536,10 +678,11 @@ def _full_row_sweep(poly, L):
     # infinity
     q = L.order
     tables = counting._np_tables(L)
+    row_logs = counting._row_coefficients(poly, L, tables)
     rows = max(1, (1 << 16) // q)
     pts = []
     for y0 in range(0, q, rows):
-        ys, zs = counting._bulk_affine_zeros(poly, L, tables, np.arange(y0, min(y0 + rows, q)))
+        ys, zs = counting._bulk_affine_zeros(row_logs, L, tables, np.arange(y0, min(y0 + rows, q)))
         pts.extend((1, int(y), int(z)) for y, z in zip(ys, zs))
     return pts + _scalar_line_at_infinity(poly, L)
 
@@ -639,9 +782,9 @@ def test_the_kernel_sees_one_row_per_orbit(monkeypatch, model, k, r, m):
     sweep_pass = counting._bulk_affine_zeros
     rows = []
 
-    def recorded(poly, L, tables, ys):
+    def recorded(row_logs, L, tables, ys):
         rows.append(ys.size)
-        return sweep_pass(poly, L, tables, ys)
+        return sweep_pass(row_logs, L, tables, ys)
 
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded)
     counting._sweep_zeros(poly, L, np.flatnonzero(least))
@@ -730,7 +873,8 @@ def test_zech_zero_tests_on_sparse_forms(form, data):
     tables = counting._np_tables(L)
     y_lo = data.draw(st.integers(0, q - 1))
     y_hi = min(q, y_lo + max(1, 4096 // q))
-    ys, zs = counting._bulk_affine_zeros(poly, L, tables, np.arange(y_lo, y_hi))
+    ys, zs = counting._bulk_affine_zeros(counting._row_coefficients(poly, L, tables), L, tables,
+                                         np.arange(y_lo, y_hi))
     want_y, want_z = _digit_reference_zeros(poly, L, y_lo, y_hi)
     assert np.array_equal(ys, want_y) and np.array_equal(zs, want_z)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
@@ -741,11 +885,12 @@ def test_zech_zero_tests_on_sparse_forms(form, data):
     for pp in (poly.hasse(i, 1) for i in range(3)):
         if not pp.terms:
             continue
-        got = counting._vanishing(pp, L, tables, py, pz)
+        got = counting._vanishing(counting._row_coefficients(pp, L, tables), L, tables, py, pz)
         assert got.tolist() == [pp.eval_i(1, y, z) == 0 for y, z in zip(py.tolist(), pz.tolist())]
         at_inf = counting._at_infinity(pp)
         if at_inf.terms:
-            got = counting._vanishing(at_inf, L, tables, np.zeros_like(inf), inf)
+            got = counting._vanishing(counting._row_coefficients(at_inf, L, tables), L, tables,
+                                      np.zeros_like(inf), inf)
             assert got.tolist() == [pp.eval_i(0, 1, z) == 0 for z in range(q)]
         else:
             assert all(pp.eval_i(0, 1, z) == 0 for z in range(q))

@@ -38,6 +38,39 @@ def test_is_prime_accepts_a_mersenne_prime():
     assert not is_prime(M61 + 2)
 
 
+# the least strong pseudoprimes to the first twelve and to the first
+# thirteen primes (Sorenson and Webster, 2015)
+PSI_12 = 318665857834031151167461     # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981    # 1287836182261 * 2575672364521
+
+
+def test_is_prime_is_exact_below_the_base_41_bound():
+    assert PSI_12 == 399165290221 * 798330580441 and not is_prime(PSI_12)
+    # the primes next above PSI_12 and next below PSI_13
+    assert is_prime(318665857834031151167483)
+    assert is_prime(3317044064679887385961813)
+    assert not is_prime(318665857834031151167483 * 3)
+
+
+@pytest.mark.parametrize("n", [PSI_13, 3317044064679887385962123, 2**89 - 1])
+def test_is_prime_refuses_at_and_past_the_bound(n):
+    # PSI_13 itself passes every base; the prime next above it and the
+    # Mersenne prime 2^89 - 1 are not answered either.  Trial division by
+    # the bases still answers exactly.
+    assert PSI_13 == 1287836182261 * 2575672364521
+    with pytest.raises(CapError, match=f"^cannot test {n} for primality: Miller-Rabin with "
+                                       f"bases 2 to 41 is exact only below {PSI_13}$"):
+        is_prime(n)
+    assert not is_prime(41 * n)
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_13, 2**89 - 1])
+def test_factorize_refuses_a_cofactor_it_cannot_certify(n):
+    with pytest.raises(CapError, match=f"^cannot factor {n}: it is above 2\\^44 and has "
+                                       r"no prime factor below 2\^22$"):
+        factorize(n)
+
+
 def _check_factorization(n, fac):
     assert math.prod(p**e for p, e in fac.items()) == n
     assert all(is_prime(p) and e >= 1 for p, e in fac.items())

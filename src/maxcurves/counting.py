@@ -3,10 +3,12 @@
 Points are swept in normalized-representative order ((1:y:z), then (0:1:z),
 then (0:0:1)) by a vectorized numpy sweep in the discrete-log domain, so the
 swept field must be within TABLE_CAP; larger fields raise CapError.  On the
-chart x = 1 the form is sum_e C_e(y) z^e.  A count folds the monomials once
-into the logs of the row coefficients C_e(y) at every y of L, and each
-y-block gathers them by index; each point then costs one log-add per
-distinct z-exponent e but the last, through the Zech logarithm
+chart x = 1 the form is sum_e C_e(y) z^e.  A count folds each form once,
+on both sides: into the logs of the row coefficients C_e(y) at every y of
+L, and into the columns e log z of the z-powers at every z of L.  Each
+y-block gathers the first by index and adds the second as they are, so it
+pays only for its grid.  Each point then costs one log-add per distinct
+z-exponent e but the last, through the Zech logarithm
 Z(m) = log(1 + g^m) (log(g^a + g^b) = a + Z(b - a)), and one comparison:
 the point is a zero where that sum's log equals the log of minus the last
 term, the last term's shifted by log(-1) (0 in characteristic 2, n/2
@@ -162,13 +164,16 @@ def _frobenius_orbits(poly: HomPoly3, L: ExtField):
 
 
 def _row_coefficients(poly: HomPoly3, L: ExtField, tables):
-    """[(e, logs)], e ascending over the z-exponents of poly(1, y, z) =
+    """[(e, logs, col)], e ascending over the z-exponents of poly(1, y, z) =
     sum_e C_e(y) z^e: logs[y] is the int32 log of C_e(y) at every packed y
-    of L, -1 where C_e(y) = 0.  The logs of the last e are shifted by
-    log(-1), 0 in characteristic 2 and n/2 otherwise, to read log -C_e(y).
+    of L, -1 where C_e(y) = 0, and col[z] is the int32 log of z^e,
+    e log z mod n, at every packed z of L, -1 at z = 0 (col is None for
+    e = 0).  The logs of the last e are shifted by log(-1), 0 in
+    characteristic 2 and n/2 otherwise, to read log -C_e(y).
 
-    It depends only on the form and the field, so a count folds it once
-    per form from the monomials, and _vanishing gathers it by y.
+    It depends only on the form and the field, so a count folds both sides
+    once per form, from the monomials and the log table, and _vanishing
+    gathers the logs by y and adds the columns by z.
     """
     log, zech = tables
     n = L.group_order
@@ -184,34 +189,37 @@ def _row_coefficients(poly: HomPoly3, L: ExtField, tables):
     if L.p != 2:
         c = coeff[last]
         coeff[last] = np.where(c < 0, c, (c + n // 2) % n)
-    return sorted(coeff.items())
+    return [(e, logs, np.where(logy < 0, -1, e * logy % n).astype(np.int32) if e else None)
+            for e, logs in sorted(coeff.items())]
 
 
 def _vanishing(row_logs, L: ExtField, tables, ys, zs):
-    """Boolean mask of poly(1, y, z) = 0 over the int64 arrays ys and zs,
-    broadcast against each other: a column of y against every z is a grid
-    of the plane, two arrays of one shape are a list of points.  row_logs
-    is _row_coefficients(poly, L, tables).
+    """Boolean mask of poly(1, y, z) = 0 at the points (ys[i], zs[i]) of two
+    int64 arrays of one shape, or, with zs None, on the grid of the column
+    ys against every z of L in packed order.  row_logs is
+    _row_coefficients(poly, L, tables).
 
     poly(1, y, z) = sum_e C_e(y) z^e.  The logs of the row coefficients
-    C_e(y) are gathered at ys, and every z-power but the last is log-added;
-    the form vanishes where that sum equals -C_e(y) z^e of the last e.  A
-    z-power term is reduced mod n as in _log_add, then set to -1 at the
-    rows where C_e(y) = 0 and at z = 0.
+    C_e(y) are gathered at ys and the folded z^e columns added, as they are
+    on the grid and gathered at zs on a list; every z-power but the last is
+    log-added, and the form vanishes where that sum equals -C_e(y) z^e of
+    the last e.  A z-power term is reduced mod n as in _log_add, then set
+    to -1 at the rows where C_e(y) = 0 and at z = 0 (column 0 of the grid).
     """
-    log, zech = tables
+    zech = tables[1]
     n = L.group_order
     last = row_logs[-1][0]
-    shape = np.broadcast_shapes(ys.shape, zs.shape)
-    logz = log[zs].astype(np.int64)
-    z0 = np.flatnonzero(zs == 0)
+    if zs is None:
+        shape, z0 = (ys.shape[0], L.order), 0
+    else:
+        shape, z0 = ys.shape, np.flatnonzero(zs == 0)
     acc = None
-    for e, logs in row_logs:
+    for e, logs, col in row_logs:
         c = logs[ys]
         if e == 0:
             term = np.broadcast_to(c, shape)
         else:
-            term = c + (e * logz % n).astype(np.int32)
+            term = c + (col if zs is None else col[zs])
             u = term.view(np.uint32)
             np.minimum(u, u - np.uint32(n), out=u)
             term[np.flatnonzero(c < 0)] = -1    # the rows with C_e(y) = 0
@@ -226,7 +234,7 @@ def _bulk_affine_zeros(row_logs, L: ExtField, tables, ys):
     by _vanishing on the grid of ys against every z; row_logs is
     _row_coefficients(poly, L, tables)."""
     q = L.order
-    idx = np.flatnonzero(_vanishing(row_logs, L, tables, ys[:, None], np.arange(q)))
+    idx = np.flatnonzero(_vanishing(row_logs, L, tables, ys[:, None], None))
     return ys[idx // q], idx % q
 
 

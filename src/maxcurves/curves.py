@@ -30,6 +30,7 @@ from .fields import (
     ExtField,
     FieldElement,
     FPoly,
+    TABLE_CAP,
     build_field,
     embed,
     find_root_of_unity,
@@ -438,10 +439,16 @@ def frame_parameter(sqrt_q: int) -> FieldElement:
     vanishing frame sums and the nonvanishing third sum; frame_matrix checks
     the determinant of the frame it spans.  Failure of any of these would
     mean a bug in the tower arithmetic.
+
+    In odd characteristic, F_(sqrt_q^3) within TABLE_CAP builds its tables
+    first, so poly_roots multiplies by them; characteristic 2 keeps its
+    carry-less path, which is as fast there without the tables' memory.
     """
     p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
     F3 = build_field(p, 3 * h)
+    if p != 2 and F3.order <= TABLE_CAP:
+        F3.ensure_tables()
     f = FPoly(F3, [1, 1] + [0] * (sqrt_q - 1) + [1])  # X^(sqrt_q+1) + X + 1
     roots = [r for r, _ in poly_roots(f)]
     if len(roots) != sqrt_q + 1:

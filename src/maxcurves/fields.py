@@ -1001,7 +1001,8 @@ class Embedding:
     The image of F_{p^a} is Fix(Frob^a), the left kernel of
     frob_matrix(a) - I over F_p.  The source generator class X maps to the
     least (packed) root of the source modulus in that kernel: the least
-    conjugate r^(p^i) of the first root r found there.  The map is then
+    conjugate r^(p^i) of the first root r found there, scanning the kernel
+    one block of about sqrt(p^a) vectors at a time.  The map is then
     F_p-linear: vec(v) @ E, row i of E the vector of gen_image^i.  From a
     source within EAGER_TABLE_CAP, apply_i and preimage read a list of all
     images (one product of every digit row with E) and its inverse dict;
@@ -1026,10 +1027,19 @@ class Embedding:
             raise ConsistencyError(
                 f"Frob^{a} fixes a subspace of dimension {len(kernel)} in {target!r}, "
                 f"expected {a}")
-        coords = np.array(list(itertools.product(range(p), repeat=a)), dtype=np.int64)
+        # the kernel vectors in itertools.product order over their a
+        # coordinates, streamed in blocks: each prefix of the first a - h
+        # coordinates with all p^h tails, h = ceil(a / 2)
+        h = (a + 1) // 2
+        tails = (np.array(list(itertools.product(range(p), repeat=h)), dtype=np.int64)
+                 @ kernel[a - h:])
         mod_poly = FPoly._raw(target, list(source.modulus))
-        r = next((v for v in map(target.pack, (coords @ kernel % p).tolist())
-                  if mod_poly.eval_i(v) == 0), None)
+        for prefix in itertools.product(range(p), repeat=a - h):
+            block = (np.array(prefix, dtype=np.int64) @ kernel[:a - h] + tails) % p
+            r = next((v for v in map(target.pack, block.tolist())
+                      if mod_poly.eval_i(v) == 0), None)
+            if r is not None:
+                break
         roots = [] if r is None else sorted(
             v for v in {target.pow_i(r, p**i) for i in range(a)} if mod_poly.eval_i(v) == 0)
         if len(roots) != a:

@@ -63,23 +63,24 @@ class CheckResult:
 
 
 def _run(name, fn) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, detail = fn()
     except CapError as exc:  # a cap blocks the check: skip, not fail
-        return CheckResult(name, False, f"skipped: {exc}", time.time() - t0, skipped=True)
+        return CheckResult(name, False, f"skipped: {exc}", time.perf_counter() - t0,
+                           skipped=True)
     except Exception as exc:  # a crash is a failure with the reason recorded
-        return CheckResult(name, False, f"exception: {exc!r}", time.time() - t0)
-    return CheckResult(name, bool(passed), detail, time.time() - t0)
+        return CheckResult(name, False, f"exception: {exc!r}", time.perf_counter() - t0)
+    return CheckResult(name, bool(passed), detail, time.perf_counter() - t0)
 
 
 def check_hermitian_counts() -> tuple[bool, str]:
     expected = {3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
     times = {}
     for sq, want in expected.items():
-        t0 = time.time()
+        t0 = time.perf_counter()
         got = count_projective_points(hermitian_canonical(sq)).total
-        times[sq] = time.time() - t0
+        times[sq] = time.perf_counter() - t0
         if got != want:
             return False, f"#H(F_{sq * sq}) = {got}, expected {want}"
     slow = {sq: round(t, 3) for sq, t in times.items() if t >= 1.0}

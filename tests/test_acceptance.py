@@ -6,6 +6,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or via
 the CLI as `maxcurves verify-paper`.
 """
 
+import itertools
+import time
+
 import pytest
 
 from maxcurves.verification import CRITERIA, _run, check_hermitian_counts
@@ -25,3 +28,14 @@ def test_hermitian_counts_detail_is_reproducible():
     first, second = check_hermitian_counts(), check_hermitian_counts()
     assert first == second
     assert first[0]
+
+
+def test_criterion_times_do_not_follow_the_wall_clock(monkeypatch):
+    # a wall clock that steps back an hour at every reading: the durations
+    # are read from a monotonic clock, so they stay non-negative and the
+    # 1 s gate sees the true times
+    readings = itertools.count(0, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    result = _run("1-hermitian-counts", check_hermitian_counts)
+    assert result.passed, result.detail
+    assert result.seconds >= 0

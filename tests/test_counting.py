@@ -284,6 +284,15 @@ def test_zech_sweep_matches_digit_reference(monkeypatch, model, k):
     row_logs = counting._row_coefficients(poly, L, tables)
     got_y, got_z = counting._bulk_affine_zeros(row_logs, L, tables, np.arange(q))
     assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
+    # the grid path in one-row blocks, and the point-list path at every
+    # point of the plane: z = 0 and the rows where a C_e(y) vanishes too
+    ones = [counting._bulk_affine_zeros(row_logs, L, tables, np.arange(y, y + 1))
+            for y in range(q)]
+    assert np.array_equal(np.concatenate([y for y, _ in ones]), want_y)
+    assert np.array_equal(np.concatenate([z for _, z in ones]), want_z)
+    every_y, every_z = np.divmod(np.arange(q * q), q)
+    got = counting._vanishing(row_logs, L, tables, every_y, every_z)
+    assert np.array_equal(np.flatnonzero(got), want_y * q + want_z)
     # two-row y-blocks of the orbit rows, sigma-expanded: same zeros, same
     # order, and the weighted total counts them
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 2 * q)
@@ -589,29 +598,38 @@ def test_a_count_folds_each_form_once(monkeypatch, model, k):
     # the row coefficients of a form are folded once per count, however
     # many y-blocks the sweep takes: the form itself, its form at infinity,
     # and each partial and its form at infinity where there are zeros to
-    # test, at most eight folds
+    # test, at most eight folds.  The z side, the columns of z^e, is folded
+    # with them: a kernel call reads no log table, and every pass over the
+    # affine rows is handed the one fold of the form
     folded, passes = [], []
-    fold, sweep_pass = counting._row_coefficients, counting._bulk_affine_zeros
+    fold, sweep_pass, kernel = (counting._row_coefficients, counting._bulk_affine_zeros,
+                                counting._vanishing)
 
     def recorded_fold(poly, L, tables):
         folded.append(poly)
         return fold(poly, L, tables)
 
     def recorded_pass(row_logs, L, tables, ys):
-        passes.append(ys.size)
+        passes.append(row_logs)
         return sweep_pass(row_logs, L, tables, ys)
+
+    def logless_kernel(row_logs, L, tables, ys, zs):
+        return kernel(row_logs, L, (None, tables[1]), ys, zs)
 
     monkeypatch.setattr(counting, "_row_coefficients", recorded_fold)
     monkeypatch.setattr(counting, "_bulk_affine_zeros", recorded_pass)
+    monkeypatch.setattr(counting, "_vanishing", logless_kernel)
     runs = []
     for block in (7, 1 << 40):
         monkeypatch.setattr(counting, "_SWEEP_BLOCK", block)
         folded.clear()
         passes.clear()
-        count_projective_points(model, k)
-        runs.append((list(folded), len(passes)))
+        report = _report_numbers(count_projective_points(model, k))
+        assert all(logs is passes[0] for logs in passes[:-1])
+        runs.append((report, list(folded), len(passes)))
     poly, L = counting._lift_poly(model, k)
-    (by_row, row_passes), (at_once, one_pass) = runs
+    (by_row_report, by_row, row_passes), (at_once_report, at_once, one_pass) = runs
+    assert by_row_report == at_once_report == _reference_count(poly, L)[1]
     assert (row_passes, one_pass) == (int(counting._frobenius_orbits(poly, L)[2].sum()) + 1, 2)
     assert by_row == at_once and by_row[:2] == [poly, counting._at_infinity(poly)]
     assert by_row.count(poly) == 1 and len(by_row) <= 8
@@ -877,6 +895,17 @@ def test_zech_zero_tests_on_sparse_forms(form, data):
                                          np.arange(y_lo, y_hi))
     want_y, want_z = _digit_reference_zeros(poly, L, y_lo, y_hi)
     assert np.array_equal(ys, want_y) and np.array_equal(zs, want_z)
+    # one-row blocks of the grid path, and the same rows as point lists:
+    # y_lo, y = 0 and, for each z-exponent, a row where its C_e(y) vanishes
+    row_logs = counting._row_coefficients(poly, L, tables)
+    rows = {0, y_lo} | {int(np.flatnonzero(logs < 0)[0]) for _, logs, _ in row_logs
+                        if (logs < 0).any()}
+    for y in sorted(rows):
+        want_y, want_z = _digit_reference_zeros(poly, L, y, y + 1)
+        got_y, got_z = counting._bulk_affine_zeros(row_logs, L, tables, np.array([y]))
+        assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
+        got = counting._vanishing(row_logs, L, tables, np.full(q, y), np.arange(q))
+        assert np.array_equal(np.flatnonzero(got), want_z)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
                                max_size=20))
     py = np.concatenate([ys, np.array([y for y, _ in pairs], dtype=np.int64)])

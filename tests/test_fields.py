@@ -241,6 +241,16 @@ def test_frame_parameter_sq8():
     assert a.frobenius(9) == a  # fixed by the F_512 Frobenius
 
 
+@pytest.mark.parametrize("sq,want", [(27, 208), (29, 230), (31, 1746)])
+def test_frame_parameter_on_tables_keeps_the_root(sq, want):
+    # F_(sq^3) is past EAGER_TABLE_CAP and within TABLE_CAP: frame_parameter
+    # builds its tables before poly_roots, and finds the same packed root as
+    # the polynomial path did
+    a = frame_parameter(sq)
+    assert a.field.order == sq**3 and a.field._log is not None
+    assert a.value == want
+
+
 def test_frobenius_power():
     # q-power fixes F_q inside a bigger field
     phi = embed(F25, F56)

@@ -62,6 +62,8 @@ GOLDEN = {
     "count-hermitian-9-k2": "count --model hermitian --sqrt-q 9 --k 2",
     "count-envelope-7-k2": "count --model envelope --sqrt-q 7 --k 2",
     "count-smooth-cyclic-4-k2": "count --model smooth-cyclic --sqrt-q 4 --k 2",
+    # one kernel row per numpy pass at the production block size (F_65536)
+    "count-hermitian-4-k4": "count --model hermitian --sqrt-q 4 --k 4",
     # the vectorized singular filter at 91 singular points
     "count-quotient-rational-17": "count --model quotient-rational --sqrt-q 17",
     "verify-maximal-quotient-rational-5": "verify-maximal --model quotient-rational --sqrt-q 5",

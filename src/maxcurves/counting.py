@@ -205,6 +205,9 @@ def _vanishing(row_logs, L: ExtField, tables, ys, zs):
     log-added, and the form vanishes where that sum equals -C_e(y) z^e of
     the last e.  A z-power term is reduced mod n as in _log_add, then set
     to -1 at the rows where C_e(y) = 0 and at z = 0 (column 0 of the grid).
+    The e = 0 term is the gathered C_0(y) itself, a column on the grid that
+    the log-add broadcasts; a form free of z broadcasts its mask once, at
+    the return.
     """
     zech = tables[1]
     n = L.group_order
@@ -215,18 +218,16 @@ def _vanishing(row_logs, L: ExtField, tables, ys, zs):
         shape, z0 = ys.shape, np.flatnonzero(zs == 0)
     acc = None
     for e, logs, col in row_logs:
-        c = logs[ys]
-        if e == 0:
-            term = np.broadcast_to(c, shape)
-        else:
+        term = c = logs[ys]
+        if e:
             term = c + (col if zs is None else col[zs])
             u = term.view(np.uint32)
             np.minimum(u, u - np.uint32(n), out=u)
-            term[np.flatnonzero(c < 0)] = -1    # the rows with C_e(y) = 0
+            term[(c < 0).nonzero()[0]] = -1     # the rows with C_e(y) = 0
             term[..., z0] = -1
         if e != last:
             acc = term if acc is None else _log_add(acc, term, zech, n)
-    return term < 0 if acc is None else acc == term
+    return np.broadcast_to(term < 0, shape) if acc is None else acc == term
 
 
 def _bulk_affine_zeros(row_logs, L: ExtField, tables, ys):

@@ -21,41 +21,82 @@ from .errors import CapError, ConsistencyError
 from .fields import check_elem_cap
 
 GAP_CAP = 1 << 24
-"""The most gaps a semigroup built from generators may have: its gap set is
-listed element by element."""
+"""The most gaps a semigroup built from generators may have.  The semigroup
+is stored by its Apery set and lists its gap set only on request, but
+semigroup_from_generators still refuses one past the cap, so that no caller
+can ask it to list more."""
 
 
 class NumericalSemigroup:
-    """A cofinite additive submonoid of N, stored by its finite gap set."""
+    """A cofinite additive submonoid of N, stored by its Apery set: with m
+    its multiplicity, apery[r] is its least element congruent to r mod m.
+
+    The genus is sum(w // m) over the Apery set (Selmer's formula), the
+    conductor max(w) - m + 1 (0 when there are no gaps), and n is an element
+    iff n >= w[n mod m].  The gap set, the n < w[n mod m], is listed only
+    on request (`gaps`).  NumericalSemigroup(gaps) derives the Apery set
+    from a gap set and raises ValueError for one that belongs to no
+    numerical semigroup.
+    """
 
     def __init__(self, gaps):
         gaps = frozenset(map(int, gaps))
         if gaps and min(gaps) < 1:
             raise ValueError("gaps must be positive integers")
-        self.gaps = gaps
-        self.genus = len(gaps)
-        self.conductor = max(gaps) + 1 if gaps else 0
+        m = 1
+        while m in gaps:
+            m += 1
+        w = list(range(m))
+        for g in gaps:
+            w[g % m] = max(w[g % m], g + m)
+        # the gaps fill each residue class below w[r] (they number w[r] // m
+        # there), and w[i] + w[j] is an element: then the n >= w[n mod m]
+        # are closed under addition and their gaps are exactly these
+        if sum(v // m for v in w) != len(gaps) or any(
+                w[(i + j) % m] > w[i] + w[j] for i in range(1, m) for j in range(i, m)):
+            raise ValueError("the gaps are not those of a numerical semigroup")
+        self._init(tuple(w))
+        self._gaps = gaps
+
+    @classmethod
+    def _from_apery(cls, apery) -> NumericalSemigroup:
+        """The semigroup of multiplicity len(apery) with that Apery set,
+        taken as given."""
+        sg = cls.__new__(cls)
+        sg._init(tuple(apery))
+        sg._gaps = None
+        return sg
+
+    def _init(self, apery: tuple[int, ...]) -> None:
+        m = len(apery)
+        self.apery = apery
+        self.genus = sum(v // m for v in apery)
+        self.conductor = max(apery) - m + 1
+
+    @property
+    def gaps(self) -> frozenset[int]:
+        """The gap set, listed on first request: r, r + m, ..., w[r] - m in
+        each residue r."""
+        if self._gaps is None:
+            w, m = self.apery, len(self.apery)
+            self._gaps = frozenset(chain.from_iterable(range(r, w[r], m) for r in range(1, m)))
+        return self._gaps
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return n not in self.gaps
+        return n >= 0 and n >= self.apery[n % len(self.apery)]
 
     def __eq__(self, other):
-        return isinstance(other, NumericalSemigroup) and self.gaps == other.gaps
+        return isinstance(other, NumericalSemigroup) and self.apery == other.apery
 
     def __hash__(self):
-        return hash(self.gaps)
+        return hash(self.apery)
 
     def nongaps(self, limit: int) -> list[int]:
         """Sorted non-gaps up to and including limit."""
-        return [n for n in range(limit + 1) if n not in self.gaps]
+        return [n for n in range(limit + 1) if n in self]
 
     def multiplicity(self) -> int:
-        n = 1
-        while n in self.gaps:
-            n += 1
-        return n
+        return len(self.apery)
 
     def __repr__(self):
         return f"NumericalSemigroup(genus={self.genus}, gaps={sorted(self.gaps)})"
@@ -64,7 +105,8 @@ class NumericalSemigroup:
 def semigroup_from_generators(gens) -> NumericalSemigroup:
     """Exact Apery-set computation, independent of the closed formulas it
     checks: with m the least generator, w[r] is the least element congruent
-    to r mod m, and the gaps are exactly the n < w[n mod m].
+    to r mod m, and the gaps are exactly the n < w[n mod m].  The semigroup
+    is returned by its Apery set w, with no gap listed.
 
     w is found by round-robin shortest paths on the m residues (Boecker and
     Liptak 2007): each further generator g splits the residues into
@@ -73,8 +115,8 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
 
     This is the oracle for every closed genus formula.  Raises ValueError
     naming every generator below 1, and when gcd of the generators exceeds
-    1 (infinitely many gaps); raises CapError before listing more than
-    GAP_CAP gaps.
+    1 (infinitely many gaps); raises CapError for a semigroup with more
+    than GAP_CAP gaps.
     """
     gens = sorted({int(g) for g in gens})
     if not gens:
@@ -105,9 +147,10 @@ def semigroup_from_generators(gens) -> NumericalSemigroup:
                     n = w[r]
                 else:
                     w[r] = n
-    # the gaps in residue r are r, r + m, ..., w[r] - m
-    _check_gap_cap(sum(v // m for v in w))
-    return NumericalSemigroup(chain.from_iterable(range(r, w[r], m) for r in range(1, m)))
+    # the gaps in residue r are r, r + m, ..., w[r] - m: w[r] // m of them
+    sg = NumericalSemigroup._from_apery(w)
+    _check_gap_cap(sg.genus)
+    return sg
 
 
 def _check_gap_cap(gaps: int) -> None:
@@ -146,7 +189,7 @@ def quotient_semigroup(sg: NumericalSemigroup, d: int) -> NumericalSemigroup:
     if d == 1:
         return sg
     top = sg.conductor // d + 1
-    gaps = [n for n in range(1, top + 1) if d * n in sg.gaps]
+    gaps = [n for n in range(1, top + 1) if d * n not in sg]
     return NumericalSemigroup(gaps)
 
 

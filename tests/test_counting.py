@@ -906,6 +906,23 @@ def test_zech_zero_tests_on_sparse_forms(form, data):
         assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
         got = counting._vanishing(row_logs, L, tables, np.full(q, y), np.arange(q))
         assert np.array_equal(np.flatnonzero(got), want_z)
+    # the form free of z with each Z power moved onto X: its one row term
+    # broadcasts its mask at the return, on 1-row and multi-row grid blocks
+    # and on the multi-row block as a point list
+    flat = {}
+    for (i, j, e), c in poly.terms.items():
+        flat[i + e, j, 0] = L.add_i(flat.get((i + e, j, 0), 0), c)
+    flat = HomPoly3(L, flat)
+    if flat.terms:
+        flat_logs = counting._row_coefficients(flat, L, tables)
+        assert [e for e, _, _ in flat_logs] == [0]
+        for hi in (y_lo + 1, y_hi):
+            want_y, want_z = _digit_reference_zeros(flat, L, y_lo, hi)
+            got_y, got_z = counting._bulk_affine_zeros(flat_logs, L, tables, np.arange(y_lo, hi))
+            assert np.array_equal(got_y, want_y) and np.array_equal(got_z, want_z)
+        got = counting._vanishing(flat_logs, L, tables, np.repeat(np.arange(y_lo, y_hi), q),
+                                  np.tile(np.arange(q), y_hi - y_lo))
+        assert np.array_equal(np.flatnonzero(got), (want_y - y_lo) * q + want_z)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
                                max_size=20))
     py = np.concatenate([ys, np.array([y for y, _ in pairs], dtype=np.int64)])

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import operator
 import random
 import signal
 
@@ -459,6 +460,24 @@ def test_doubled_tables_match_the_loop_near_the_cap(p, k):
     _assert_tables_match_the_loop(p, k)
 
 
+@pytest.mark.parametrize("k", [6, 12, 18])
+def test_characteristic_two_tables_make_no_digit_matmul(k, monkeypatch):
+    # the doubling XORs bit images in characteristic 2; odd p multiplies
+    # digit rows by mul_matrix, which shows that the spy sees the build.
+    # test_doubled_tables_match_the_loop* compare the tables themselves
+    calls = []
+    real = ExtField.mul_matrix
+
+    def spy(self, m):
+        calls.append(self.p)
+        return real(self, m)
+
+    monkeypatch.setattr(ExtField, "mul_matrix", spy)
+    for p, k in ((2, k), (3, 5)):
+        assert ExtField(p, k, build_field(p, k).modulus).ensure_tables()
+    assert calls and set(calls) == {3}
+
+
 @pytest.mark.parametrize("p,k,e", [(5, 4, 2), (2, 4, 3), (3, 5, 11)])
 def test_table_build_rejects_a_generator_that_is_not_primitive(p, k, e):
     # g^e has order n / gcd(n, e) < n; every g satisfies g^n = 1, so only
@@ -713,6 +732,34 @@ def test_element_operators():
     assert 2 * a == a + a
     with pytest.raises(ValueError):
         a + F5.elem(1)
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (2, 4), (7, 1)])
+def test_element_operators_across_fields_and_ints(p, k):
+    # two ExtField objects with equal (p, k) are separate fields to the
+    # element operators: arithmetic between them raises, == is False and
+    # != True, both ways round; an int works on either side, reduced mod p
+    F = build_field(p, k)
+    twin = ExtField(p, k, F.modulus)
+    assert twin == F and twin is not F
+    a, b = F.elem(F.order - 2), twin.elem(F.order - 2)
+    for op in (operator.add, operator.mul, operator.sub, operator.truediv):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="mixed-field arithmetic"):
+                op(x, y)
+    assert (a == b, b == a, a != b, b != a) == (False, False, True, True)
+    same = F.elem(F.order - 2)
+    assert (a == same, a != same) == (True, False)
+    three = F.elem(3 % p)
+    for op in (operator.add, operator.mul, operator.sub, operator.truediv):
+        assert op(a, 3) == op(a, three) == op(a, 3 + p)
+        assert op(3, a) == op(three, a)
+    assert (a != 3, 3 != a, a == 3) == (True, True, False)
+    for other in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            other * a
 
 
 def test_element_never_equals_an_int():

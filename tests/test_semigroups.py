@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maxcurves import verification
 from maxcurves import (
     OrderSequence,
     castelnuovo_bound,
@@ -95,8 +96,45 @@ def _reference_sieve(gens) -> NumericalSemigroup:
 
 
 def _assert_matches_the_sieve(gens):
+    # the Apery-set semigroup against the sieve's gap set: equal as
+    # semigroups (with equal hashes) to the one NumericalSemigroup derives
+    # from those gaps, and in every invariant and membership up to 2c
     sg, ref = semigroup_from_generators(gens), _reference_sieve(gens)
-    assert (sg.gaps, sg.genus, sg.conductor) == (ref.gaps, ref.genus, ref.conductor), gens
+    from_gaps = NumericalSemigroup(ref.gaps)
+    assert sg == from_gaps and hash(sg) == hash(from_gaps), gens
+    c = max(ref.gaps, default=-1) + 1
+    limit = 2 * c
+    assert (sg.gaps, sg.genus, sg.conductor, sg.multiplicity()) == (
+        ref.gaps, len(ref.gaps), c, min(set(range(1, c + 2)) - ref.gaps)), gens
+    want = [n for n in range(limit + 1) if n not in ref.gaps]
+    assert sg.nongaps(limit) == want == [n for n in range(-3, limit + 1) if n in sg], gens
+
+
+def test_apery_semigroup_examples():
+    # N has no gaps; a gap set that is not a semigroup's is refused: the
+    # second is consistent mod 3 (each class of gaps is r, r + 3, ...), but
+    # 4 + 4 = 8 is a gap
+    n = NumericalSemigroup([])
+    assert (n.genus, n.conductor, n.multiplicity(), n.gaps) == (0, 0, 1, frozenset())
+    assert n.nongaps(3) == [0, 1, 2, 3] and -1 not in n
+    assert n == semigroup_from_generators([1]) == semigroup_from_generators([1, 5])
+    for gaps in ({1, 2, 3, 8}, {1, 2, 5, 8}):
+        with pytest.raises(ValueError, match="not those of a numerical semigroup"):
+            NumericalSemigroup(gaps)
+    sg = semigroup_from_generators([3, 5, 7])
+    assert sg.apery == (0, 7, 5) and sg == NumericalSemigroup({1, 2, 4})
+
+
+def test_the_oracle_lists_no_gaps(monkeypatch):
+    # criterion 6 reads the genus off the Apery set; listing a gap set, or
+    # building a semigroup from one, fails
+    def no_listing(self, *args):
+        raise AssertionError("gap set listed")
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", property(no_listing))
+    monkeypatch.setattr(NumericalSemigroup, "__init__", no_listing)
+    ok, detail = verification.check_semigroup_oracle()
+    assert ok, detail
 
 
 @pytest.mark.parametrize("m", range(4, 41))

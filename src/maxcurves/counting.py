@@ -223,7 +223,7 @@ def _vanishing(row_logs, L: ExtField, tables, ys, zs):
             term = c + (col if zs is None else col[zs])
             u = term.view(np.uint32)
             np.minimum(u, u - np.uint32(n), out=u)
-            term[(c < 0).nonzero()[0]] = -1     # the rows with C_e(y) = 0
+            term[np.flatnonzero(c < 0)] = -1    # the rows with C_e(y) = 0
             term[..., z0] = -1
         if e != last:
             acc = term if acc is None else _log_add(acc, term, zech, n)

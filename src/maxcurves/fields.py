@@ -463,7 +463,7 @@ class ExtField:
         if e == 0 or a == 0:
             return a
         if self._log is not None:
-            return self._exp[self._log[a] * self._ppows[e] % self.group_order]
+            return self.pow_i(a, self._ppows[e])
         vec = np.array(self.digits(a), dtype=np.int64)
         return self.pack(vec @ self.frob_matrix(e) % self.p)
 
@@ -541,15 +541,12 @@ class ExtField:
 
         A field above TABLE_CAP raises CapError (check_table_cap).  x -> x * g^m
         is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the powers of g in
-        log2(n) numpy steps: in characteristic 2 each step XORs the packed
-        images X^i g^m over the set bits i of exp[:m], and in odd
-        characteristic it multiplies the base-p digit rows by mul_matrix(g^m).
-        The logs must cover every nonzero element and g * exp[n - 1] must be
-        1; a g that is not primitive fails.  Adding 1 to a packed value steps
-        its lowest base-p digit mod p, which gives zech[m] = log(1 + g^m), -1
-        where 1 + g^m = 0 (m = 0 for p = 2, m = n/2 for odd p).  Stored as
-        read-only int32 memoryviews, exp doubled so that exp[la + lb] needs
-        no reduction.
+        log2(n) numpy steps.  The logs must cover every nonzero element and
+        g * exp[n - 1] must be 1; a g that is not primitive fails.  Adding 1
+        to a packed value steps its lowest base-p digit mod p, which gives
+        zech[m] = log(1 + g^m), -1 where 1 + g^m = 0 (m = 0 for p = 2, m = n/2
+        for odd p).  Stored as read-only int32 memoryviews, exp doubled so
+        that exp[la + lb] needs no reduction.
         """
         if self._log is not None:
             return True
@@ -562,14 +559,8 @@ class ExtField:
         m, step = 1, g                               # step = g^m
         while m < n:
             head = exp[:min(m, n - m)]
-            if p == 2:
-                out = exp[m:m + head.size]
-                out[:] = 0
-                for i in range(k):
-                    out ^= (head >> i & 1) * self.mul_i(1 << i, step)
-            else:
-                mat = self.mul_matrix(step).astype(dt)
-                exp[m:2 * m] = (head[:, None] // pw % p @ mat % p) @ pw
+            mat = self.mul_matrix(step).astype(dt)
+            exp[m:2 * m] = (head[:, None] // pw % p @ mat % p) @ pw
             m, step = m + head.size, self.mul_i(step, step)
         log = np.full(self.order, -1, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
@@ -682,11 +673,6 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field is other.field and self.value == other.value
-        return NotImplemented
-
-    def __ne__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is not other.field or self.value != other.value
         return NotImplemented
 
     def __bool__(self):
@@ -1095,9 +1081,7 @@ class Embedding:
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.source:
             raise ValueError("element not in the source field")
-        images = self._images
-        return FieldElement(self.target, self.apply_i(x.value) if images is None
-                            else images[x.value])
+        return FieldElement(self.target, self.apply_i(x.value))
 
     def preimage(self, y: FieldElement) -> FieldElement:
         """Inverse image; raises ValueError if y is not in the embedded copy."""

@@ -460,24 +460,6 @@ def test_doubled_tables_match_the_loop_near_the_cap(p, k):
     _assert_tables_match_the_loop(p, k)
 
 
-@pytest.mark.parametrize("k", [6, 12, 18])
-def test_characteristic_two_tables_make_no_digit_matmul(k, monkeypatch):
-    # the doubling XORs bit images in characteristic 2; odd p multiplies
-    # digit rows by mul_matrix, which shows that the spy sees the build.
-    # test_doubled_tables_match_the_loop* compare the tables themselves
-    calls = []
-    real = ExtField.mul_matrix
-
-    def spy(self, m):
-        calls.append(self.p)
-        return real(self, m)
-
-    monkeypatch.setattr(ExtField, "mul_matrix", spy)
-    for p, k in ((2, k), (3, 5)):
-        assert ExtField(p, k, build_field(p, k).modulus).ensure_tables()
-    assert calls and set(calls) == {3}
-
-
 @pytest.mark.parametrize("p,k,e", [(5, 4, 2), (2, 4, 3), (3, 5, 11)])
 def test_table_build_rejects_a_generator_that_is_not_primitive(p, k, e):
     # g^e has order n / gcd(n, e) < n; every g satisfies g^n = 1, so only

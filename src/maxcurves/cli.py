@@ -242,7 +242,7 @@ def cmd_semigroup(args, cache):
     sg = semigroup_from_generators(gens)
     payload = {
         "generators": gens,
-        "gaps": sorted(sg.gaps),
+        "gaps": sg.gap_list(),
         "genus": sg.genus,
         "conductor": sg.conductor,
         "multiplicity": sg.multiplicity(),

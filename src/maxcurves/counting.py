@@ -98,7 +98,14 @@ class MaximalityVerdict:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-_SWEEP_BLOCK = 1 << 16    # points per numpy pass of the plane sweep
+# At most 2^15 points per numpy pass of the plane sweep (one row when a row
+# is longer): 128 KiB per int32 temporary.  glibc keeps a pass's temporaries
+# in its heap for the next pass while its trim threshold (twice the largest
+# mmapped block freed so far) is above about 0.9 MiB, against 1.7 MiB at
+# 2^16.  At 1.26 MiB a repeat hermitian_canonical(8) count over F_4096 took
+# 0 minor faults and 8 ms of sweep, against 7392-7744 faults and 18-19 ms at
+# 2^16.  At 2^14 the fault-free sweep took 9.5 ms.
+_SWEEP_BLOCK = 1 << 15
 
 
 def _lift_poly(model: CurveModel, k: int) -> tuple[HomPoly3, ExtField]:
@@ -252,9 +259,11 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
     of its zeros (0:1:z) on the line at infinity, ascending.
 
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
-    kernel sweeps rows in blocks of at most _SWEEP_BLOCK points (one y-row
-    when a row is longer), which bounds the numpy temporaries.  The line at
-    infinity is the row y = 0 of _at_infinity(poly).
+    kernel sweeps rows in blocks of at most _SWEEP_BLOCK = 2^15 points (one
+    y-row when a row is longer), 128 KiB per int32 temporary: glibc keeps a
+    pass's temporaries for the next pass, instead of faulting them in again,
+    once its trim threshold is above about 0.9 MiB (1.7 MiB at 2^16).  The
+    line at infinity is the row y = 0 of _at_infinity(poly).
     """
     tables = _np_tables(L)
     row_logs = _row_coefficients(poly, L, tables)

@@ -33,10 +33,10 @@ class NumericalSemigroup:
 
     The genus is sum(w // m) over the Apery set (Selmer's formula), the
     conductor max(w) - m + 1 (0 when there are no gaps), and n is an element
-    iff n >= w[n mod m].  The gap set, the n < w[n mod m], is listed only
-    on request (`gaps`).  NumericalSemigroup(gaps) derives the Apery set
-    from a gap set and raises ValueError for one that belongs to no
-    numerical semigroup.
+    iff n >= w[n mod m].  The gaps, the n < w[n mod m], are listed only on
+    request (`gap_list`, and `gaps` as a set).  NumericalSemigroup(gaps)
+    derives the Apery set from a gap set and raises ValueError for one that
+    belongs to no numerical semigroup.
     """
 
     def __init__(self, gaps):
@@ -73,13 +73,17 @@ class NumericalSemigroup:
         self.genus = sum(v // m for v in apery)
         self.conductor = max(apery) - m + 1
 
+    def gap_list(self) -> list[int]:
+        """The gaps in ascending order: the runs r, r + m, ..., w[r] - m of
+        the residues r, chained and sorted."""
+        w, m = self.apery, len(self.apery)
+        return sorted(chain.from_iterable(range(r, w[r], m) for r in range(1, m)))
+
     @property
     def gaps(self) -> frozenset[int]:
-        """The gap set, listed on first request: r, r + m, ..., w[r] - m in
-        each residue r."""
+        """The gap set, gap_list() made a frozenset on first request."""
         if self._gaps is None:
-            w, m = self.apery, len(self.apery)
-            self._gaps = frozenset(chain.from_iterable(range(r, w[r], m) for r in range(1, m)))
+            self._gaps = frozenset(self.gap_list())
         return self._gaps
 
     def __contains__(self, n: int) -> bool:
@@ -99,7 +103,7 @@ class NumericalSemigroup:
         return len(self.apery)
 
     def __repr__(self):
-        return f"NumericalSemigroup(genus={self.genus}, gaps={sorted(self.gaps)})"
+        return f"NumericalSemigroup(genus={self.genus}, gaps={self.gap_list()})"
 
 
 def semigroup_from_generators(gens) -> NumericalSemigroup:

@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxcurves
 from maxcurves import cli, counting
 from maxcurves import (
     CapError,
@@ -209,6 +215,35 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert sum(sizes) == (_necklaces(5, 2 * k) + 1) * L.order
     assert max(sizes) <= max(block, L.order)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's heap trimming")
+def test_repeat_sweeps_keep_their_heap():
+    # glibc gives the top of its heap back to the kernel on free once it
+    # passes the trim threshold, twice the largest mmapped block freed so
+    # far, and a sweep pass whose int32 temporaries do not fit under it
+    # faults them in again on the next pass.  The child frees one 640 KiB
+    # block first, which sets that threshold near 1.26 MiB whatever the
+    # interpreter freed before: the 2^15-point passes over F_4096 fit under
+    # it (0 faults a count), the 2^16-point passes did not (7392-7744).  A
+    # fresh interpreter, because earlier tests leave the heap in another state.
+    code = ("import resource\n"
+            "import numpy as np\n"
+            "from maxcurves import count_projective_points, hermitian_canonical\n"
+            "block = np.empty(640 << 10, dtype=np.uint8)\n"
+            "del block\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert count_projective_points(hermitian_canonical(8), 2).total == 513\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults[1:])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(maxcurves.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    faults = [int(f) for f in out.stdout.split()]
+    assert len(faults) == 2 and all(f < 500 for f in faults), faults
 
 
 def _digit_reference_zeros(poly, L, y_lo, y_hi):

@@ -132,6 +132,7 @@ def test_the_oracle_lists_no_gaps(monkeypatch):
         raise AssertionError("gap set listed")
 
     monkeypatch.setattr(NumericalSemigroup, "gaps", property(no_listing))
+    monkeypatch.setattr(NumericalSemigroup, "gap_list", no_listing)
     monkeypatch.setattr(NumericalSemigroup, "__init__", no_listing)
     ok, detail = verification.check_semigroup_oracle()
     assert ok, detail

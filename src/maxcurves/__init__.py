@@ -14,7 +14,6 @@ from .fields import (
     build_field,
     embed,
     find_root_of_unity,
-    frobenius_power,
     mult_order,
     poly_roots,
 )
@@ -50,7 +49,6 @@ from .counting import (
     genus_from_count,
     hasse_weil_bounds,
     maximality_check,
-    singular_points,
 )
 from .quotients import (
     BurnsideReport,
@@ -65,7 +63,6 @@ from .quotients import (
     hurwitz_check,
     hurwitz_genus,
     lang_solve,
-    subgroup_action,
     twisted_fixed_count,
 )
 from .semigroups import (

@@ -159,14 +159,17 @@ def cmd_construct(args, cache):
     return payload, True
 
 
-def _cached_count(model, k, cache):
-    payload = {"kind": "count", "model": model.serialize(), "k": k}
+def _cached(cache, payload, compute):
     got = cache.get(payload)
-    if got is not None:
-        return got
-    report = count_projective_points(model, k).to_dict()
-    cache.put(payload, report)
-    return report
+    if got is None:
+        got = compute().to_dict()
+        cache.put(payload, got)
+    return got
+
+
+def _cached_count(model, k, cache):
+    return _cached(cache, {"kind": "count", "model": model.serialize(), "k": k},
+                   lambda: count_projective_points(model, k))
 
 
 def cmd_count(args, cache):
@@ -191,18 +194,9 @@ def cmd_verify_maximal(args, cache):
     return payload, verdict.verdict == "maximal"
 
 
-def _cached_burnside(sqrt_q, d, cache):
-    payload = {"kind": "burnside", "sqrt_q": sqrt_q, "d": d}
-    got = cache.get(payload)
-    if got is not None:
-        return got
-    rep = burnside_quotient_count(sqrt_q, d).to_dict()
-    cache.put(payload, rep)
-    return rep
-
-
 def cmd_quotient(args, cache):
-    rep = _cached_burnside(args.sqrt_q, args.d, cache)
+    rep = _cached(cache, {"kind": "burnside", "sqrt_q": args.sqrt_q, "d": args.d},
+                  lambda: burnside_quotient_count(args.sqrt_q, args.d))
     payload = {
         "burnside": rep,
         "hurwitz": hurwitz_check(args.sqrt_q, args.d).to_dict(),
@@ -231,7 +225,8 @@ def cmd_census(args, cache):
                 measured = rep["resolved_total"]
                 rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "direct",
                                       "pass" if measured == expected else "fail"))
-            measured = _cached_burnside(sq, d, cache)["count"]
+            measured = _cached(cache, {"kind": "burnside", "sqrt_q": sq, "d": d},
+                               lambda: burnside_quotient_count(sq, d))["count"]
             rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "burnside",
                                   "pass" if measured == expected else "fail"))
     return [r.to_dict() for r in rows], all(r.verdict == "pass" for r in rows)

@@ -259,11 +259,9 @@ def _sweep_zeros(poly: HomPoly3, L: ExtField, rows):
     of its zeros (0:1:z) on the line at infinity, ascending.
 
     L is within TABLE_CAP (_lift_poly checks it), so its tables build.  The
-    kernel sweeps rows in blocks of at most _SWEEP_BLOCK = 2^15 points (one
-    y-row when a row is longer), 128 KiB per int32 temporary: glibc keeps a
-    pass's temporaries for the next pass, instead of faulting them in again,
-    once its trim threshold is above about 0.9 MiB (1.7 MiB at 2^16).  The
-    line at infinity is the row y = 0 of _at_infinity(poly).
+    kernel sweeps rows in blocks of at most _SWEEP_BLOCK points (one y-row
+    when a row is longer).  The line at infinity is the row y = 0 of
+    _at_infinity(poly).
     """
     tables = _np_tables(L)
     row_logs = _row_coefficients(poly, L, tables)
@@ -459,11 +457,6 @@ def _sweep_key(pt):
     then (0:0:1)."""
     x, y, z = pt
     return -x, y if x else -y, z
-
-
-def singular_points(model: CurveModel, k: int = 1) -> list[tuple[int, int, int]]:
-    """Normalized points over F_{q^k} where the model and all partials vanish."""
-    return list(count_projective_points(model, k).singular_points)
 
 
 def hasse_weil_bounds(q: int, g: int) -> tuple[int, int]:

@@ -618,11 +618,13 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
 
 def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
     """Plane model of the fibre-product family: sum_{i<=r} y^(p^i) = b x^(s+1)
-    over F_{p^m}, m even, with b nonzero and b^s + b = 0.  Genus (p^r-1)s/2."""
+    over F_{p^m}, m even, 1 <= r < m/2, with b nonzero and b^s + b = 0.
+    Genus (p^r-1)s/2.  At r = m/2 the model is not maximal (244 points over
+    F_81 at (3, 4, 2), against 730), so r = m/2 is refused."""
     if m % 2:
         raise ValueError("m must be even")
-    if not 1 <= r <= m // 2:
-        raise ValueError("need 1 <= r <= m/2")
+    if not 1 <= r < m // 2:
+        raise ValueError("need 1 <= r < m/2")
     field = build_field(p, m)
     sqrt_q = p ** (m // 2)
     # b is the least nonzero root; poly_roots returns them sorted
@@ -733,17 +735,6 @@ class TruncSeries:
         return TruncSeries(self.p, n, out)
 
     __rmul__ = __mul__
-
-    def pow(self, e: int):
-        result = TruncSeries.monomial(self.p, self.n, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def p_power(self, e: int):
         """self^(p^e), using that coefficients lie in the prime field."""

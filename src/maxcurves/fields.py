@@ -283,9 +283,9 @@ class ExtField:
     For p = 2 the packed integer is the coefficient bit vector: addition is
     XOR, and without tables mul_i and inv_i work on it by shifts and XORs.
     The discrete-log tables and Frobenius matrices are cached on the
-    instance; a bare ExtField builds its tables on first use.  Use
-    :func:`build_field`, which caches one instance per (p, k) and tables a
-    small field at once.
+    instance.  Scalar operations never build the tables: only ensure_tables
+    (and _np_tables, which calls it) does.  Use :func:`build_field`, which
+    caches one instance per (p, k) and tables a small field at once.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -537,7 +537,7 @@ class ExtField:
     def ensure_tables(self) -> bool:
         """Build the exp, log and Zech tables; idempotent, and always True
         once built.  build_field calls it at construction for a field within
-        EAGER_TABLE_CAP; other fields build on first use.
+        EAGER_TABLE_CAP; other fields build on the first call.
 
         A field above TABLE_CAP raises CapError (check_table_cap).  x -> x * g^m
         is F_p-linear, so exp[m:2m] = exp[:m] * g^m doubles the powers of g in
@@ -751,11 +751,6 @@ def build_field(p: int, k: int, *, cap: int | None = DEFAULT_ELEM_CAP) -> ExtFie
 def mult_order(x: FieldElement) -> int:
     """Least n >= 1 with x^n = 1; divides p^k - 1."""
     return x.field.mult_order_i(x.value)
-
-
-def frobenius_power(x: FieldElement, e: int) -> FieldElement:
-    """x^(p^e): one table lookup, or one F_p matrix product without tables."""
-    return x.frobenius(e)
 
 
 def find_root_of_unity(field: ExtField, n: int) -> FieldElement:

@@ -31,7 +31,7 @@ is a shift, so the orbits are counted by integer arithmetic on the logs.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,14 +66,6 @@ LIFT_ORDER_CAP = 128
 _LANG_TRIES = 64
 
 
-def _normalize_point(F: ExtField, pt):
-    for c in pt:
-        if c:
-            inv = F.inv_i(c)
-            return tuple(F.mul_i(inv, x) for x in pt)
-    raise ValueError("zero vector is not a projective point")
-
-
 @dataclass(frozen=True)
 class CyclicAction:
     """A projective cyclic automorphism of the Hermitian (Fermat) model."""
@@ -81,7 +73,6 @@ class CyclicAction:
     sqrt_q: int
     order: int
     matrix: ProjMatrix                  # over F_q, entrywise rational
-    triangle: tuple                     # three normalized fixed points over F_{q^3}
     frame: ProjMatrix                   # kappa over F_{q^3}; kappa matrix kappa^-1 is
     root: int                           # diag(root, root^s, 1) up to scalar (packed)
 
@@ -99,11 +90,11 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     order n in F_{q^3} and kappa the Singer frame (singer_frame); the
     conjugate is rescaled by its first nonzero entry, which must land every
     entry in F_q.  The returned action is verified to preserve the Fermat
-    polynomial up to scalar and to have exact projective order n.  Its
-    triangle is the columns of kappa^-1, fixed by construction since they
-    are eigenvectors of the conjugate.  Frobenius 3-cycles the triangle, so
-    no triangle point is rational, exactly when kappa (kappa^(q))^-1 is a
-    scalar times a 3-cycle, which trace_line_histogram checks.
+    polynomial up to scalar and to have exact projective order n, so its
+    power t^(n/d) has exact order d for every d | n.  The fixed points are
+    the columns of kappa^-1 and are not stored; Frobenius 3-cycles them, so
+    none is rational, exactly when kappa (kappa^(q))^-1 is a scalar times a
+    3-cycle, which trace_line_histogram checks.
     """
     p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
@@ -117,8 +108,7 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
         [[lam, 0, 0], [0, lam**sqrt_q, 0], [0, 0, 1]],
         check=False,
     )
-    kinv = kappa.inverse()
-    raw = kinv @ diag @ kappa
+    raw = kappa.inverse() @ diag @ kappa
     pivot = next(x for row in raw.rows for x in row if x)
     t3 = raw.scale(Fq3.inv_i(pivot))
     back = embed(Fq, Fq3)
@@ -128,11 +118,7 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     if fermat.compose_linear(t).proportional_to(fermat) is None:
         raise ConsistencyError("action does not preserve the Fermat model")
     _check_projective_order(t, n)
-    triangle = tuple(
-        _normalize_point(Fq3, tuple(kinv.rows[r][i] for r in range(3)))
-        for i in range(3)
-    )
-    return CyclicAction(sqrt_q, n, t, triangle, kappa, lam.value)
+    return CyclicAction(sqrt_q, n, t, kappa, lam.value)
 
 
 def _check_projective_order(t: ProjMatrix, n: int):
@@ -141,21 +127,6 @@ def _check_projective_order(t: ProjMatrix, n: int):
     for ell in factorize(n):
         if t.pow(n // ell).is_scalar():
             raise ConsistencyError("automorphism has smaller projective order than expected")
-
-
-def subgroup_action(action: CyclicAction, d: int) -> CyclicAction:
-    """The order-d subgroup generator (the (n/d)-th power), same triangle."""
-    n = action.order
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide the action order {n}")
-    mat = action.matrix.pow(n // d) if d < n else action.matrix
-    if d == 1:
-        mat = identity_matrix(action.field)
-    sub = replace(action, order=d, matrix=mat,
-                  root=action.frame.field.pow_i(action.root, n // d))
-    if d > 1:
-        _check_projective_order(mat, d)
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +466,6 @@ class FiberReport:
     k: int
     total_points: int
     histogram: dict
-    fixed_points: tuple
-    ok: bool
 
 
 def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
@@ -531,8 +500,7 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
             f"expected {d}")
     histogram = {1: 3}                  # the fundamental points
     histogram[d] = histogram.get(d, 0) + sizes.size
-    fixed = ((0, 0, 1), (0, 1, 0), (1, 0, 0)) if d > 1 else ()
-    return FiberReport(sqrt_q, d, k, 3 + u.size, histogram, fixed, True)
+    return FiberReport(sqrt_q, d, k, 3 + u.size, histogram)
 
 
 def _cyclic_model_points(sqrt_q: int, F: ExtField) -> tuple[np.ndarray, np.ndarray]:

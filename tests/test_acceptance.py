@@ -6,12 +6,41 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or via
 the CLI as `maxcurves verify-paper`.
 """
 
+import ast
 import itertools
 import time
+from pathlib import Path
 
 import pytest
 
+from maxcurves import verification
 from maxcurves.verification import CRITERIA, _run, check_hermitian_counts
+
+
+def _private_reads(source: str) -> list[str]:
+    """The _-prefixed names that the module imports from maxcurves or reads
+    as attributes of what it imported from there (dunders aside)."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "maxcurves"):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "maxcurves":
+                    imported.add(alias.asname or "maxcurves")
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in imported:
+            found += [a for a in chain if a.startswith("_") and not a.startswith("__")]
+    return found
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[name for name, _ in CRITERIA])
@@ -21,6 +50,16 @@ def test_acceptance_criterion(name, fn):
     if result.skipped:
         pytest.skip(result.detail)
     assert result.passed, result.detail
+
+
+def test_the_battery_reads_no_private_name_of_the_kernel():
+    # the battery checks the package through its public names: a check that
+    # drives a kernel internal re-tests what that kernel's own tests pin
+    assert _private_reads(Path(verification.__file__).read_text()) == []
+    assert _private_reads("from . import counting\ncounting._lift_poly(m, 2)\n") == [
+        "_lift_poly"]
+    assert _private_reads("from .fields import _rref\n") == ["_rref"]
+    assert _private_reads("import maxcurves.counting as c\nc.x._y\n") == ["_y"]
 
 
 def test_hermitian_counts_detail_is_reproducible():

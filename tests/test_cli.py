@@ -295,6 +295,9 @@ def test_usage_errors(capsys):
     assert code == 2 and "needs" in err
     code, _, _ = run_cli(["count", "--model", "hermitian", "--sqrt-q", "6"], capsys)
     assert code == 2  # 6 is not a prime power
+    code, out, err = run_cli(["verify-maximal", "--model", "geer-vlugt", "--p", "3",
+                              "--m", "2", "--r", "1"], capsys)
+    assert (code, out) == (2, "") and "need 1 <= r < m/2" in err  # not maximal at r = m/2
 
 
 @pytest.mark.parametrize("args,flag", [

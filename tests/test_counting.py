@@ -29,7 +29,6 @@ from maxcurves import (
     hermitian_fermat,
     maximality_check,
     quotient_model_rational,
-    singular_points,
 )
 from maxcurves.curves import CurveModel, HomPoly3, ProjMatrix, apply_coord_change
 from maxcurves.fields import ExtField, FPoly, build_field, poly_roots
@@ -81,7 +80,7 @@ def test_quotient_model_rational_singular_points_are_nodes():
     from maxcurves.counting import tangent_cone_data
 
     m = quotient_model_rational(5)
-    sing = singular_points(m)
+    sing = count_projective_points(m).singular_points
     assert len(sing) == 7
     assert (1, 1, 1) in sing
     for pt in sing:
@@ -90,17 +89,17 @@ def test_quotient_model_rational_singular_points_are_nodes():
 
 
 def test_smooth_models_have_no_singular_points():
-    assert singular_points(hermitian_fermat(5)) == []
-    assert singular_points(hermitian_fermat(5), 2) == []
-    assert singular_points(hermitian_fermat(3), 3) == []
-    assert singular_points(hermitian_canonical(5)) == []
-    assert singular_points(hermitian_canonical(3), 2) == []
+    assert count_projective_points(hermitian_fermat(5)).singular_points == ()
+    assert count_projective_points(hermitian_fermat(5), 2).singular_points == ()
+    assert count_projective_points(hermitian_fermat(3), 3).singular_points == ()
+    assert count_projective_points(hermitian_canonical(5)).singular_points == ()
+    assert count_projective_points(hermitian_canonical(3), 2).singular_points == ()
 
 
 def test_envelope_singular_locus_is_the_triangle():
     from maxcurves import envelope_model
 
-    sing = set(singular_points(envelope_model(5)))
+    sing = set(count_projective_points(envelope_model(5)).singular_points)
     assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= sing
 
 
@@ -190,14 +189,16 @@ def _expanded_sweep(poly, L):
     return pts + [(0, 1, z) for z in inf.tolist()] + [(0, 0, 1)] * origin, total
 
 
-@pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 5000)])
+@pytest.mark.parametrize("k,block", [(1, 7), (1, 100), (2, 625), (2, 4375), (2, 5000),
+                                     (2, 18750)])
 def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
-    # y-blocks of one row and of several rows give the same zeros in the
-    # same order as one pass over the orbit rows; the kernel covers one row
-    # per orbit of v -> v^5 on the affine chart once and the line at
-    # infinity (one more row) once
+    # y-blocks of one row and of several rows (1, 7, 8 and 30 rows of
+    # F_625) give the same zeros in the same order as one pass over the
+    # orbit rows; the kernel covers one row per orbit of v -> v^5 on the
+    # affine chart once and the line at infinity (one more row) once
     poly, L = counting._lift_poly(hermitian_fermat(5), k)
-    rows = np.flatnonzero(counting._frobenius_orbits(poly, L)[2])
+    _, _, least, orbit_size = counting._frobenius_orbits(poly, L)
+    rows = np.flatnonzero(least)
     monkeypatch.setattr(counting, "_SWEEP_BLOCK", 1 << 40)
     want = counting._sweep_zeros(poly, L, rows)
     pts, total = _expanded_sweep(poly, L)
@@ -215,6 +216,12 @@ def test_sweep_blocks_keep_the_sweep_order(monkeypatch, k, block):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert sum(sizes) == (_necklaces(5, 2 * k) + 1) * L.order
     assert max(sizes) <= max(block, L.order)
+    # every row in the same blocks: its zeros in the orbit rows are the
+    # orbit sweep's, and it finds as many as the total weighted by orbit size
+    all_y, all_z, _ = counting._sweep_zeros(poly, L, np.arange(L.order))
+    kept = least[all_y]
+    assert np.array_equal(all_y[kept], want[0]) and np.array_equal(all_z[kept], want[1])
+    assert all_y.size == int(orbit_size[want[0]].sum())
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -289,6 +296,30 @@ def _reference_sweep_zeros(poly, L):
     return affine + _scalar_line_at_infinity(poly, L)
 
 
+def _geer_vlugt_form(p, m, r):
+    # the constructor's form, sum_{i<=r} y^(p^i) z^(s+1-p^i) = b x^(s+1) with
+    # b the least nonzero root of X^s + X, at any 1 <= r <= m/2: the
+    # constructor refuses r = m/2, where the curve is not maximal, but the
+    # singular form stays a sweep input
+    F, s = build_field(p, m), p ** (m // 2)
+    b = next(v for v in range(1, F.order) if F.add_i(F.pow_i(v, s), v) == 0)
+    terms = {(0, p**i, s + 1 - p**i): 1 for i in range(r + 1)}
+    terms[(s + 1, 0, 0)] = F.neg_i(b)
+    return CurveModel(HomPoly3(F, terms), "geer-vlugt", s, params=(p, m, r))
+
+
+def _case_model(tag, build, args):
+    if tag == "geer-vlugt" and 2 * args[2] == args[1]:
+        return _geer_vlugt_form(*args)
+    return build(*args)
+
+
+def test_geer_vlugt_form_is_the_constructors():
+    for args in ((2, 4, 1), (3, 4, 1), (2, 6, 1), (2, 6, 2)):
+        form, model = _geer_vlugt_form(*args), geer_vlugt_curve(*args)
+        assert (form.poly, form.tag()) == (model.poly, model.tag())
+
+
 def _sweep_cases():
     # every model tag at sqrt_q <= 5 (the t-tags at one nontrivial t each),
     # the geer-vlugt triples of the curve tests, k = 1, 2 up to 625 elements
@@ -303,7 +334,7 @@ def _sweep_cases():
                     (3, 4, 2), (5, 2, 1)]
         for a in args:
             try:
-                models.append((tag, a, build(*a)))
+                models.append((tag, a, _case_model(tag, build, a)))
             except ValueError:     # envelope, quotient and chain constraints
                 pass
     return [pytest.param(m, k, id=f"{tag}-{'-'.join(map(str, a))}-k{k}")
@@ -487,7 +518,7 @@ def _model_cases(ks):
             args = [(2, 4, 1), (2, 4, 2), (3, 4, 1), (2, 6, 1)]
         for a in args:
             try:
-                model = build(*a)
+                model = _case_model(tag, build, a)
             except ValueError:     # envelope, quotient and chain constraints
                 continue
             cases += [pytest.param(model, k, id=f"{tag}-{'-'.join(map(str, a))}-k{k}")

@@ -25,18 +25,22 @@ from maxcurves import (
     lang_solve,
     linear_series_dim,
     quotient_model_rational,
-    subgroup_action,
     twisted_fixed_count,
 )
 from maxcurves import quotients
-from maxcurves._intfactor import divisors, split_prime_power
+from maxcurves._intfactor import divisors, factorize, split_prime_power
 from maxcurves.counting import extension_count_prediction
 from maxcurves.curves import ProjMatrix, cyclic_poly
-from maxcurves.quotients import (
-    FiberReport,
-    _normalize_point,
-    identity_matrix,
-)
+from maxcurves.quotients import FiberReport, identity_matrix
+
+
+def _normalize_point(F, pt):
+    # scale a projective point so that its first nonzero coordinate is 1
+    for c in pt:
+        if c:
+            inv = F.inv_i(c)
+            return tuple(F.mul_i(inv, x) for x in pt)
+    raise ValueError("zero vector is not a projective point")
 
 
 def _proj_equal(F, ptA, ptB) -> bool:
@@ -61,19 +65,22 @@ def test_action_preserves_fermat_model():
 
 @pytest.mark.parametrize("sq", [2, 3, 4, 5, 7, 8, 9])
 def test_action_triangle(sq):
+    # the triangle is the columns of kappa^-1, the action's eigenvectors
     act = hermitian_cyclic_action(sq)
-    assert len(act.triangle) == 3
     Fq3 = act.frame.field
+    kinv = act.frame.inverse()
+    triangle = [_normalize_point(Fq3, col) for col in zip(*kinv.rows)]
+    assert len(set(triangle)) == 3
     qfrob = act.field.k
     t3 = act.matrix.map_entries(embed(act.field, Fq3))
     perm = []
-    for pt in act.triangle:
+    for pt in triangle:
         # fixed by the action, moved by Frobenius, not rational
         moved = t3.apply_i(pt)
         assert _normalize_point(Fq3, moved) == pt
         frob = _normalize_point(Fq3, tuple(Fq3.frob_i(c, qfrob) for c in pt))
         assert frob != pt
-        perm.append(act.triangle.index(frob))
+        perm.append(triangle.index(frob))
     # Frobenius is a 3-cycle on the triangle
     assert sorted(perm) == [0, 1, 2] and all(perm[i] != i for i in range(3))
 
@@ -97,16 +104,16 @@ def test_one_singer_frame(sq, monkeypatch):
     assert kappa.rows[0][0] == embed(a.field, kappa.field).apply_i(a.value)
 
 
-def test_subgroup_action():
-    act = hermitian_cyclic_action(5)
-    g3 = subgroup_action(act, 3)
-    assert g3.order == 3
-    assert g3.triangle == act.triangle
-    assert subgroup_action(act, 21).matrix == act.matrix
-    g1 = subgroup_action(act, 1)
-    assert g1.matrix == identity_matrix(act.field)
-    with pytest.raises(ValueError):
-        subgroup_action(act, 5)
+@pytest.mark.parametrize("sq,d", [(sq, d) for sq in (3, 5, 8)
+                                   for d in divisors(sq * sq - sq + 1)])
+def test_subgroup_generator_has_exact_order(sq, d):
+    # the order-d subgroup is generated by t^(n/d): its d-th power is a
+    # scalar and no power d/ell, ell a prime divisor of d, is
+    act = hermitian_cyclic_action(sq)
+    g = act.matrix.pow(act.order // d)
+    assert g.pow(d).is_scalar()
+    assert not any(g.pow(d // ell).is_scalar() for ell in factorize(d))
+    assert (d == 1) == g.is_scalar()
 
 
 def _verify_sample(sol, n_samples=20, seed=1):
@@ -137,8 +144,7 @@ def test_lang_solve_identity():
 
 def test_lang_solve_order3_twist():
     act = hermitian_cyclic_action(5)
-    g3 = subgroup_action(act, 3)
-    sol = lang_solve(g3.matrix, seed=1)
+    sol = lang_solve(act.matrix.pow(7), seed=1)
     assert sol.s % 3 == 0
     assert _verify_sample(sol, n_samples=30)
     # residual identity holds exactly: A^(q) = N A entrywise
@@ -152,7 +158,7 @@ def test_lang_locus_is_a_translated_plane():
     # A maps P^2(F_q) bijectively onto the twisted locus: images of the
     # 651 normalized representatives stay pairwise distinct
     act = hermitian_cyclic_action(5)
-    sol = lang_solve(subgroup_action(act, 3).matrix, seed=2)
+    sol = lang_solve(act.matrix.pow(7), seed=2)
     L = sol.field
     phi = embed(act.field, L)
     q = act.field.order
@@ -180,19 +186,21 @@ def _check_lang_solution(u, seed):
 @pytest.mark.parametrize("sq,d", [(2, 3), (3, 7), (4, 13), (5, 7)])
 def test_lang_solve_every_twist(sq, d):
     # each column of A is a traced vector of the F_q-space v^(q) = N v
-    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    act = hermitian_cyclic_action(sq)
+    g = act.matrix.pow(act.order // d)
     for j in range(1, d):
-        _check_lang_solution(g.matrix.pow(j), j)
+        _check_lang_solution(g.pow(j), j)
 
 
 @pytest.mark.parametrize("sq,d", [(3, 7), (5, 7)])
 def test_lang_solve_every_conjugated_twist(sq, d):
     # the action matrices are symmetric; P^-1 u P, with P rational and not
     # symmetric, gives twists that are not
-    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    act = hermitian_cyclic_action(sq)
+    g = act.matrix.pow(act.order // d)
     P = ProjMatrix(g.field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     for j in range(1, d):
-        _check_lang_solution(P.inverse() @ g.matrix.pow(j) @ P, j)
+        _check_lang_solution(P.inverse() @ g.pow(j) @ P, j)
 
 
 def _scalar_trace_lang_matrix(u, seed):
@@ -234,10 +242,11 @@ def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
     # twists j = 1 .. j_end - 1, every one; the action matrices are
     # symmetric, so conjugating by a non-symmetric rational P is what shows
     # a transposed (j, l) index of the powers of (eN)^-1
-    g = subgroup_action(hermitian_cyclic_action(sq), d)
+    act = hermitian_cyclic_action(sq)
+    g = act.matrix.pow(act.order // d)
     P = ProjMatrix(g.field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     for j in range(1, j_end):
-        u = g.matrix.pow(j)
+        u = g.pow(j)
         if conjugate:
             u = P.inverse() @ u @ P
         assert lang_solve(u, seed=j).matrix == _scalar_trace_lang_matrix(u, j)
@@ -247,30 +256,28 @@ def test_lang_solve_matches_scalar_trace_reference(sq, d, j_end, conjugate):
 def test_lang_solve_at_lift_order_43(j):
     # odd p at a long Frobenius orbit: every twist of (7, 43) lifts to
     # F_{49^43}; the twists next to 0 and to d / 2 stand in for all 42
-    u = subgroup_action(hermitian_cyclic_action(7), 43).matrix.pow(j)
+    u = hermitian_cyclic_action(7).matrix.pow(j)
     sol = _check_lang_solution(u, j)
     assert (sol.s, sol.field.p) == (43, 7)
 
 
 def test_lang_solve_reports_exhausted_draws(monkeypatch):
     monkeypatch.setattr(quotients, "_LANG_TRIES", 0)
-    g7 = subgroup_action(hermitian_cyclic_action(3), 7)
     with pytest.raises(ConsistencyError, match="0 draws"):
-        lang_solve(g7.matrix)
+        lang_solve(hermitian_cyclic_action(3).matrix)
 
 
 def test_twisted_counts_d3():
-    act = hermitian_cyclic_action(5)
-    g3 = subgroup_action(act, 3)
+    g3 = hermitian_cyclic_action(5).matrix.pow(7)
     fermat = hermitian_fermat(5)
     for j in (1, 2):
-        sol = lang_solve(g3.matrix.pow(j), seed=j)
+        sol = lang_solve(g3.pow(j), seed=j)
         assert twisted_fixed_count(sol, fermat) == 21
 
 
 def _twist_solution(sq, d, j):
     act = hermitian_cyclic_action(sq)
-    u = subgroup_action(act, d).matrix.pow(j)
+    u = act.matrix.pow(act.order // d).pow(j)
     return lang_solve(u, seed=j), hermitian_fermat(sq)
 
 
@@ -462,11 +469,11 @@ def test_burnside_matches_the_lang_reference(sq, d):
     # the trace-line N_j against the Lang solve in F_{q^s} and the descent
     # of the twisted form to F_q, twist by twist
     act = hermitian_cyclic_action(sq)
-    g = subgroup_action(act, d)
+    g = act.matrix.pow(act.order // d)
     fermat = hermitian_fermat(sq)
     reference = [count_projective_points(fermat).total]
     for j in range(1, d):
-        sol = lang_solve(g.matrix.pow(j), seed=j)
+        sol = lang_solve(g.pow(j), seed=j)
         reference.append(twisted_fixed_count(sol, fermat))
     assert list(burnside_quotient_count(sq, d).n_js) == reference
 
@@ -507,7 +514,7 @@ def test_burnside_divisibility_and_caps(monkeypatch):
         burnside_quotient_count(5, 5)
     # the lift cap of the reference lang_solve is read when it is called,
     # and it fires before the lift field is built
-    u = subgroup_action(hermitian_cyclic_action(5), 21).matrix
+    u = hermitian_cyclic_action(5).matrix
     s = quotients.lang_twist_order(u)[2]
     assert s > 1
     monkeypatch.setattr(quotients, "LIFT_ORDER_CAP", s)
@@ -594,7 +601,6 @@ def test_fiber_statistics_d3():
     rep = fiber_statistics(5, 3)
     assert rep.total_points == 18126  # 25^3 + 1 + 2*10*125
     assert rep.histogram == {1: 3, 3: 6041}
-    assert set(rep.fixed_points) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_fiber_statistics_d21():
@@ -622,8 +628,7 @@ def _model_points(sqrt_q, F):
 def _walk_fiber_statistics(sqrt_q, d, k=3):
     """Reference fiber statistics: walk each point's orbit under
     (x : y : z) -> (c x : c^s y : z) by field multiplies, c of order d (the
-    method the torus-log keys replaced).  Reports ok = False instead of
-    raising."""
+    method the torus-log keys replaced), with the points it found fixed."""
     F = _cyclic_field(sqrt_q, k)
     lam = find_root_of_unity(F, d).value if d > 1 else 1
     lam_s = F.pow_i(lam, sqrt_q)
@@ -645,9 +650,7 @@ def _walk_fiber_statistics(sqrt_q, d, k=3):
         histogram[size] = histogram.get(size, 0) + 1
         if size < d:
             fixed.append(rep)
-    ok = d == 1 or (set(fixed) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-                    and all(sz in (1, d) for sz in histogram))
-    return FiberReport(sqrt_q, d, k, len(pts), histogram, tuple(sorted(fixed)), ok)
+    return FiberReport(sqrt_q, d, k, len(pts), histogram), sorted(fixed)
 
 
 _FIBER_CASES = ([(s, d, 3) for s in (2, 3, 4) for d in divisors(s * s - s + 1)]
@@ -658,7 +661,10 @@ _FIBER_CASES = ([(s, d, 3) for s in (2, 3, 4) for d in divisors(s * s - s + 1)]
 @pytest.mark.parametrize("sqrt_q,d,k", _FIBER_CASES)
 def test_fiber_statistics_match_orbit_walk(sqrt_q, d, k):
     rep = fiber_statistics(sqrt_q, d, k)
-    ref = _walk_fiber_statistics(sqrt_q, d, k)
+    ref, fixed = _walk_fiber_statistics(sqrt_q, d, k)
+    # the action is free off the three fundamental points, which it fixes
+    assert fixed == ([(0, 0, 1), (0, 1, 0), (1, 0, 0)] if d > 1 else [])
+    assert set(ref.histogram) <= {1, d}
     assert rep == ref
     assert list(rep.histogram.items()) == list(ref.histogram.items())
 
@@ -686,7 +692,7 @@ def test_fiber_statistics_rejects_a_missing_point(monkeypatch):
         fiber_statistics(5, 3)
     # the walk cannot see the gap: the missing point's orbit-mates still
     # walk an orbit of size d
-    assert _walk_fiber_statistics(5, 3).histogram == {1: 3, 3: 6041}
+    assert _walk_fiber_statistics(5, 3)[0].histogram == {1: 3, 3: 6041}
 
 
 def _elimination_points(sqrt_q, F):

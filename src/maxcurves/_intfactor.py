@@ -8,6 +8,8 @@ Everything is exact.
 
 from __future__ import annotations
 
+import math
+
 from .errors import CapError
 
 # A composite n that is a strong probable prime to every base is at least
@@ -92,6 +94,14 @@ def euler_phi(n: int) -> int:
     for p in factorize(n):
         out -= out // p
     return out
+
+
+def exact_isqrt(q: int) -> int:
+    """The s with s * s == q, or ValueError when q is not a square."""
+    s = math.isqrt(q)
+    if s * s != q:
+        raise ValueError(f"{q} is not a square")
+    return s
 
 
 def split_prime_power(n: int) -> tuple[int, int]:

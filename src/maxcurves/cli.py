@@ -16,11 +16,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, asdict
 
 from ._intfactor import divisors
 from .cache import ResultsCache
 from .counting import (
+    CountReport,
     count_projective_points,
     maximality_check,
 )
@@ -57,24 +57,6 @@ from .verification import CRITERIA, run_battery
 
 
 FORMATS = ("json", "csv", "table")
-
-
-@dataclass
-class CensusRow:
-    sqrt_q: int
-    d: int
-    genus: int
-    expected: int
-    measured: int
-    dim_d: int
-    method: str
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-CENSUS_COLUMNS = ("sqrt_q", "d", "genus", "expected", "measured", "dim_d", "method", "verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +110,7 @@ def emit(payload, fmt: str):
             for k in sorted(payload):
                 out.write(f"{k.ljust(width)}  {payload[k]}\n")
         return
-    cols = CENSUS_COLUMNS if set(CENSUS_COLUMNS) <= set(payload[0]) else sorted(payload[0])
+    cols = list(payload[0])
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(cols)
@@ -180,15 +162,9 @@ def cmd_count(args, cache):
 def cmd_verify_maximal(args, cache):
     model = make_model(args.model, args)
     report_d = _cached_count(model, 1, cache)
-    from .counting import CountReport
-
     report = CountReport(**{**report_d, "singular_points": tuple(
         tuple(p) for p in report_d["singular_points"])})
-    genus = args.genus
-    if genus is None:
-        if model.expected_genus is None:
-            raise ValueError("model has no attached genus; pass --genus")
-        genus = int(model.expected_genus)
+    genus = model.expected_genus if args.genus is None else args.genus
     verdict = maximality_check(report, genus)
     payload = {"count": report_d, "verdict": verdict.to_dict()}
     return payload, verdict.verdict == "maximal"
@@ -210,26 +186,25 @@ def cmd_census(args, cache):
     q = sq * sq
     n = q - sq + 1
     singer_frame(sq)     # the d = n row needs F_{q^3}: meet its cap before any row
-    rows: list[CensusRow] = []
+    rows = []
     for d in divisors(n):
         genus = hurwitz_genus(sq, d)
         expected = q + 1 + 2 * genus * sq
         dim_d = linear_series_dim(sq, d)
+        counts = {}     # method -> measured, in row order
         if d == 1:
-            measured = _cached_count(hermitian_canonical(sq), 1, cache)["total"]
-            rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "direct",
-                                  "pass" if measured == expected else "fail"))
-        else:
-            if d == 3:
-                rep = _cached_count(quotient_model_rational(sq), 1, cache)
-                measured = rep["resolved_total"]
-                rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "direct",
-                                      "pass" if measured == expected else "fail"))
-            measured = _cached(cache, {"kind": "burnside", "sqrt_q": sq, "d": d},
-                               lambda: burnside_quotient_count(sq, d))["count"]
-            rows.append(CensusRow(sq, d, genus, expected, measured, dim_d, "burnside",
-                                  "pass" if measured == expected else "fail"))
-    return [r.to_dict() for r in rows], all(r.verdict == "pass" for r in rows)
+            counts["direct"] = _cached_count(hermitian_canonical(sq), 1, cache)["total"]
+        elif d == 3:
+            rep = _cached_count(quotient_model_rational(sq), 1, cache)
+            counts["direct"] = rep["resolved_total"]
+        if d > 1:
+            counts["burnside"] = _cached(cache, {"kind": "burnside", "sqrt_q": sq, "d": d},
+                                         lambda: burnside_quotient_count(sq, d))["count"]
+        rows += [{"sqrt_q": sq, "d": d, "genus": genus, "expected": expected,
+                  "measured": measured, "dim_d": dim_d, "method": method,
+                  "verdict": "pass" if measured == expected else "fail"}
+                 for method, measured in counts.items()]
+    return rows, all(r["verdict"] == "pass" for r in rows)
 
 
 def cmd_semigroup(args, cache):
@@ -264,8 +239,8 @@ def cmd_verify_paper(args, cache):
     for res in results:
         print(res.line(), file=sys.stderr)
     payload = [
-        {"name": r.name, "passed": r.passed, "skipped": r.skipped,
-         "detail": r.detail, "seconds": round(r.seconds, 3)}
+        {"detail": r.detail, "name": r.name, "passed": r.passed,
+         "seconds": round(r.seconds, 3), "skipped": r.skipped}
         for r in results
     ]
     return payload, all(r.passed or r.skipped for r in results)

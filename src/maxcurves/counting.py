@@ -44,11 +44,11 @@ absolute trace in characteristic 2, with no root finding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._intfactor import exact_isqrt
 from .curves import CurveModel, HomPoly3
 from .fields import (
     ExtField,
@@ -462,9 +462,7 @@ def _sweep_key(pt):
 def hasse_weil_bounds(q: int, g: int) -> tuple[int, int]:
     """(max(0, q+1-2g*sqrt(q)), q+1+2g*sqrt(q)); q must be a square and
     g nonnegative."""
-    s = math.isqrt(q)
-    if s * s != q:
-        raise ValueError(f"{q} is not a square")
+    s = exact_isqrt(q)
     if g < 0:
         raise ValueError("genus is nonnegative")
     return max(0, q + 1 - 2 * g * s), q + 1 + 2 * g * s
@@ -479,8 +477,7 @@ def maximality_check(report: CountReport, g: int) -> MaximalityVerdict:
     """
     q = report.q
     lower, upper = hasse_weil_bounds(q, g)
-    s = math.isqrt(q)
-    raw_lower = q + 1 - 2 * g * s
+    raw_lower = 2 * (q + 1) - upper     # q + 1 - 2g sqrt(q), which may be negative
     if report.k != 1:
         return MaximalityVerdict(g, None, lower, upper, "inconsistent",
                                  "maximality is a statement about k = 1")
@@ -504,18 +501,14 @@ def extension_count_prediction(q: int, g: int, k: int) -> int:
     """Point count over F_{q^k} of a curve maximal over F_q:
     all Frobenius eigenvalues equal -sqrt(q), so the count is
     q^k + 1 - 2g(-sqrt(q))^k."""
-    s = math.isqrt(q)
-    if s * s != q:
-        raise ValueError(f"{q} is not a square")
+    s = exact_isqrt(q)
     return q**k + 1 - 2 * g * (-s) ** k
 
 
 def genus_from_count(n_points: int, q: int) -> int:
     """Solve n = q + 1 + 2g*sqrt(q) for g; errors when g is not a
     nonnegative integer (the curve is then not maximal or the count wrong)."""
-    s = math.isqrt(q)
-    if s * s != q:
-        raise ValueError(f"{q} is not a square")
+    s = exact_isqrt(q)
     delta = n_points - q - 1
     if delta < 0 or delta % (2 * s):
         raise ValueError(f"count {n_points} is not maximal over F_{q}")

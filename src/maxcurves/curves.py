@@ -32,6 +32,7 @@ from .fields import (
     FPoly,
     TABLE_CAP,
     build_field,
+    check_elem_cap,
     embed,
     find_root_of_unity,
     poly_roots,
@@ -616,15 +617,25 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
 
 # -- curve families ----------------------------------------------------------
 
+def check_geer_vlugt(p: int, m: int, r: int) -> None:
+    """Raise ValueError unless (p, m, r) meets the rule of geer_vlugt_curve."""
+    Fp = build_field(p, 1)
+    if (m < 2 or m % 2 or not 1 <= r <= m // 2 or FPoly(Fp, [0, 1]).powmod(
+            m // 2, FPoly(Fp, [1] * (r + 1))) != FPoly(Fp, [1])):
+        raise ValueError(f"(p, m, r) = ({p}, {m}, {r}): need m >= 2 even, r >= 1 and "
+                         "1 + T + ... + T^r dividing T^(m/2) - 1 in F_p[T]")
+
+
 def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
     """Plane model of the fibre-product family: sum_{i<=r} y^(p^i) = b x^(s+1)
-    over F_{p^m}, m even, 1 <= r < m/2, with b nonzero and b^s + b = 0.
-    Genus (p^r-1)s/2.  At r = m/2 the model is not maximal (244 points over
-    F_81 at (3, 4, 2), against 730), so r = m/2 is refused."""
-    if m % 2:
-        raise ValueError("m must be even")
-    if not 1 <= r < m // 2:
-        raise ValueError("need 1 <= r < m/2")
+    over F_{p^m}, s = p^(m/2), b nonzero with b^s + b = 0; genus (p^r-1)s/2.
+    Admitted exactly when m >= 2 is even, r >= 1 and L = 1 + T + ... + T^r
+    divides T^(m/2) - 1 in F_p[T], the (p, m, r) where it is maximal: additive
+    polynomials over F_p commute, so L N = T^(m/2) - 1 gives L(N(y)) = y^s - y,
+    and (x, y) -> (x, N(y)) maps y^s - y = b x^(s+1), Hermitian as
+    b^(s-1) = -1, onto the model, which is then maximal (Lachaud)."""
+    check_elem_cap(p, m)
+    check_geer_vlugt(p, m, r)
     field = build_field(p, m)
     sqrt_q = p ** (m // 2)
     # b is the least nonzero root; poly_roots returns them sorted

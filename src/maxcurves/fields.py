@@ -1007,7 +1007,8 @@ class Embedding:
     images (one product of every digit row with E) and its inverse dict;
     from a larger source, apply_i multiplies by E and preimage applies a
     left inverse of E with an exact check.  A ring homomorphism preserving
-    multiplicative orders.
+    multiplicative orders.  F -> F is the identity by the same construction:
+    X (packed p, 0 if k = 1) is the least root of F's own modulus.
     """
 
     def __init__(self, source: ExtField, target: ExtField):
@@ -1016,9 +1017,6 @@ class Embedding:
         self.source = source
         self.target = target
         self._images = None
-        if source is target:
-            self.gen_image = target.elem(source.p if source.k > 1 else 0)
-            return
         p, a, k = target.p, source.k, target.k
         t, pivots = _rref(target.frob_matrix(a) - np.eye(k, dtype=np.int64), p)
         kernel = t[len(pivots):]
@@ -1068,8 +1066,6 @@ class Embedding:
     def apply_i(self, v: int) -> int:
         if self._images is not None:
             return self._images[v]
-        if self.source is self.target:
-            return v
         vec = np.array(self.source.digits(v), dtype=np.int64)
         return self.target.pack(vec @ self._matrix % self.target.p)
 
@@ -1087,8 +1083,6 @@ class Embedding:
             if x is None:
                 raise ValueError("element is not in the embedded subfield")
             return FieldElement(self.source, x)
-        if self.source is self.target:
-            return y
         p = self.target.p
         vec = np.array(y.coeffs(), dtype=np.int64)
         x = vec @ self._left_inverse % p

@@ -16,7 +16,8 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from itertools import chain
 
-from ._intfactor import check_divisor, split_prime_power
+from ._intfactor import check_divisor, exact_isqrt, split_prime_power
+from .curves import check_geer_vlugt
 from .errors import CapError, ConsistencyError
 from .fields import check_elem_cap
 
@@ -365,9 +366,7 @@ def stohr_voloch_degrees(g: int, deg_d: int, r: int, eps: OrderSequence,
 def dim3_order_inequality(q: int, g: int, eps2: int) -> bool:
     """The dimension-3 constraint on the second order:
     (s+1)(2g-2) + (q+3)(s+1) >= (eps2+1)[(s+1)^2 + s(2g-2)]."""
-    s = math.isqrt(q)
-    if s * s != q:
-        raise ValueError(f"{q} is not a square")
+    s = exact_isqrt(q)
     lhs = (s + 1) * (2 * g - 2) + (q + 3) * (s + 1)
     rhs = (eps2 + 1) * ((s + 1) ** 2 + s * (2 * g - 2))
     return lhs >= rhs
@@ -423,9 +422,7 @@ def classify_genus(q: int, g: int) -> dict:
     ((s-1)(s-2)/6 < g <= (s-1)^2/4), below-window otherwise.  Also flags
     whether g meets the second-order-2 lower bound (q - 2s + 3)/6.
     """
-    s = math.isqrt(q)
-    if s * s != q:
-        raise ValueError(f"{q} is not a square")
+    s = exact_isqrt(q)
     if g < 0:
         raise ValueError("genus is nonnegative")
     top = Fraction(s * (s - 1), 2)
@@ -454,10 +451,7 @@ def classify_genus(q: int, g: int) -> dict:
 
 def geer_vlugt_dim(p: int, m: int, r: int) -> int:
     """Series dimension p^(m/2 - r) + 1 for the fibre-product family."""
-    if m % 2:
-        raise ValueError("m must be even")
-    if not 1 <= r <= m // 2:
-        raise ValueError("need 1 <= r <= m/2")
+    check_geer_vlugt(p, m, r)
     return p ** (m // 2 - r) + 1
 
 

@@ -62,6 +62,21 @@ def test_the_battery_reads_no_private_name_of_the_kernel():
     assert _private_reads("import maxcurves.counting as c\nc.x._y\n") == ["_y"]
 
 
+# the reads of another module's _ name that the package makes on purpose:
+# the sweep kernels read the numpy tables, and quotients eliminates by _rref
+ALLOWED_PRIVATE_READS = {
+    "counting.py": ["_np_tables"],
+    "quotients.py": ["_np_tables", "_rref"],
+}
+
+
+def test_modules_read_only_the_allowed_private_names():
+    package = Path(verification.__file__).parent
+    found = {f.name: _private_reads(f.read_text()) for f in sorted(package.glob("*.py"))}
+    assert "fields.py" in found
+    assert {name: reads for name, reads in found.items() if reads} == ALLOWED_PRIVATE_READS
+
+
 def test_hermitian_counts_detail_is_reproducible():
     # the detail carries no wall time, so identical runs print identical text
     first, second = check_hermitian_counts(), check_hermitian_counts()

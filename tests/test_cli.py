@@ -295,9 +295,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "needs" in err
     code, _, _ = run_cli(["count", "--model", "hermitian", "--sqrt-q", "6"], capsys)
     assert code == 2  # 6 is not a prime power
-    code, out, err = run_cli(["verify-maximal", "--model", "geer-vlugt", "--p", "3",
-                              "--m", "2", "--r", "1"], capsys)
-    assert (code, out) == (2, "") and "need 1 <= r < m/2" in err  # not maximal at r = m/2
+    # not maximal at (3, 2, 1), which has r = m/2, nor at (3, 6, 1): 1 + T does
+    # not divide T^(m/2) - 1 over F_3 at m = 2 or 6
+    for m in ("2", "6"):
+        code, out, err = run_cli(["verify-maximal", "--model", "geer-vlugt", "--p", "3",
+                                  "--m", m, "--r", "1"], capsys)
+        assert (code, out) == (2, "") and "dividing T^(m/2) - 1 in F_p[T]" in err
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -564,6 +567,16 @@ def test_csv_rows_are_as_wide_as_the_header(args, capsys):
     header, *rows = csv.reader(out.splitlines())
     assert rows and all(len(row) == len(header) for row in rows)
     assert any("," in field for row in rows for field in row)
+
+
+def test_list_columns_are_the_row_keys_in_order(capsys):
+    # a list payload's csv and table columns are its rows' keys, in order
+    for fmt in ("csv", "table"):
+        code, out, _ = run_cli(["verify-paper", "--only", "5-riemann-hurwitz-ledger",
+                                "--format", fmt], capsys)
+        assert code == 0
+        assert out.splitlines()[0].split("," if fmt == "csv" else None) == [
+            "detail", "name", "passed", "seconds", "skipped"]
 
 
 def test_readme_flags_are_parser_options():

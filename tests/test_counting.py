@@ -299,8 +299,8 @@ def _reference_sweep_zeros(poly, L):
 def _geer_vlugt_form(p, m, r):
     # the constructor's form, sum_{i<=r} y^(p^i) z^(s+1-p^i) = b x^(s+1) with
     # b the least nonzero root of X^s + X, at any 1 <= r <= m/2: the
-    # constructor refuses r = m/2, where the curve is not maximal, but the
-    # singular form stays a sweep input
+    # constructor refuses the triples where the curve is not maximal, such as
+    # (3, 2, 1), but the singular form stays a sweep input
     F, s = build_field(p, m), p ** (m // 2)
     b = next(v for v in range(1, F.order) if F.add_i(F.pow_i(v, s), v) == 0)
     terms = {(0, p**i, s + 1 - p**i): 1 for i in range(r + 1)}

@@ -22,12 +22,16 @@ from maxcurves import (
     frame_parameter,
     frame_scalars,
     geer_vlugt_curve,
+    geer_vlugt_dim,
+    geer_vlugt_orders,
     hermitian_canonical,
     hermitian_fermat,
     quotient_model_rational,
     quotient_plane_model,
     smooth_cyclic_model,
 )
+from maxcurves import curves
+from maxcurves._intfactor import is_prime
 from maxcurves.curves import (
     HomPoly3,
     cyclic_poly,
@@ -151,8 +155,6 @@ def test_quotient_model_rational_sq5():
 def test_quotient_model_refuses_a_coefficient_outside_f_q(monkeypatch):
     # a scaling constant c that is not a root of X^(s-1) - a leaves the
     # coefficients outside F_q; the descent must refuse them
-    from maxcurves import curves
-
     curves.singer_frame(5)  # the frame parameter's roots come from the real root finder
     monkeypatch.setattr(curves, "poly_roots", lambda f: [(f.field.generator, 1)])
     with pytest.raises(ConsistencyError, match="quotient model does not descend"):
@@ -270,6 +272,9 @@ def test_unit_coefficient_series_fails_the_relation():
     assert rel.coeffs[62] == (-3) % 5
 
 
+GEER_VLUGT_RULE = r"dividing T\^\(m/2\) - 1 in F_p\[T\]$"
+
+
 def test_geer_vlugt_curve():
     m = geer_vlugt_curve(3, 4, 1)
     assert m.field.order == 81
@@ -277,9 +282,11 @@ def test_geer_vlugt_curve():
     assert m.expected_genus == 9
     b = m.field.neg_i(m.poly.terms[(10, 0, 0)])
     assert m.field.add_i(m.field.pow_i(b, 9), b) == 0 and b != 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=GEER_VLUGT_RULE):
         geer_vlugt_curve(3, 5, 1)  # odd m
-    with pytest.raises(ValueError, match=r"^need 1 <= r < m/2$"):
+    with pytest.raises(ValueError, match=r"^\(p, m, r\) = \(3, 4, 3\): need m >= 2 even, "
+                                         r"r >= 1 and 1 \+ T \+ \.\.\. \+ T\^r dividing "
+                                         r"T\^\(m/2\) - 1 in F_p\[T\]$"):
         geer_vlugt_curve(3, 4, 3)  # r > m/2
 
 
@@ -287,9 +294,10 @@ def test_geer_vlugt_curve():
                                    (3, 4, 1), (3, 4, 2), (5, 2, 1)])
 def test_geer_vlugt_b_is_the_least_nonzero_root(p, m, r):
     # reference: the least nonzero v with v^s + v = 0, by scanning the field;
-    # r = m/2 gives no maximal curve and is refused
-    if 2 * r == m:
-        with pytest.raises(ValueError, match=r"^need 1 <= r < m/2$"):
+    # 1 + T + ... + T^r does not divide T^(m/2) - 1 over F_p at the four
+    # triples refused here, and none of them gives a maximal curve
+    if (p, m, r) in {(2, 4, 2), (3, 2, 1), (3, 4, 2), (5, 2, 1)}:
+        with pytest.raises(ValueError, match=GEER_VLUGT_RULE):
             geer_vlugt_curve(p, m, r)
         return
     model = geer_vlugt_curve(p, m, r)
@@ -298,24 +306,38 @@ def test_geer_vlugt_b_is_the_least_nonzero_root(p, m, r):
     assert F.neg_i(model.poly.terms[(s + 1, 0, 0)]) == want
 
 
-def test_every_admitted_geer_vlugt_curve_to_q_81_is_maximal():
-    # every (p, m, r) with p^m <= 81 that the constructor takes: m = 2
-    # admits no r, and (2, 4, 1), (3, 4, 1), (2, 6, 1), (2, 6, 2) remain
-    admitted = []
-    for p in (2, 3, 5, 7):
-        for m in range(2, 7, 2):
-            for r in range(1, m):
-                if p**m > 81:
-                    continue
-                try:
-                    model = geer_vlugt_curve(p, m, r)
-                except ValueError:
-                    assert 2 * r >= m
-                    continue
-                q, s, g = model.field.order, model.sqrt_q, model.expected_genus
-                assert count_projective_points(model).total == q + 1 + 2 * g * s
-                admitted.append((p, m, r))
-    assert admitted == [(2, 4, 1), (2, 6, 1), (2, 6, 2), (3, 4, 1)]
+def test_geer_vlugt_curve_is_admitted_exactly_when_maximal(monkeypatch):
+    # every (p, m, r) with p^m <= 4096 and 1 <= r <= m/2, 47 triples: the
+    # constructor's form, built with the check switched off, has
+    # q + 1 + 2g sqrt(q) points exactly at the triples that the constructor,
+    # geer_vlugt_dim and geer_vlugt_orders admit
+    triples = [(p, m, r) for p in range(2, 65) if is_prime(p)
+               for m in range(2, 13, 2) if p**m <= 4096 for r in range(1, m // 2 + 1)]
+    assert len(triples) == 47
+
+    def admitted_by(fn):
+        out = []
+        for t in triples:
+            try:
+                fn(*t)
+            except ValueError:
+                continue
+            out.append(t)
+        return out
+
+    admitted = admitted_by(geer_vlugt_curve)
+    assert admitted == [(2, 2, 1), (2, 4, 1), (2, 6, 1), (2, 6, 2), (2, 8, 1), (2, 8, 3),
+                        (2, 10, 1), (2, 10, 4), (2, 12, 1), (2, 12, 2), (2, 12, 5),
+                        (3, 4, 1), (3, 6, 2), (5, 4, 1), (7, 4, 1)]
+    assert admitted_by(geer_vlugt_dim) == admitted_by(geer_vlugt_orders) == admitted
+    monkeypatch.setattr(curves, "check_geer_vlugt", lambda p, m, r: None)
+    maximal = []
+    for t in triples:
+        model = geer_vlugt_curve(*t)
+        q, s, g = model.field.order, model.sqrt_q, model.expected_genus
+        if count_projective_points(model).total == q + 1 + 2 * g * s:
+            maximal.append(t)
+    assert maximal == admitted
 
 
 def test_artin_schreier_and_fermat_families():

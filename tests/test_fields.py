@@ -672,6 +672,43 @@ def test_image_list_matches_the_matrix_path(p, a, b):
             phi.preimage(tgt.elem(y))
 
 
+@pytest.mark.parametrize("p,a", [(2, 15), (3, 9)])
+def test_matrix_path_past_the_eager_cap(p, a):
+    # the embeddings that singer_frame makes at sqrt_q = 32 and 27: the
+    # source is past EAGER_TABLE_CAP, so apply_i multiplies by E and
+    # preimage applies a left inverse of E with an exact check
+    src, tgt = build_field(p, a), build_field(p, 2 * a, cap=None)
+    assert src.order > EAGER_TABLE_CAP
+    phi = embed(src, tgt)
+    assert phi._images is None
+    rng = random.Random(p * 1000 + a)
+    for v in [0, 1, p] + [rng.randrange(src.order) for _ in range(50)]:
+        x = src.elem(v)
+        assert phi.apply_i(v) == tgt.pack(
+            np.array(src.digits(v), dtype=np.int64) @ phi._matrix % p)
+        assert phi.preimage(phi(x)) == x
+    outside = [y for y in [p] + [rng.randrange(tgt.order) for _ in range(20)]
+               if tgt.frob_i(y, a) != y]
+    assert p in outside             # X generates the target, a proper extension
+    for y in outside:
+        with pytest.raises(ValueError, match="^element is not in the embedded subfield$"):
+            phi.preimage(tgt.elem(y))
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (2, 15)])
+def test_embedding_into_itself_is_the_identity(p, k):
+    # the general construction, with no same-field branch: X goes to the
+    # least root of F's own modulus, X itself (packed p; 0 in a prime field),
+    # on the image-list path and, for F_(2^15), on the matrix path
+    F = build_field(p, k)
+    phi = embed(F, F)
+    assert phi.gen_image.value == (p if k > 1 else 0)
+    rng = random.Random(p * 100 + k)
+    for v in {0, 1, F.order - 1, *(rng.randrange(F.order) for _ in range(50))}:
+        assert phi.apply_i(v) == v
+        assert phi.preimage(F.elem(v)).value == v
+
+
 def test_embedding_homomorphism_bulk():
     pairs = [(F25, F56), (build_field(3, 2), build_field(3, 4))]
     rng = random.Random(13)

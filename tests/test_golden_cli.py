@@ -68,6 +68,9 @@ GOLDEN = {
     "count-quotient-rational-17": "count --model quotient-rational --sqrt-q 17",
     "verify-maximal-quotient-rational-5": "verify-maximal --model quotient-rational --sqrt-q 5",
     "verify-maximal-envelope-5": "verify-maximal --model envelope --sqrt-q 5",
+    # a fibre product with r > 1: 2049 points over F_256, the Hasse-Weil
+    # bound, and one non-ordinary singular point, so the verdict is inconsistent
+    "verify-maximal-geer-vlugt-2-8-3": "verify-maximal --model geer-vlugt --p 2 --m 8 --r 3",
     "quotient-8-19": "quotient --sqrt-q 8 --d 19",
     "quotient-5-21": "quotient --sqrt-q 5 --d 21",
     "census-2-json": "census --sqrt-q 2",

@@ -404,7 +404,8 @@ def test_classify_genus():
 def test_geer_vlugt_dim_and_orders():
     assert geer_vlugt_dim(3, 4, 1) == 4
     assert geer_vlugt_dim(3, 6, 2) == 4   # the r = m/2 - 1 sharpness case
-    assert geer_vlugt_dim(5, 4, 2) == 2   # r = m/2
+    with pytest.raises(ValueError):
+        geer_vlugt_dim(5, 4, 2)   # 1 + T + T^2 does not divide T^2 - 1 over F_5
     orders = geer_vlugt_orders(3, 4, 1)
     assert orders["base_point"] == (0, 1, 4, 7, 10)
     assert orders["rational"] == (0, 1, 2, 3, 10)

@@ -22,6 +22,7 @@ from .cache import ResultsCache
 from .counting import (
     CountReport,
     count_projective_points,
+    hasse_weil_bounds,
     maximality_check,
 )
 from .curves import (
@@ -189,7 +190,7 @@ def cmd_census(args, cache):
     rows = []
     for d in divisors(n):
         genus = hurwitz_genus(sq, d)
-        expected = q + 1 + 2 * genus * sq
+        expected = hasse_weil_bounds(q, genus)[1]
         dim_d = linear_series_dim(sq, d)
         counts = {}     # method -> measured, in row order
         if d == 1:

@@ -155,8 +155,9 @@ def _frobenius_orbits(poly: HomPoly3, L: ExtField):
     j = next(j for j in range(1, L.k + 1)
              if L.k % j == 0 and all(L.frob_i(c, j) == c for c in coeffs))
     log, _ = _np_tables(L)
-    exp = np.frombuffer(L._exp, dtype=np.int32)
-    sigma = exp[log.astype(np.int64) * p**j % n].astype(np.int64)
+    exp = np.empty(n, dtype=np.int64)     # the inverse of log on the nonzero values
+    exp[log[1:]] = np.arange(1, L.order)
+    sigma = exp[log.astype(np.int64) * p**j % n]
     sigma[0] = 0
     m = L.k // j
     values = np.arange(L.order)

@@ -209,10 +209,7 @@ class ProjMatrix:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: ExtField, rows, *, check: bool = True):
-        packed = tuple(
-            tuple(c.value if isinstance(c, FieldElement) else field.elem(c).value for c in r)
-            for r in rows
-        )
+        packed = tuple(tuple(field.elem(c).value for c in r) for r in rows)
         if len(packed) != 3 or any(len(r) != 3 for r in packed):
             raise ValueError("expected a 3x3 matrix")
         self.field = field
@@ -533,10 +530,7 @@ def apply_coord_change(model: CurveModel, mat: ProjMatrix) -> CurveModel:
     over a subfield of M's field is lifted to it first."""
     poly = model.poly
     if mat.field is not poly.field:
-        if mat.field.k % poly.field.k == 0 and mat.field.p == poly.field.p:
-            poly = poly.map_coefficients(embed(poly.field, mat.field))
-        else:
-            raise ValueError("incompatible fields for coordinate change")
+        poly = poly.map_coefficients(embed(poly.field, mat.field))
     if mat.det().value == 0:
         raise ValueError("singular coordinate change")
     new_poly = poly.compose_linear(mat)

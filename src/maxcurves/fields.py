@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -484,6 +485,9 @@ class ExtField:
     # -- element constructors -------------------------------------------------
 
     def elem(self, v) -> FieldElement:
+        """The element v of this field: a FieldElement of this field (another
+        field's raises ValueError), an int (a packed value when in
+        [0, order), otherwise reduced mod p), or a digit sequence."""
         if isinstance(v, FieldElement):
             if v.field is not self:
                 raise ValueError("element of a different field")
@@ -783,14 +787,7 @@ class FPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: ExtField, coeffs):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field is not field:
-                    raise ValueError("coefficient from a different field")
-                vals.append(c.value)
-            else:
-                vals.append(field.elem(c).value)
+        vals = [field.elem(c).value for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.field = field
@@ -821,8 +818,13 @@ class FPoly:
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))
 
+    def _field_with(self, other: FPoly) -> ExtField:
+        if other.field is not self.field:
+            raise ValueError("mixed-field arithmetic")
+        return self.field
+
     def __add__(self, other):
-        F = self.field
+        F = self._field_with(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -832,14 +834,14 @@ class FPoly:
         return FPoly._raw(F, out)
 
     def __sub__(self, other):
-        F = self.field
+        F = self._field_with(other)
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] = F.sub_i(out[i], c)
         return FPoly._raw(F, out)
 
     def __mul__(self, other):
-        F = self.field
+        F = self._field_with(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return FPoly._raw(F, [])
@@ -856,7 +858,7 @@ class FPoly:
         return FPoly._raw(F, [F.mul_i(x, c) for x in self.coeffs])
 
     def divmod(self, other: FPoly):
-        F = self.field
+        F = self._field_with(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         a = list(self.coeffs)
@@ -1101,14 +1103,9 @@ class Embedding:
                 f"{what} does not descend to F_{self.source.order}") from None
 
 
-_EMBED_CACHE: dict[tuple[int, int, int], Embedding] = {}
-
-
+@lru_cache(maxsize=None)
 def embed(source: ExtField, target: ExtField) -> Embedding:
-    key = (source.p, source.k, target.k)
-    got = _EMBED_CACHE.get(key)
-    if got is None:
-        got = Embedding(source, target)
-        _EMBED_CACHE[key] = got
-    return got
+    """The Embedding source -> target, one per (p, source.k, target.k): an
+    ExtField hashes and compares by (p, k)."""
+    return Embedding(source, target)
 

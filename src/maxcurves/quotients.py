@@ -39,7 +39,7 @@ import numpy as np
 
 from ._intfactor import check_divisor, euler_phi, factorize, is_prime, split_prime_power
 from .errors import CapError, ConsistencyError
-from .counting import count_projective_points
+from .counting import count_projective_points, hasse_weil_bounds
 from .curves import (
     CurveModel,
     HomPoly3,
@@ -364,7 +364,6 @@ def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
     Raises ConsistencyError if either check fails.
     """
     n = check_divisor(sqrt_q, d)
-    q = sqrt_q * sqrt_q
     m = n // d
     hist = trace_line_histogram(sqrt_q)   # meets the F_{q^3} element cap before the sweep
     n0 = count_projective_points(hermitian_fermat(sqrt_q)).total
@@ -377,7 +376,7 @@ def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
     if kummer != count:
         raise ConsistencyError(f"Kummer count {kummer} differs from the Burnside count {count}")
     genus = hurwitz_genus(sqrt_q, d)
-    expected = q + 1 + 2 * genus * sqrt_q
+    expected = hasse_weil_bounds(sqrt_q * sqrt_q, genus)[1]
     return BurnsideReport(sqrt_q, d, tuple(n_js), total, count, genus, expected,
                           count == expected)
 

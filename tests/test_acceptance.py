@@ -77,6 +77,21 @@ def test_modules_read_only_the_allowed_private_names():
     assert {name: reads for name, reads in found.items() if reads} == ALLOWED_PRIVATE_READS
 
 
+def _table_reads(source: str) -> set[str]:
+    """The ExtField table attributes (_exp, _log, _zech) the source reads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log", "_zech")}
+
+
+def test_only_fields_reads_the_table_storage():
+    # the doubled int32 memoryviews are the storage of fields alone; other
+    # modules read the tables through _np_tables or the ExtField methods
+    package = Path(verification.__file__).parent
+    assert {f.name for f in package.glob("*.py") if _table_reads(f.read_text())} == {
+        "fields.py"}
+    assert _table_reads("exp = np.frombuffer(L._exp)\nF.x._zech[0]\n") == {"_exp", "_zech"}
+
+
 def test_hermitian_counts_detail_is_reproducible():
     # the detail carries no wall time, so identical runs print identical text
     first, second = check_hermitian_counts(), check_hermitian_counts()

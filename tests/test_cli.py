@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import maxcurves
-from maxcurves import counting, curves, semigroups
+from maxcurves import ConsistencyError, cli, counting, curves, semigroups
 from maxcurves.cache import ResultsCache, content_key
 from maxcurves.cli import MODELS, build_parser, emit, main
 
@@ -118,6 +118,17 @@ def test_the_element_cap_refuses_before_any_work(argv, monkeypatch, capsys):
     monkeypatch.setattr(counting, "_sweep_zeros", no_work)
     monkeypatch.setattr(curves, "frame_parameter", no_work)
     assert run_cli(argv, capsys) == (2, "", f"error: field size 2^42 exceeds cap {2**40}\n")
+
+
+def test_a_consistency_failure_exits_1(monkeypatch, capsys):
+    # a failed internal cross-check prints one line on stderr, nothing on
+    # stdout, and exits 1, apart from the exit 2 of bad input
+    def fail(sqrt_q, d):
+        raise ConsistencyError(f"Kummer count 0 differs from the Burnside count {sqrt_q * d}")
+
+    monkeypatch.setattr(cli, "burnside_quotient_count", fail)
+    assert run_cli(["quotient", "--sqrt-q", "5", "--d", "3"], capsys) == (
+        1, "", "consistency failure: Kummer count 0 differs from the Burnside count 15\n")
 
 
 @pytest.mark.parametrize("sqrt_q", ["9", "11", "13", "16"])

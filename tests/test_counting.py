@@ -31,7 +31,7 @@ from maxcurves import (
     quotient_model_rational,
 )
 from maxcurves.curves import CurveModel, HomPoly3, ProjMatrix, apply_coord_change
-from maxcurves.fields import ExtField, FPoly, build_field, poly_roots
+from maxcurves.fields import ExtField, FPoly, build_field, embed, poly_roots
 
 
 HERMITIAN_COUNTS = {2: 9, 3: 28, 5: 126, 7: 344, 8: 513, 9: 730}
@@ -147,6 +147,18 @@ def test_maximality_verdicts():
     quot = count_projective_points(quotient_model_rational(5))
     assert maximality_check(quot, 3).verdict == "maximal"
     assert maximality_check(quot, 3).count_used == 56
+
+
+def test_minimal_verdict_of_the_hermitian_curve_over_f_16():
+    # y^2 + y = x^3 is maximal over F_4 (9 = 4 + 1 + 2 * 1 * 2), so its
+    # Frobenius over F_16 has both eigenvalues (-2)^2 = 4: read over F_16 as
+    # a genus-1 model with sqrt_q = 4, its 9 points are 16 + 1 - 2 * 1 * 4
+    herm = hermitian_canonical(2)
+    lifted = herm.poly.map_coefficients(embed(herm.field, build_field(2, 4)))
+    rep = count_projective_points(CurveModel(lifted, "hermitian-over-f16", 4, (), 1))
+    assert (rep.q, rep.total, rep.singular) == (16, 9, 0)
+    v = maximality_check(rep, 1)
+    assert (v.verdict, v.count_used, v.lower, v.upper) == ("minimal", 9, 9, 25)
 
 
 def test_maximality_rejects_unresolved_and_k2():

@@ -142,6 +142,28 @@ def test_apply_coord_change_identity_and_degree():
         apply_coord_change(model, ProjMatrix(F, [[1, 0, 0], [1, 0, 0], [0, 0, 1]], check=False))
 
 
+def test_apply_coord_change_refuses_a_matrix_over_a_non_extension():
+    # hermitian_canonical(5) is over F_25, and F_25 is no subfield of F_125
+    # nor of F_(2^4): the lift to the matrix's field is refused by embed
+    model = hermitian_canonical(5)
+    for F in (build_field(5, 3), build_field(2, 4)):
+        with pytest.raises(ValueError, match="^no embedding: need same p"):
+            apply_coord_change(model, identity_matrix(F))
+
+
+def test_proj_matrix_refuses_another_fields_element():
+    # an F_25 element is not its packed value in F_625 (the image of 5, the
+    # class of X, is 25 there) and has no packed value in F_5 at all: each
+    # entry goes through ExtField.elem, which refuses it
+    F5, F25, F625 = build_field(5, 1), build_field(5, 2), build_field(5, 4)
+    assert embed(F25, F625).apply_i(5) == 25
+    for F in (F5, F625):
+        with pytest.raises(ValueError, match="^element of a different field$"):
+            ProjMatrix(F, [[F25.elem(5), 0, 0], [0, 1, 0], [0, 0, 1]])
+    lifted = embed(F25, F625)(F25.elem(5))
+    assert ProjMatrix(F625, [[lifted, 0, 0], [0, 1, 0], [0, 0, 1]]).rows[0][0] == 25
+
+
 def test_quotient_model_rational_sq5():
     m = quotient_model_rational(5)
     assert m.field.order == 25

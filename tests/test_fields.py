@@ -780,6 +780,40 @@ def test_element_operators_across_fields_and_ints(p, k):
             other * a
 
 
+def test_fpoly_refuses_another_fields_coefficient():
+    # a coefficient goes through ExtField.elem, as an int or a FieldElement
+    F625 = build_field(5, 4)
+    with pytest.raises(ValueError, match="^element of a different field$"):
+        FPoly(F625, [F25.elem(7), 1])
+    assert FPoly(F625, [F625.elem(7), 1]) == FPoly(F625, [7, 1])
+
+
+@pytest.mark.parametrize("other", [build_field(5, 4), ExtField(5, 2, F25.modulus)],
+                         ids=["F625", "twin"])
+def test_fpoly_arithmetic_refuses_another_fields_polynomial(other):
+    # +, -, * and divmod refuse a polynomial over another field object, an
+    # equal-(p, k) twin included; %, //, gcd and powmod go through them
+    f, g = FPoly(F25, [7, 1]), FPoly(other, [7, 1])
+    ops = (operator.add, operator.sub, operator.mul, operator.mod, operator.floordiv,
+           FPoly.divmod, FPoly.gcd, lambda a, b: a.powmod(3, b))
+    for op in ops:
+        for x, y in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="^mixed-field arithmetic$"):
+                op(x, y)
+
+
+def test_embed_returns_one_object_per_p_and_degrees():
+    # embed memoizes by (p, source.k, target.k): an ExtField hashes and
+    # compares by (p, k), so a test-built twin of either field finds the
+    # embedding that the cached fields made
+    F625 = build_field(5, 4)
+    phi = embed(F25, F625)
+    assert embed(build_field(5, 2), build_field(5, 4)) is phi
+    twin_src, twin_tgt = ExtField(5, 2, F25.modulus), ExtField(5, 4, F625.modulus)
+    assert embed(twin_src, F625) is embed(F25, twin_tgt) is embed(twin_src, twin_tgt) is phi
+    assert embed(F25, F56) is not phi
+
+
 def test_element_never_equals_an_int():
     # an int compares unequal, so == stays consistent with __hash__
     assert F5.elem(3) != 3

@@ -7,8 +7,9 @@ fills a form in: quotient_model_rational(32) has 505.  Coordinate changes
 cyclic model and the Hermitian curve, and express the degree-3 quotient
 curve over F_q; local data at a point comes from HomPoly3.hasse.
 
-Each model constructor builds over the one field that sqrt_q fixes: F_q,
-or F_{s^3} for the frame and smooth cyclic models.  To lift a model, use
+Each model constructor builds over the one field that sqrt_q fixes, from
+tower_field(sqrt_q, j) = F_(s^j): F_q, or F_{s^3} for the frame and smooth
+cyclic models.  To lift a model, use
 poly.map_coefficients(embed(model.field, L)); apply_coord_change lifts a
 model to the field of its matrix.
 
@@ -20,7 +21,7 @@ frame parameter a; every construction that works in that frame reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from ._intfactor import check_divisor, split_prime_power
@@ -101,9 +102,8 @@ class HomPoly3:
         return HomPoly3(F, {e: F.mul_i(cv, v) for e, v in self.terms.items()})
 
     def map_coefficients(self, emb: Embedding) -> HomPoly3:
-        if emb.source is not self.field:
-            raise ValueError("embedding source differs from polynomial field")
-        return HomPoly3(emb.target, {e: emb.apply_i(c) for e, c in self.terms.items()})
+        lifted = emb.lift_i(self.field, self.terms.values())
+        return HomPoly3(emb.target, dict(zip(self.terms, lifted)))
 
     def __eq__(self, other):
         return (
@@ -204,18 +204,16 @@ class HomPoly3:
 
 
 class ProjMatrix:
-    """Invertible 3x3 matrix over an ExtField (rows of packed values)."""
+    """3x3 matrix over an ExtField (rows of packed values); it may be singular."""
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field: ExtField, rows, *, check: bool = True):
+    def __init__(self, field: ExtField, rows):
         packed = tuple(tuple(field.elem(c).value for c in r) for r in rows)
         if len(packed) != 3 or any(len(r) != 3 for r in packed):
             raise ValueError("expected a 3x3 matrix")
         self.field = field
         self.rows = packed
-        if check and self.det().value == 0:
-            raise ValueError("matrix is singular")
 
     def det(self) -> FieldElement:
         F = self.field
@@ -244,9 +242,7 @@ class ProjMatrix:
             [s(m(d, h), m(e, g)), s(m(b, g), m(a, h)), s(m(a, e), m(b, d))],
         ]
         dinv = F.inv_i(self.det().value)
-        return ProjMatrix(
-            self.field, [[m(x, dinv) for x in row] for row in cof], check=False
-        )
+        return ProjMatrix(self.field, [[m(x, dinv) for x in row] for row in cof])
 
     def __matmul__(self, other):
         if isinstance(other, ProjMatrix):
@@ -264,7 +260,7 @@ class ProjMatrix:
                 ]
                 for r in range(3)
             ]
-            return ProjMatrix(self.field, rows, check=False)
+            return ProjMatrix(self.field, rows)
         return NotImplemented
 
     def apply_i(self, pt: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -278,7 +274,7 @@ class ProjMatrix:
         )
 
     def pow(self, e: int) -> ProjMatrix:
-        result = ProjMatrix(self.field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], check=False)
+        result = identity_matrix(self.field)
         base = self
         while e:
             if e & 1:
@@ -291,24 +287,18 @@ class ProjMatrix:
     def scale(self, c) -> ProjMatrix:
         cv = self.field.elem(c).value
         F = self.field
-        return ProjMatrix(
-            self.field, [[F.mul_i(cv, x) for x in r] for r in self.rows], check=False
-        )
+        return ProjMatrix(self.field, [[F.mul_i(cv, x) for x in r] for r in self.rows])
 
     def frobenius(self, e: int = 1) -> ProjMatrix:
         F = self.field
-        return ProjMatrix(
-            self.field, [[F.frob_i(x, e) for x in r] for r in self.rows], check=False
-        )
+        return ProjMatrix(self.field, [[F.frob_i(x, e) for x in r] for r in self.rows])
 
     def is_scalar(self) -> bool:
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         return b == c == d == f == g == h == 0 and a == e == i != 0
 
     def map_entries(self, emb: Embedding) -> ProjMatrix:
-        return ProjMatrix(
-            emb.target, [[emb.apply_i(x) for x in r] for r in self.rows], check=False
-        )
+        return ProjMatrix(emb.target, [emb.lift_i(self.field, r) for r in self.rows])
 
     def __eq__(self, other):
         return (
@@ -322,7 +312,7 @@ class ProjMatrix:
 
 
 def identity_matrix(field: ExtField) -> ProjMatrix:
-    return ProjMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], check=False)
+    return ProjMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 @dataclass(frozen=True)
@@ -364,42 +354,45 @@ class CurveModel:
 # model constructors
 # ---------------------------------------------------------------------------
 
-def hermitian_canonical(sqrt_q: int) -> CurveModel:
-    """The Hermitian curve Y^s Z + Y Z^s = X^(s+1) with s = sqrt_q."""
+def tower_field(sqrt_q: int, j: int) -> ExtField:
+    """F_(s^j) for s = sqrt_q = p^h, that is build_field(p, j h): F_q at
+    j = 2, F_(s^3) at j = 3 and F_(q^3) at j = 6.  Raises ValueError before
+    it builds anything unless sqrt_q is a prime power."""
     p, h = split_prime_power(sqrt_q)
-    poly = HomPoly3.from_int_coeffs(
-        build_field(p, 2 * h),
-        {(0, sqrt_q, 1): 1, (0, 1, sqrt_q): 1, (sqrt_q + 1, 0, 0): -1},
-    )
-    return CurveModel(poly, "hermitian", sqrt_q,
-                      expected_genus=sqrt_q * (sqrt_q - 1) // 2)
+    return build_field(p, j * h)
 
 
-def fermat_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
-    """The bare Fermat form X^(s+1) + Y^(s+1) + Z^(s+1) over any field of the
-    right characteristic (its coefficients are prime-field)."""
-    s1 = sqrt_q + 1
-    return HomPoly3.from_int_coeffs(
-        field, {(s1, 0, 0): 1, (0, s1, 0): 1, (0, 0, s1): 1}
-    )
+def _is_power_of_two(n: int) -> bool:
+    """Whether n = 2^h with h >= 1: a prime power of characteristic 2."""
+    return n > 1 and not n & (n - 1)
+
+
+def hermitian_canonical(sqrt_q: int) -> CurveModel:
+    """The Hermitian curve Y^s Z + Y Z^s = X^(s+1) with s = sqrt_q: the
+    t = 1 member of artin_schreier_quotient."""
+    return replace(artin_schreier_quotient(sqrt_q, 1), name="hermitian", params=())
+
+
+def fermat_poly(e: int, field: ExtField) -> HomPoly3:
+    """The bare Fermat form X^e + Y^e + Z^e over any field (its coefficients
+    are prime-field)."""
+    return HomPoly3.from_int_coeffs(field, {(e, 0, 0): 1, (0, e, 0): 1, (0, 0, e): 1})
 
 
 def hermitian_fermat(sqrt_q: int) -> CurveModel:
     """The Fermat form X^(s+1) + Y^(s+1) + Z^(s+1), projectively equivalent
-    to the canonical Hermitian model over F_q."""
-    p, h = split_prime_power(sqrt_q)
-    return CurveModel(fermat_poly(sqrt_q, build_field(p, 2 * h)), "hermitian-fermat",
-                      sqrt_q, expected_genus=sqrt_q * (sqrt_q - 1) // 2)
+    to the canonical Hermitian model over F_q: the t = 1 member of
+    fermat_quotient."""
+    return replace(fermat_quotient(sqrt_q, 1), name="hermitian-fermat", params=())
 
 
 def envelope_model(sqrt_q: int) -> CurveModel:
     """The degree 2(s+1) singular plane model with three 2-fold points at the
     fundamental triangle; requires odd characteristic."""
-    p, h = split_prime_power(sqrt_q)
-    if p == 2:
+    if _is_power_of_two(sqrt_q):
         raise ValueError("envelope model needs odd characteristic")
     s = sqrt_q
-    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h), {
+    poly = HomPoly3.from_int_coeffs(tower_field(sqrt_q, 2), {
         (0, 2, 2 * s): 1,
         (2, 2 * s, 0): 1,
         (2 * s, 0, 2): 1,
@@ -422,8 +415,7 @@ def cyclic_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
 def smooth_cyclic_model(sqrt_q: int) -> CurveModel:
     """The smooth model X0^s X2 + X2^s X1 + X1^s X0, defined over F_{s^3},
     on which the diagonal action (X0, X1, X2) -> (c X0, c^s X1, X2) acts."""
-    p, h = split_prime_power(sqrt_q)
-    return CurveModel(cyclic_poly(sqrt_q, build_field(p, 3 * h)), "smooth-cyclic", sqrt_q,
+    return CurveModel(cyclic_poly(sqrt_q, tower_field(sqrt_q, 3)), "smooth-cyclic", sqrt_q,
                       expected_genus=sqrt_q * (sqrt_q - 1) // 2)
 
 
@@ -442,10 +434,9 @@ def frame_parameter(sqrt_q: int) -> FieldElement:
     first, so poly_roots multiplies by them; characteristic 2 keeps its
     carry-less path, which is as fast there without the tables' memory.
     """
-    p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
-    F3 = build_field(p, 3 * h)
-    if p != 2 and F3.order <= TABLE_CAP:
+    F3 = tower_field(sqrt_q, 3)
+    if F3.p != 2 and F3.order <= TABLE_CAP:
         F3.ensure_tables()
     f = FPoly(F3, [1, 1] + [0] * (sqrt_q - 1) + [1])  # X^(sqrt_q+1) + X + 1
     roots = [r for r, _ in poly_roots(f)]
@@ -494,7 +485,7 @@ def frame_matrix(a: FieldElement, sqrt_q: int) -> ProjMatrix:
     F = a.field
     q = sqrt_q * sqrt_q
     b = a ** (q + 1)
-    mat = ProjMatrix(F, [[a, F.one, b], [b, a, F.one], [F.one, b, a]], check=False)
+    mat = ProjMatrix(F, [[a, F.one, b], [b, a, F.one], [F.one, b, a]])
     det = mat.det()
     if (a * a + a + 1).value == 0:
         if det.value != 0:
@@ -519,8 +510,7 @@ def singer_frame(sqrt_q: int) -> ProjMatrix:
     kappa.rows[0][0], is a.  F_{q^3} is built first, so that the element
     cap refuses it before the root finding of frame_parameter.
     """
-    p, h = split_prime_power(sqrt_q)
-    Fq3 = build_field(p, 6 * h)
+    Fq3 = tower_field(sqrt_q, 6)
     a = frame_parameter(sqrt_q)
     return frame_matrix(embed(a.field, Fq3)(a), sqrt_q)
 
@@ -542,19 +532,15 @@ def apply_coord_change(model: CurveModel, mat: ProjMatrix) -> CurveModel:
 
 def quotient_frame_poly(sqrt_q: int, field: ExtField) -> HomPoly3:
     """The bare quotient form X0^s X2 + X2^s X1 + X1^s X0 - 3 (X0X1X2)^((s+1)/3)."""
-    s = sqrt_q
-    e = (s + 1) // 3
-    return HomPoly3.from_int_coeffs(field, {
-        (s, 0, 1): 1, (0, 1, s): 1, (1, s, 0): 1, (e, e, e): -3,
-    })
+    e = (sqrt_q + 1) // 3
+    return HomPoly3.from_int_coeffs(field, {**cyclic_poly(sqrt_q, field).terms, (e, e, e): -3})
 
 
 def quotient_plane_model(sqrt_q: int) -> CurveModel:
     """Degree s+1 plane model of the degree-3 cyclic quotient in the cyclic
     frame: X0^s X2 + X2^s X1 + X1^s X0 - 3 (X0 X1 X2)^((s+1)/3)."""
     check_divisor(sqrt_q, 3)
-    p, h = split_prime_power(sqrt_q)
-    return CurveModel(quotient_frame_poly(sqrt_q, build_field(p, 3 * h)), "quotient-frame",
+    return CurveModel(quotient_frame_poly(sqrt_q, tower_field(sqrt_q, 3)), "quotient-frame",
                       sqrt_q, expected_genus=(sqrt_q * sqrt_q - sqrt_q - 2) // 6)
 
 
@@ -563,8 +549,7 @@ def cube_cover_identity(sqrt_q: int) -> bool:
     as an exact polynomial identity over F_q, e a primitive cube root of
     unity; F_q holds one since 3 | n = q - s + 1 forces 3 | s + 1 | q - 1."""
     check_divisor(sqrt_q, 3)
-    p, h = split_prime_power(sqrt_q)
-    field = build_field(p, 2 * h)
+    field = tower_field(sqrt_q, 2)
     eps = find_root_of_unity(field, 3).value
     g = cyclic_poly(sqrt_q, field)
     fp = quotient_frame_poly(sqrt_q, field)
@@ -585,8 +570,7 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
     """
     check_divisor(sqrt_q, 3)
     q = sqrt_q * sqrt_q
-    p, h = split_prime_power(sqrt_q)
-    Fq = build_field(p, 2 * h)
+    Fq = tower_field(sqrt_q, 2)
     kappa = singer_frame(sqrt_q)
     Fq3 = kappa.field
     a3 = FieldElement(Fq3, kappa.rows[0][0])
@@ -594,7 +578,7 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
     # pre-scaling Frobenius twist: coeff^q = a^-(s+1) * coeff for every term
     twist = (a3 ** (sqrt_q + 1)).inverse().value
     for e, c in gprime.terms.items():
-        if Fq3.frob_i(c, 2 * h) != Fq3.mul_i(twist, c):
+        if Fq3.frob_i(c, Fq.k) != Fq3.mul_i(twist, c):
             raise ConsistencyError("quotient model coefficients fail the Frobenius twist")
     c_roots = poly_roots(
         FPoly(Fq3, [(-a3).value] + [0] * (sqrt_q - 2) + [1])  # X^(s-1) - a
@@ -639,26 +623,31 @@ def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
         raise ConsistencyError("no b with b^s + b = 0 found")
     b = nonzero[0]
     deg = sqrt_q + 1
-    terms = {(deg, 0, 0): field.neg_i(b)}
-    for i in range(r + 1):
-        e = p**i
-        key = (0, e, deg - e)
-        terms[key] = field.add_i(terms.get(key, 0), 1)
-    poly = HomPoly3(field, terms)
+    poly = HomPoly3(field, {(deg, 0, 0): field.neg_i(b), **_additive_terms(p, r, deg)})
     return CurveModel(poly, "geer-vlugt", sqrt_q, params=(p, m, r),
                       expected_genus=(p**r - 1) * sqrt_q // 2)
+
+
+def _additive_terms(p: int, r: int, deg: int) -> dict[tuple[int, int, int], int]:
+    """The monomials Y^(p^i) Z^(deg - p^i), i = 0 .. r, each with coefficient
+    1: the additive polynomial sum_{i <= r} y^(p^i), homogenized."""
+    return {(0, p**i, deg - p**i): 1 for i in range(r + 1)}
+
+
+def _family_exponent(sqrt_q: int, t: int) -> int:
+    """e = (s + 1)/t, or ValueError unless t is a positive divisor of s + 1."""
+    if t < 1 or (sqrt_q + 1) % t:
+        raise ValueError(f"t = {t} must divide sqrt_q + 1 = {sqrt_q + 1}")
+    return (sqrt_q + 1) // t
 
 
 def artin_schreier_quotient(sqrt_q: int, t: int) -> CurveModel:
     """Plane model of y^s + y = x^((s+1)/t), t a divisor of s+1.
     Genus (s-1)((s+1)/t - 1)/2; at t = 1 this is the Hermitian curve."""
-    if t < 1 or (sqrt_q + 1) % t:
-        raise ValueError(f"t = {t} must divide sqrt_q + 1 = {sqrt_q + 1}")
-    p, h = split_prime_power(sqrt_q)
+    e = _family_exponent(sqrt_q, t)
     s = sqrt_q
-    e = (s + 1) // t
     deg = max(s, e)
-    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h), {
+    poly = HomPoly3.from_int_coeffs(tower_field(sqrt_q, 2), {
         (0, s, deg - s): 1, (0, 1, deg - 1): 1, (e, 0, deg - e): -1,
     })
     genus = (s - 1) * (e - 1) // 2
@@ -667,12 +656,8 @@ def artin_schreier_quotient(sqrt_q: int, t: int) -> CurveModel:
 
 def fermat_quotient(sqrt_q: int, t: int) -> CurveModel:
     """The Fermat curve x^e + y^e + 1 = 0 with e = (s+1)/t; genus (e-1)(e-2)/2."""
-    if t < 1 or (sqrt_q + 1) % t:
-        raise ValueError(f"t = {t} must divide sqrt_q + 1 = {sqrt_q + 1}")
-    p, h = split_prime_power(sqrt_q)
-    e = (sqrt_q + 1) // t
-    poly = HomPoly3.from_int_coeffs(build_field(p, 2 * h),
-                                    {(e, 0, 0): 1, (0, e, 0): 1, (0, 0, e): 1})
+    e = _family_exponent(sqrt_q, t)
+    poly = fermat_poly(e, tower_field(sqrt_q, 2))
     return CurveModel(poly, "fermat", sqrt_q, params=(t,),
                       expected_genus=(e - 1) * (e - 2) // 2)
 
@@ -682,19 +667,14 @@ def char2_chain_curve(sqrt_q: int) -> CurveModel:
     Genus s(s-2)/4; the additive left side must have degree s/2 for its
     kernel to lie inside F_q.
     """
-    p, h = split_prime_power(sqrt_q)
-    if p != 2:
+    if not _is_power_of_two(sqrt_q):
+        check_divisor(sqrt_q, 1)  # a non-prime-power is refused as one first
         raise ValueError("chain curve lives in characteristic 2")
-    field = build_field(2, 2 * h)
+    field = tower_field(sqrt_q, 2)
     s = sqrt_q
     deg = s + 1
-    terms = {(deg, 0, 0): 1}  # -1 = 1
-    e = s // 2
-    while e >= 1:
-        key = (0, e, deg - e)
-        terms[key] = field.add_i(terms.get(key, 0), 1)
-        e //= 2
-    poly = HomPoly3(field, terms)
+    # -1 = 1; s/2 = 2^(h-1) with h = field.k / 2
+    poly = HomPoly3(field, {(deg, 0, 0): 1, **_additive_terms(2, field.k // 2 - 1, deg)})
     return CurveModel(poly, "char2-chain", sqrt_q, expected_genus=s * (s - 2) // 4)
 
 

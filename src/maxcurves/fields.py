@@ -1071,6 +1071,12 @@ class Embedding:
         vec = np.array(self.source.digits(v), dtype=np.int64)
         return self.target.pack(vec @ self._matrix % self.target.p)
 
+    def lift_i(self, field: ExtField, values) -> list[int]:
+        """The images of packed values of `field`; ValueError unless it is the source."""
+        if field is not self.source:
+            raise ValueError("embedding source differs from the field of the values")
+        return [self.apply_i(v) for v in values]
+
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.source:
             raise ValueError("element not in the source field")

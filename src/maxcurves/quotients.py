@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._intfactor import check_divisor, euler_phi, factorize, is_prime, split_prime_power
+from ._intfactor import check_divisor, euler_phi, factorize, is_prime
 from .errors import CapError, ConsistencyError
 from .counting import count_projective_points, hasse_weil_bounds
 from .curves import (
@@ -49,6 +49,7 @@ from .curves import (
     hermitian_fermat,
     identity_matrix,
     singer_frame,
+    tower_field,
 )
 from .fields import (
     ExtField,
@@ -96,18 +97,13 @@ def hermitian_cyclic_action(sqrt_q: int) -> CyclicAction:
     none is rational, exactly when kappa (kappa^(q))^-1 is a scalar times a
     3-cycle, which trace_line_histogram checks.
     """
-    p, h = split_prime_power(sqrt_q)
     q = sqrt_q * sqrt_q
     n = q - sqrt_q + 1
-    Fq = build_field(p, 2 * h)
+    Fq = tower_field(sqrt_q, 2)
     kappa = singer_frame(sqrt_q)
     Fq3 = kappa.field
     lam = find_root_of_unity(Fq3, n)
-    diag = ProjMatrix(
-        Fq3,
-        [[lam, 0, 0], [0, lam**sqrt_q, 0], [0, 0, 1]],
-        check=False,
-    )
+    diag = ProjMatrix(Fq3, [[lam, 0, 0], [0, lam**sqrt_q, 0], [0, 0, 1]])
     raw = kappa.inverse() @ diag @ kappa
     pivot = next(x for row in raw.rows for x in row if x)
     t3 = raw.scale(Fq3.inv_i(pivot))
@@ -219,7 +215,7 @@ def lang_solve(n: ProjMatrix, *, seed: int = 0) -> LangSolution:
         for _ in range(_LANG_TRIES):
             cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
                     for _ in range(3)]
-            a = ProjMatrix(L, list(zip(*cols)), check=False)
+            a = ProjMatrix(L, list(zip(*cols)))
             if a.det().value:
                 break
         else:
@@ -304,7 +300,7 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     F3, Fq = kappa.field, action.field
     qfrob = Fq.k
     _check_singer_frame(kappa @ kappa.frobenius(qfrob).inverse())
-    if fermat_poly(s, F3).compose_linear(kappa.inverse()).proportional_to(
+    if fermat_poly(s + 1, F3).compose_linear(kappa.inverse()).proportional_to(
             cyclic_poly(s, F3)) is None:
         raise ConsistencyError("the Fermat form is not the cyclic form in the action's frame")
     p, k = F3.p, F3.k
@@ -486,9 +482,8 @@ def fiber_statistics(sqrt_q: int, d: int, k: int = 3) -> FiberReport:
     check_divisor(sqrt_q, d)
     if k % 3:
         raise ValueError("the diagonal action needs the triangle field: 3 | k")
-    p, h = split_prime_power(sqrt_q)
     check_table_cap(q**k)
-    F = build_field(p, 2 * h * k)
+    F = tower_field(sqrt_q, 2 * k)
     u, v = _cyclic_model_points(sqrt_q, F)
     order, a = F.group_order, F.group_order // d
     key = (u % a) * order + (v - sqrt_q * a * (u // a)) % order

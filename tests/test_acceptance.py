@@ -92,6 +92,36 @@ def test_only_fields_reads_the_table_storage():
     assert _table_reads("exp = np.frombuffer(L._exp)\nF.x._zech[0]\n") == {"_exp", "_zech"}
 
 
+def _split_callers(source: str) -> set[str]:
+    """The functions of the source that name split_prime_power, "" for a
+    use outside every function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if "split_prime_power" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.add(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_tower_field_splits_sqrt_q():
+    # a field F_(sqrt_q^j) is built from sqrt_q = p^h in one place,
+    # curves.tower_field; the branch series need h itself for their
+    # Frobenius spreading
+    package = Path(verification.__file__).parent
+    assert _split_callers((package / "curves.py").read_text()) == {
+        "tower_field", "branch_series", "branch_expansion_check"}
+    assert _split_callers((package / "quotients.py").read_text()) == set()
+    assert _split_callers("def f():\n    def g():\n        x._intfactor.split_prime_power(4)\n"
+                          "p, h = split_prime_power(8)\n") == {"g", ""}
+
+
 def test_hermitian_counts_detail_is_reproducible():
     # the detail carries no wall time, so identical runs print identical text
     first, second = check_hermitian_counts(), check_hermitian_counts()

@@ -50,6 +50,17 @@ def test_hermitian_models_structure():
     assert h.expected_genus == f.expected_genus == 10
 
 
+@pytest.mark.parametrize("sq", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_hermitian_models_are_the_t_1_family_members(sq):
+    # the Hermitian curve and its Fermat form are the t = 1 members of the
+    # Artin-Schreier and Fermat families: same form, field and genus
+    for model, member in ((hermitian_canonical(sq), artin_schreier_quotient(sq, 1)),
+                          (hermitian_fermat(sq), fermat_quotient(sq, 1))):
+        assert model.poly == member.poly
+        assert model.expected_genus == member.expected_genus == sq * (sq - 1) // 2
+        assert (model.sqrt_q, model.params, member.params) == (sq, (), (1,))
+
+
 def test_envelope_model_structure():
     m = envelope_model(5)
     assert m.degree == 12
@@ -115,7 +126,7 @@ def test_composition_reaches_fermat_form():
         g = cyclic_poly(sq, a.field)
         comp = g.compose_linear(frame_matrix(a, sq))
         _, _, a3 = frame_scalars(a, sq)
-        assert comp.proportional_to(fermat_poly(sq, a.field)) == a3
+        assert comp.proportional_to(fermat_poly(sq + 1, a.field)) == a3
 
 
 def test_envelope_composition_gives_degree_2s2_model():
@@ -139,7 +150,25 @@ def test_apply_coord_change_identity_and_degree():
     moved = apply_coord_change(model, mat)
     assert moved.degree == model.degree
     with pytest.raises(ValueError):
-        apply_coord_change(model, ProjMatrix(F, [[1, 0, 0], [1, 0, 0], [0, 0, 1]], check=False))
+        apply_coord_change(model, ProjMatrix(F, [[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
+
+
+def test_proj_matrix_may_be_singular():
+    # a ProjMatrix is any 3x3 matrix: a caller that needs an invertible one
+    # tests det(), as apply_coord_change does
+    assert ProjMatrix(build_field(5, 2), [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det().value == 0
+
+
+def test_lifts_refuse_an_embedding_from_another_field():
+    # embed(F25, F_(5^6)) reads its argument as F_25 packed values: an
+    # F_125 matrix or polynomial must be refused, not mapped entry by entry
+    F25, F125, F56 = build_field(5, 2), build_field(5, 3), build_field(5, 6)
+    mat = ProjMatrix(F125, [[7, 0, 0], [0, 1, 0], [0, 0, 30]])
+    poly = HomPoly3(F125, {(1, 0, 0): 7, (0, 1, 0): 30})
+    for lift in (mat.map_entries, poly.map_coefficients):
+        with pytest.raises(ValueError, match="^embedding source differs"):
+            lift(embed(F25, F56))
+    assert mat.map_entries(embed(F125, F56)).rows[0][0] == embed(F125, F56).apply_i(7)
 
 
 def test_apply_coord_change_refuses_a_matrix_over_a_non_extension():
@@ -411,9 +440,8 @@ def test_point_count_invariance_under_coordinates():
     F9 = model.field
     for _ in range(4):
         rows = [[F9.random_element(rng) for _ in range(3)] for _ in range(3)]
-        try:
-            mat = ProjMatrix(F9, rows)
-        except ValueError:
+        mat = ProjMatrix(F9, rows)
+        if not mat.det().value:
             continue
         assert count_projective_points(apply_coord_change(model, mat)).total == base
 
@@ -470,7 +498,7 @@ def test_compose_linear_matches_square_and_multiply(p, k, degree):
         poly = HomPoly3(F, terms)
         while True:
             rows = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
-            if ProjMatrix(F, rows, check=False).det().value:
+            if ProjMatrix(F, rows).det().value:
                 break
         mat = ProjMatrix(F, rows)
         assert poly.compose_linear(mat) == _square_and_multiply_compose(poly, mat)

@@ -40,6 +40,14 @@ GOLDEN = {
     "construct-artin-schreier-5-2": "construct --model artin-schreier --sqrt-q 5 --t 2",
     "construct-fermat-5-3": "construct --model fermat --sqrt-q 5 --t 3",
     "construct-char2-chain-8": "construct --model char2-chain --sqrt-q 8",
+    # the t = 1 family members, which are the Hermitian curve and its Fermat
+    # form, and the additive terms at r > 1, odd p and the smallest chain
+    "construct-artin-schreier-8-1": "construct --model artin-schreier --sqrt-q 8 --t 1",
+    "construct-fermat-4-1": "construct --model fermat --sqrt-q 4 --t 1",
+    "construct-hermitian-8": "construct --model hermitian --sqrt-q 8",
+    "construct-geer-vlugt-2-8-3": "construct --model geer-vlugt --p 2 --m 8 --r 3",
+    "construct-geer-vlugt-3-4-1": "construct --model geer-vlugt --p 3 --m 4 --r 1",
+    "construct-char2-chain-2": "construct --model char2-chain --sqrt-q 2",
     # count, every tag
     "count-hermitian-5": "count --model hermitian --sqrt-q 5",
     "count-hermitian-3-k2": "count --model hermitian --sqrt-q 3 --k 2",

@@ -229,7 +229,7 @@ def _scalar_trace_lang_matrix(u, seed):
     for _ in range(quotients._LANG_TRIES):
         cols = [trace(tuple(rng.randrange(L.order) for _ in range(3)))
                 for _ in range(3)]
-        a = ProjMatrix(L, list(zip(*cols)), check=False)
+        a = ProjMatrix(L, list(zip(*cols)))
         if a.det().value:
             return a
     raise AssertionError("reference trace found no invertible draw")
@@ -314,7 +314,7 @@ def test_twisted_count_rejects_a_non_lang_matrix():
     rng = random.Random(7)
     while True:
         rows = [[rng.randrange(L.order) for _ in range(3)] for _ in range(3)]
-        if ProjMatrix(L, rows, check=False).det().value:
+        if ProjMatrix(L, rows).det().value:
             break
     bad = dataclasses.replace(sol, matrix=ProjMatrix(L, rows))
     with pytest.raises(ConsistencyError, match="does not descend"):

@@ -90,6 +90,13 @@ GOLDEN = {
     "census-2-table": "census --sqrt-q 2 --format table",
     "census-5-table": "census --sqrt-q 5 --format table",
     "census-8-table": "census --sqrt-q 8 --format table",
+    # the frame field F_(q^3) past the discrete-log tables: odd p at 27,
+    # characteristic 2 at 32 and 64, where the embedding scan and the trace
+    # line run on arrays
+    "census-27-json": "census --sqrt-q 27",
+    "census-32-json": "census --sqrt-q 32",
+    "census-64-json": "census --sqrt-q 64",
+    "quotient-64-37": "quotient --sqrt-q 64 --d 37",
     "dim-d-5-7": "dim-d --sqrt-q 5 --d 7",
     "dim-d-8-19": "dim-d --sqrt-q 8 --d 19",
     "sv-hermitian-5": "sv --g 10 --degd 6 --r 2 --eps 0,1,5 --nu 0,5 --q 25",

@@ -233,6 +233,10 @@ class ProjMatrix:
         return FieldElement(F, val)
 
     def inverse(self) -> ProjMatrix:
+        """The inverse matrix; ValueError if the matrix is singular."""
+        det = self.det().value
+        if det == 0:
+            raise ValueError("matrix is singular")
         F = self.field
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         m, s = F.mul_i, F.sub_i
@@ -241,7 +245,7 @@ class ProjMatrix:
             [s(m(f, g), m(d, i)), s(m(a, i), m(c, g)), s(m(c, d), m(a, f))],
             [s(m(d, h), m(e, g)), s(m(b, g), m(a, h)), s(m(a, e), m(b, d))],
         ]
-        dinv = F.inv_i(self.det().value)
+        dinv = F.inv_i(det)
         return ProjMatrix(self.field, [[m(x, dinv) for x in row] for row in cof])
 
     def __matmul__(self, other):

@@ -28,8 +28,10 @@ characteristic adds digit by digit and multiplies and inverts on coefficient
 tuples; in characteristic 2 the packed integer is the coefficient bit
 vector, so addition is XOR, and multiplication (carry-less product, then
 reduction by the sparse modulus) and inversion (binary extended Euclid) are
-shifts and XORs on it.  All arithmetic is exact.  Geometry over these
-fields, the Singer frame among it, lives in curves.
+shifts and XORs on it.  The batched operations add_v, mul_v and pow_v apply
+one operation to numpy arrays of packed elements, in a form per field shape
+(ExtField).  All arithmetic is exact.  Geometry over these fields, the
+Singer frame among it, lives in curves.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ F_(q^3) at sqrt_q = 8, is not tabled by the Burnside count."""
 # binary numeral, high bit first; these map its characters to bits and back
 _FROM_BINARY = bytes.maketrans(b"01", b"\0\1")
 _TO_BINARY = bytes.maketrans(b"\0\1", b"01")
+# _SPREAD[b] is the byte b with a 0 bit after each of its bits: the square of
+# an 8-bit polynomial over F_2, before reduction
+_SPREAD = np.array([sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256)],
+                   dtype="<u2")
+
+EMBED_BLOCK = 1 << 12
+"""The embedding scan evaluates the source modulus at most this many kernel
+vectors per batched pass, so that its temporaries stay a few MiB."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +297,17 @@ class ExtField:
     instance.  Scalar operations never build the tables: only ensure_tables
     (and _np_tables, which calls it) does.  Use :func:`build_field`, which
     caches one instance per (p, k) and tables a small field at once.
+
+    add_v, mul_v and pow_v are the batched operations: elementwise on numpy
+    arrays of packed elements, int64 while the elements fit.  With tables
+    they gather from them.  Past the tables, p = 2 (k <= 63) works on uint64
+    bit vectors, the carry-less product as a (lo, hi) pair of words once
+    2k - 1 > 64, folded through the sparse modulus tail, and squaring by a
+    byte table that spreads the bits; odd p works on a k x N array of
+    digits, the product's 2k - 1 digits reduced by one (2k - 1) x k matrix
+    mod p, the p-th power by frob_matrix(1).  A field past int64 (a lift
+    field) takes object arrays of Python ints through the scalar
+    operations.  mul_i and pow_i stay the scalar path.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -306,6 +327,16 @@ class ExtField:
         self._gen = None
         self._go_fac = None
         self._frob_mats: dict[int, np.ndarray] = {}
+        # the batched operations' dtypes: packed elements in int64 when they
+        # and a sum of 2k - 1 digit products fit in it, and digits in the
+        # narrowest type that holds that sum
+        bound = (2 * k - 1) * (p - 1) ** 2
+        fits = self.order <= 1 << 63 and bound < 1 << 63
+        self._vdtype = np.int64 if fits else object
+        self._ddtype = next((t for t in (np.int16, np.int32)
+                             if bound <= np.iinfo(t).max), np.int64)
+        self._pw = np.array(self._ppows[:k], dtype=np.int64) if fits else None
+        self._reduce = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -481,6 +512,153 @@ class ExtField:
     def mul_matrix(self, m: int) -> np.ndarray:
         """k x k matrix over F_p with vec(x) @ M = vec(m * x)."""
         return _mul_rows(self.modulus, self.p, self.unpack(m))
+
+    # -- arrays of packed elements ---------------------------------------------
+
+    def add_v(self, a, b) -> np.ndarray:
+        """a + b elementwise on arrays of packed elements (a Python int
+        broadcasts), as an array of the field's packed dtype."""
+        shape, (a, b) = self._operands(a, b)
+        if a.dtype == object:
+            out = np.frompyfunc(self.add_i, 2, 1)(a, b)
+        elif self.p == 2:
+            out = a ^ b
+        else:
+            out = self._packed((self._rows(a) + self._rows(b)) % self.p)
+        return out.reshape(shape)
+
+    def mul_v(self, a, b) -> np.ndarray:
+        """a * b elementwise on arrays of packed elements (a Python int
+        broadcasts), as an array of the field's packed dtype."""
+        shape, (a, b) = self._operands(a, b)
+        if a.dtype == object:
+            out = np.frompyfunc(self.mul_i, 2, 1)(a, b)
+        elif self._log is not None:
+            log, exp = np.frombuffer(self._log, np.int32), np.frombuffer(self._exp, np.int32)
+            # a zero lane's log is -1, and its gather is overwritten
+            out = np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]]).astype(np.int64)
+        else:
+            out = self._packed(self._rmul(self._rows(a), self._rows(b)))
+        return out.reshape(shape)
+
+    def pow_v(self, a, e: int) -> np.ndarray:
+        """a^e elementwise for an exponent e >= 0 (0^0 = 1), as an array of
+        the field's packed dtype.
+
+        Past the tables the exponent is read in base p, top digit first:
+        r -> r^p (Frobenius) times a^d, with a^d a product of the squares
+        a^(2^j) for the bits of the digit d.  In characteristic 2 that is
+        square-and-multiply with the squaring done as a Frobenius."""
+        if e < 0:
+            raise ValueError("pow_v needs an exponent e >= 0")
+        shape, (a,) = self._operands(a)
+        if a.dtype == object:
+            return np.frompyfunc(self.pow_i, 2, 1)(a, e).reshape(shape)
+        if self._log is not None:
+            log, exp = np.frombuffer(self._log, np.int32), np.frombuffer(self._exp, np.int32)
+            n = self.group_order
+            powered = exp[log[a].astype(np.int64) * (e % n) % n]
+            return np.where(a == 0, 0 if e else 1, powered).astype(np.int64).reshape(shape)
+        digits = self.unpack(e)     # the base-p digits of e, low first
+        squares = [self._rows(a)]   # a^(2^j) for the bits of a base-p digit
+        for _ in range(max(digits, default=0).bit_length() - 1):
+            squares.append(self._rmul(squares[-1], squares[-1]))
+        r = None
+        for d in reversed(digits):
+            if r is not None:
+                r = self._rfrob(r)
+            for j in range(d.bit_length()):
+                if d >> j & 1:
+                    r = squares[j] if r is None else self._rmul(r, squares[j])
+        if r is None:               # e = 0
+            return np.ones(shape, dtype=np.int64)
+        return self._packed(r).reshape(shape)
+
+    def _operands(self, *values):
+        """The operands broadcast to one shape, and flattened: int64 arrays of
+        packed elements when every element and every sum of 2k - 1 digit
+        products fits in int64, otherwise object arrays of Python ints (a
+        lift field), which the batched operations hand to the scalar ones."""
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=self._vdtype) for v in values))
+        return arrays[0].shape, [x.reshape(-1) for x in arrays]
+
+    def _pack_rows(self, rows) -> np.ndarray:
+        """The packed elements of an array of digit rows (last axis k)."""
+        return rows @ np.array(self._ppows[:self.k], dtype=self._vdtype)
+
+    # Past the tables the batched operations work on one form per shape: in
+    # characteristic 2 the packed bit vectors as uint64 (k <= 63); in odd
+    # characteristic a k x N array of digits, row i the coefficients of X^i,
+    # in the narrowest integer type that holds a sum of 2k - 1 digit products.
+
+    def _rows(self, a):
+        if self.p == 2:
+            return a.astype(np.uint64)
+        return (a // self._pw[:, None] % self.p).astype(self._ddtype)
+
+    def _packed(self, x) -> np.ndarray:
+        if self.p == 2:
+            return x.astype(np.int64)
+        return self._pw @ x
+
+    def _rmul(self, x, y):
+        if self.p == 2:
+            # carry-less product: XOR x << i over the set bits i of y, one
+            # row per i, as a (lo, hi) pair of words once it passes 64 bits
+            k, top = self.k, 2 * self.k - 2
+            shifts = np.arange(k, dtype=np.uint64)[:, None]
+            bits = (y >> shifts) & np.uint64(1)
+            lo = np.bitwise_xor.reduce((x << shifts) * bits, axis=0)
+            hi = None
+            if top >= 64:
+                hi = np.bitwise_xor.reduce((x >> (np.uint64(64) - shifts[1:])) * bits[1:],
+                                           axis=0)
+            return self._fold(lo, hi, top)
+        # the product's 2k - 1 digits, then one reduction matrix mod p
+        p, k = self.p, self.k
+        prod = np.zeros((2 * k - 1,) + x.shape[1:], dtype=self._ddtype)
+        for j in range(k):
+            prod[j:j + k] += x[j] * y
+        return self._reduction @ (prod % p) % p
+
+    def _rfrob(self, x):
+        """x^p."""
+        if self.p == 2:
+            # squaring spreads the bits apart: each byte becomes 16 bits
+            words = _SPREAD[x.astype("<u8").view(np.uint8)].view("<u8").reshape(-1, 2)
+            top = 2 * self.k - 2
+            return self._fold(words[:, 0].copy(), words[:, 1] if top >= 64 else None, top)
+        return self.frob_matrix(1).T.astype(self._ddtype) @ x % self.p
+
+    def _fold(self, lo, hi, deg):
+        """lo + hi 2^64, of degree at most deg, reduced by the modulus
+        X^k + tail (p = 2): the bits from X^k up are XORed back in at each
+        tail exponent until the degree is below k."""
+        k = self.k
+        tail = [e for e, _ in self._tail]
+        while deg >= k:
+            top = lo >> np.uint64(k)
+            if deg >= 64:
+                top |= hi << np.uint64(64 - k)
+            deg += (tail[-1] if tail else 0) - k
+            lo = lo & np.uint64((1 << k) - 1)
+            hi = np.zeros_like(lo) if deg >= 64 else None
+            for e in tail:
+                lo ^= top << np.uint64(e) if e else top
+                if hi is not None and e:
+                    hi ^= top >> np.uint64(64 - e)
+        return lo
+
+    @property
+    def _reduction(self) -> np.ndarray:
+        """k x (2k - 1) matrix over F_p whose column i is vec(X^i mod modulus)."""
+        if self._reduce is None:
+            p, k = self.p, self.k
+            xk = [-c % p for c in self.modulus[:-1]]              # X^k
+            self._reduce = np.vstack([np.eye(k, dtype=np.int64),
+                                      _mul_rows(self.modulus, p, xk)[:k - 1]]
+                                     ).T.astype(self._ddtype)
+        return self._reduce
 
     # -- element constructors -------------------------------------------------
 
@@ -1002,8 +1180,11 @@ class Embedding:
     The image of F_{p^a} is Fix(Frob^a), the left kernel of
     frob_matrix(a) - I over F_p.  The source generator class X maps to the
     least (packed) root of the source modulus in that kernel: the least
-    conjugate r^(p^i) of the first root r found there, scanning the kernel
-    one block of about sqrt(p^a) vectors at a time.  The map is then
+    conjugate r^(p^i) of the first root r found there.  The scan evaluates
+    the modulus by batched Horner over its nonzero terms (pow_v, mul_v) on
+    blocks of kernel vectors: all p^a at once when that is at most
+    EMBED_BLOCK, otherwise blocks of about sqrt(p^a), at most EMBED_BLOCK.
+    The map is then
     F_p-linear: vec(v) @ E, row i of E the vector of gen_image^i.  From a
     source within EAGER_TABLE_CAP, apply_i and preimage read a list of all
     images (one product of every digit row with E) and its inverse dict;
@@ -1026,21 +1207,47 @@ class Embedding:
             raise ConsistencyError(
                 f"Frob^{a} fixes a subspace of dimension {len(kernel)} in {target!r}, "
                 f"expected {a}")
+        # the nonzero terms below the leading X^a, highest first
+        terms = [(e, c) for e, c in enumerate(source.modulus[:-1]) if c][::-1]
+
+        def modulus_at(x):
+            # the source modulus at packed target elements, by batched Horner
+            # over its nonzero terms: acc -> acc x^(gap) + c, the power x^(gap)
+            # by pow_v, which squares by Frobenius
+            acc, top = None, a
+            for e, c in terms + [(0, 0)]:
+                if top > e:
+                    step = target.pow_v(x, top - e)
+                    acc = step if acc is None else target.mul_v(acc, step)
+                if c:
+                    acc = target.add_v(acc, c)
+                top = e
+            return acc
+
         # the kernel vectors in itertools.product order over their a
-        # coordinates, streamed in blocks: each prefix of the first a - h
-        # coordinates with all p^h tails, h = ceil(a / 2)
-        h = (a + 1) // 2
-        tails = (np.array(list(itertools.product(range(p), repeat=h)), dtype=np.int64)
+        # coordinates, in blocks of at most EMBED_BLOCK: each prefix of the
+        # first a - h coordinates with all p^h tails, h = a for a small
+        # kernel and about a / 2 otherwise, so an early root ends the scan
+        # after a block of about sqrt(p^a) vectors
+        h = a if p**a <= EMBED_BLOCK else (a + 1) // 2
+        while p**h > EMBED_BLOCK:
+            h -= 1
+        tails = (np.arange(p**h, dtype=np.int64)[:, None] // p ** np.arange(h - 1, -1, -1) % p
                  @ kernel[a - h:])
-        mod_poly = FPoly._raw(target, list(source.modulus))
+        r = None
         for prefix in itertools.product(range(p), repeat=a - h):
-            block = (np.array(prefix, dtype=np.int64) @ kernel[:a - h] + tails) % p
-            r = next((v for v in map(target.pack, block.tolist())
-                      if mod_poly.eval_i(v) == 0), None)
-            if r is not None:
+            block = target._pack_rows((np.array(prefix, dtype=np.int64) @ kernel[:a - h]
+                                       + tails) % p)
+            hits = np.flatnonzero(modulus_at(block) == 0)
+            if hits.size:
+                r = int(block[hits[0]])
                 break
-        roots = [] if r is None else sorted(
-            v for v in {target.pow_i(r, p**i) for i in range(a)} if mod_poly.eval_i(v) == 0)
+        mod_poly = FPoly._raw(target, list(source.modulus))
+        conjugates = []                 # r^(p^i), i < a
+        for _ in range(a if r is not None else 0):
+            conjugates.append(r)
+            r = target.pow_i(r, p)
+        roots = sorted(v for v in set(conjugates) if mod_poly.eval_i(v) == 0)
         if len(roots) != a:
             raise ConsistencyError(
                 f"source modulus has {len(roots)} roots in Fix(Frob^{a}), expected {a}")
@@ -1055,12 +1262,11 @@ class Embedding:
             self._left_inverse = np.zeros((k, a), dtype=np.int64)
             self._left_inverse[pivots] = t
             return
-        # the digit rows of every source element times E, packed by the
-        # powers of p (as Python ints when the target is past int64)
+        # the digit rows of every source element times E, packed (as Python
+        # ints when the target is past int64)
         pw = np.array(source._ppows[:a], dtype=np.int64)
         digits = np.arange(source.order, dtype=np.int64)[:, None] // pw % p
-        tpw = np.array(target._ppows[:k], dtype=np.int64 if target.order < 1 << 63 else object)
-        self._images = (digits @ self._matrix % p @ tpw).tolist()
+        self._images = target._pack_rows(digits @ self._matrix % p).tolist()
         self._preimages = {y: x for x, y in enumerate(self._images)}
         if len(self._preimages) != source.order:
             raise ConsistencyError(f"the embedding of {source!r} is not injective")

@@ -153,8 +153,11 @@ def lang_twist_order(n: ProjMatrix) -> tuple[int, int, int]:
 
     N^d1 is a scalar delta; rescaling N by e makes (eN)^d1 = e^d1 delta,
     and s = d1 * ord(e^d1 delta) is minimized over e in F_q*.
+    Raises ValueError if N is singular, as it then has no projective order.
     Reference only (see the section note): no count in the package calls it.
     """
+    if n.det().value == 0:
+        raise ValueError("matrix is singular")
     Fq = n.field
     d1 = 1
     power = n
@@ -286,8 +289,9 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     unit u of Z/n.
 
     ker Tr is the left kernel of I + F + F^2 over F_p, F the q-power
-    Frobenius matrix; its q + 1 points over F_q are b1 and c b1 + b2.  Only
-    pow_i and mul_i are used: no discrete-log table of F_{q^3} is built.
+    Frobenius matrix; its q + 1 points over F_q are b1 and c b1 + b2.  They
+    are raised to the power in one pow_v, and the powers lam^j are built by
+    doubling with mul_v; neither builds a discrete-log table of F_{q^3}.
     The histogram must be s + 1 zeros and every other residue once, which
     is Lefschetz: g^j (j != 0) fixes only the triangle, so it has trace -1
     on H^1, where Frobenius of the maximal curve acts as -s, and N_j = n.
@@ -314,16 +318,17 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     b1_inv = F3.inv_i(b1)
     ratios = ((b, F3.mul_i(b, b1_inv)) for b in kernel[1:])
     b2 = next(b for b, r in ratios if F3.frob_i(r, qfrob) != r)
-    up = embed(Fq, F3)
-    line = [b1] + [F3.add_i(F3.mul_i(up.apply_i(c), b1), b2) for c in range(Fq.order)]
-    log, w = {}, 1
-    for j in range(n):
-        log[w] = j
-        w = F3.mul_i(w, action.root)
-    e = F3.group_order // n
+    images = embed(Fq, F3).lift_i(Fq, range(Fq.order))
+    line = np.concatenate(([b1], F3.add_v(F3.mul_v(images, b1), b2)))   # b1, c b1 + b2
+    # lam^j for j < n by doubling, powers[m:2m] = powers[:m] lam^m
+    powers, step = np.ones(1, dtype=np.int64), action.root
+    while powers.size < n:
+        powers = np.concatenate((powers, F3.mul_v(powers[:n - powers.size], step)))
+        step = F3.mul_i(step, step)
+    log = {w: j for j, w in enumerate(powers.tolist())}
     hist = [0] * n
-    for z in line:
-        hist[log[F3.pow_i(z, e)]] += 1
+    for w in F3.pow_v(line, F3.group_order // n).tolist():
+        hist[log[w]] += 1
     _check_trace_histogram(hist, s)
     return tuple(hist)
 
@@ -350,22 +355,32 @@ def _kummer_kernel(hist: tuple, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
-    """Quotient point count over F_q by twisted-Frobenius orbit counting.
-
-    N_0 is the Fermat plane sweep, which must equal n hist[0] = n (s + 1)
-    = s^3 + 1; N_j = n hist[j m] for j = 1..d-1, m = n/d, from
-    trace_line_histogram.  The Burnside average (1/d) sum N_j must equal
-    the Kummer count m #{z : z^((q^3 - 1)/m) = 1} on the trace line.
-    Raises ConsistencyError if either check fails.
-    """
-    n = check_divisor(sqrt_q, d)
-    m = n // d
+def _untwisted_count(sqrt_q: int) -> int:
+    """N_0, the Fermat plane sweep over F_q, once per sqrt_q: it must equal
+    n hist[0] = n (s + 1) = s^3 + 1 from trace_line_histogram.  Raises
+    ConsistencyError if it does not."""
+    n = sqrt_q * sqrt_q - sqrt_q + 1
     hist = trace_line_histogram(sqrt_q)   # meets the F_{q^3} element cap before the sweep
     n0 = count_projective_points(hermitian_fermat(sqrt_q)).total
     if n * hist[0] != n0:
         raise ConsistencyError(f"trace line gives N_0 = {n * hist[0]}, the plane sweep {n0}")
-    n_js = [n0] + [n * hist[j * m] for j in range(1, d)]
+    return n0
+
+
+@lru_cache(maxsize=None)
+def burnside_quotient_count(sqrt_q: int, d: int) -> BurnsideReport:
+    """Quotient point count over F_q by twisted-Frobenius orbit counting.
+
+    N_0 is the checked Fermat plane sweep (_untwisted_count); N_j = n hist[j m]
+    for j = 1..d-1, m = n/d, from trace_line_histogram.  The Burnside
+    average (1/d) sum N_j must equal the Kummer count
+    m #{z : z^((q^3 - 1)/m) = 1} on the trace line.  Raises
+    ConsistencyError if either check fails.
+    """
+    n = check_divisor(sqrt_q, d)
+    m = n // d
+    hist = trace_line_histogram(sqrt_q)
+    n_js = [_untwisted_count(sqrt_q)] + [n * hist[j * m] for j in range(1, d)]
     total = sum(n_js)
     count = total // d  # exact: the histogram gives total = (sqrt_q + d) n and d | n
     kummer = m * _kummer_kernel(hist, m)

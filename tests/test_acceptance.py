@@ -77,19 +77,35 @@ def test_modules_read_only_the_allowed_private_names():
     assert {name: reads for name, reads in found.items() if reads} == ALLOWED_PRIVATE_READS
 
 
-def _table_reads(source: str) -> set[str]:
-    """The ExtField table attributes (_exp, _log, _zech) the source reads."""
+TABLE_STORAGE = ("_exp", "_log", "_zech")
+PACKED_FORM = ("_tail", "_bits")
+
+
+def _attr_reads(source: str, names) -> set[str]:
+    """The attributes among `names` that the source reads."""
     return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log", "_zech")}
+            if isinstance(node, ast.Attribute) and node.attr in names}
+
+
+def _modules_reading(names) -> set[str]:
+    package = Path(verification.__file__).parent
+    return {f.name for f in package.glob("*.py") if _attr_reads(f.read_text(), names)}
 
 
 def test_only_fields_reads_the_table_storage():
     # the doubled int32 memoryviews are the storage of fields alone; other
     # modules read the tables through _np_tables or the ExtField methods
-    package = Path(verification.__file__).parent
-    assert {f.name for f in package.glob("*.py") if _table_reads(f.read_text())} == {
-        "fields.py"}
-    assert _table_reads("exp = np.frombuffer(L._exp)\nF.x._zech[0]\n") == {"_exp", "_zech"}
+    assert _modules_reading(TABLE_STORAGE) == {"fields.py"}
+    assert _attr_reads("exp = np.frombuffer(L._exp)\nF.x._zech[0]\n", TABLE_STORAGE) == {
+        "_exp", "_zech"}
+
+
+def test_only_fields_reads_the_packed_form():
+    # the batched operations rely on the packed representation: the modulus
+    # tail and, in characteristic 2, the modulus bit vector; other modules
+    # multiply through the ExtField methods
+    assert _modules_reading(PACKED_FORM) == {"fields.py"}
+    assert _attr_reads("t = F._tail[0]\nF.x._bits ^ 1\n", PACKED_FORM) == {"_tail", "_bits"}
 
 
 def _split_callers(source: str) -> set[str]:

@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import maxcurves
-from maxcurves import ConsistencyError, cli, counting, curves, semigroups
+from maxcurves import ConsistencyError, cli, counting, curves, quotients, semigroups
 from maxcurves.cache import ResultsCache, content_key
 from maxcurves.cli import MODELS, build_parser, emit, main
 
@@ -129,6 +130,22 @@ def test_a_consistency_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "burnside_quotient_count", fail)
     assert run_cli(["quotient", "--sqrt-q", "5", "--d", "3"], capsys) == (
         1, "", "consistency failure: Kummer count 0 differs from the Burnside count 15\n")
+
+
+def test_census_sweeps_the_fermat_model_once(monkeypatch, capsys):
+    # N_0 depends on sqrt_q alone, so the d = 3, 7 and 21 rows share one sweep
+    # fresh caches, whatever other tests have counted
+    monkeypatch.setattr(quotients, "_untwisted_count",
+                        lru_cache(quotients._untwisted_count.__wrapped__))
+    monkeypatch.setattr(quotients, "burnside_quotient_count",
+                        lru_cache(quotients.burnside_quotient_count.__wrapped__))
+    monkeypatch.setattr(cli, "burnside_quotient_count", quotients.burnside_quotient_count)
+    sweep, swept = quotients.count_projective_points, []
+    monkeypatch.setattr(quotients, "count_projective_points",
+                        lambda model: swept.append(model.name) or sweep(model))
+    code, out, _ = run_cli(["census", "--sqrt-q", "5"], capsys)
+    assert code == 0 and [r["d"] for r in json.loads(out)] == [1, 3, 3, 7, 21]
+    assert swept == ["hermitian-fermat"]
 
 
 @pytest.mark.parametrize("sqrt_q", ["9", "11", "13", "16"])

@@ -159,6 +159,12 @@ def test_proj_matrix_may_be_singular():
     assert ProjMatrix(build_field(5, 2), [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det().value == 0
 
 
+def test_inverse_of_a_singular_matrix_is_a_usage_error():
+    singular = ProjMatrix(build_field(5, 2), [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        singular.inverse()
+
+
 def test_lifts_refuse_an_embedding_from_another_field():
     # embed(F25, F_(5^6)) reads its argument as F_25 packed values: an
     # F_125 matrix or polynomial must be refused, not mapped entry by entry

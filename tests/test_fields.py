@@ -834,3 +834,61 @@ def test_field_axioms_f625(x, y, z):
     assert a * b == b * a
     if a.value:
         assert (a * a.inverse()).value == 1
+
+
+# -- batched arithmetic on arrays, against the scalar operations ----------------
+
+# (p, k, tabled): a field past the tables is a fresh instance, so that no
+# other test has built tables on it; p = 2 at k = 36 and 63 needs the (lo, hi)
+# product words, and F_(2^72) is past int64 (object arrays)
+BATCH_SHAPES = [(2, 1, False), (2, 9, False), (2, 18, False), (2, 36, False),
+                (2, 63, False), (5, 6, True), (3, 18, False), (67, 3, False),
+                (2, 72, False)]
+
+
+def _batch_field(p, k, tabled):
+    F = build_field(p, k, cap=None)
+    return F if tabled else ExtField(p, k, F.modulus)
+
+
+@pytest.mark.parametrize("p,k,tabled", BATCH_SHAPES)
+def test_batched_arithmetic_matches_the_scalar_path(p, k, tabled):
+    F = _batch_field(p, k, tabled)
+    assert (F._log is not None) == tabled
+    rng = random.Random(p * 1000 + k)
+    a = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(150)]
+    b = [rng.randrange(F.order) for _ in range(152)] + [0]
+    assert F.mul_v(a, b).tolist() == [F.mul_i(x, y) for x, y in zip(a, b)]
+    assert F.add_v(a, b).tolist() == [F.add_i(x, y) for x, y in zip(a, b)]
+    for e in (0, 1, 2, p - 1, p, p + 1, p * p - 1, F.order - 2, F.order, rng.randrange(F.order**2)):
+        assert F.pow_v(a, e).tolist() == [F.pow_i(x, e) for x in a], e
+
+
+@pytest.mark.parametrize("p,k,tabled", BATCH_SHAPES)
+def test_batched_arithmetic_edge_cases(p, k, tabled):
+    F = _batch_field(p, k, tabled)
+    rng = random.Random(k)
+    a = [rng.randrange(F.order) for _ in range(20)]
+    c = rng.randrange(1, F.order)
+    for op in (F.mul_v, F.add_v):
+        # zero lanes, and a scalar broadcast from either side
+        assert op([], c).shape == op([], []).shape == (0,)
+        assert op(a, c).tolist() == op(c, a).tolist() == op(a, [c] * len(a)).tolist()
+    assert F.mul_v(a, c).tolist() == [F.mul_i(x, c) for x in a]
+    assert F.mul_v(a, 0).tolist() == F.mul_v(0, a).tolist() == [0] * len(a)
+    assert F.pow_v([], 5).shape == (0,)
+    assert F.pow_v([0, 0, c], 0).tolist() == [1, 1, 1]
+    assert F.pow_v([0, c], 3).tolist() == [0, F.pow_i(c, 3)]
+    # the shape of the operands is kept
+    grid = np.array(a, dtype=F._vdtype).reshape(4, 5)
+    assert F.mul_v(grid, grid).tolist() == [[F.mul_i(x, x) for x in row] for row in grid.tolist()]
+    assert F.pow_v(grid, 7).shape == (4, 5)
+    with pytest.raises(ValueError, match="e >= 0"):
+        F.pow_v(a, -1)
+
+
+def test_batched_arithmetic_returns_int64_within_its_packing():
+    # int64 while the packed elements fit, Python ints past them
+    assert ExtField(2, 63, build_field(2, 63, cap=None).modulus).mul_v([3], [5]).dtype == np.int64
+    assert build_field(3, 18).pow_v([2], 3).dtype == np.int64
+    assert build_field(2, 72, cap=None).mul_v([3], [5]).dtype == object

@@ -414,9 +414,18 @@ def test_burnside_refuses_a_plane_sweep_off_the_trace_line(monkeypatch):
     sweep = quotients.count_projective_points
     monkeypatch.setattr(quotients, "count_projective_points",
                         lambda model: dataclasses.replace(sweep(model), total=127))
+    # N_0 is swept and checked once per sqrt_q: past its cache here
+    monkeypatch.setattr(quotients, "_untwisted_count", quotients._untwisted_count.__wrapped__)
     with pytest.raises(ConsistencyError,
                        match="^trace line gives N_0 = 126, the plane sweep 127$"):
         burnside_quotient_count.__wrapped__(5, 3)
+
+
+def test_lang_solve_refuses_a_singular_matrix():
+    # a singular N has no projective order: refused before the order loop
+    F = build_field(5, 2)
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        lang_solve(ProjMatrix(F, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
 
 
 def _action_with_frame(monkeypatch, sqrt_q, change):

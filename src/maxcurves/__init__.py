@@ -15,7 +15,6 @@ from .fields import (
     embed,
     find_root_of_unity,
     mult_order,
-    poly_roots,
 )
 from .curves import (
     CurveModel,

@@ -57,7 +57,6 @@ from .fields import (
     build_field,
     check_table_cap,
     embed,
-    poly_roots,
 )
 
 
@@ -321,7 +320,8 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int], forms: dict | No
     ordinary point biject with rational tangent directions.
     rational_tangents counts the distinct rational tangent lines, a
     repeated one once, on every chart alike.  A node (m = 2) is decided by
-    its discriminant (_node_lines); poly_roots counts the lines for m >= 3.
+    its discriminant (_node_lines), and for m >= 3 deg gcd(f, X^|F| - X)
+    counts the finite lines.
 
     The derivative forms depend only on the chart, not on the point: forms
     is the caller's memo of them for this poly, keyed by (u axis, v axis,
@@ -349,12 +349,11 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int], forms: dict | No
         raise ValueError("point is smooth")
     if mult == 2:
         return (2, *_node_lines(F, *coeffs))
-    f = FPoly(F, coeffs)
+    f, x = FPoly(F, coeffs), FPoly(F, [0, 1])
     inf_mult = mult - f.degree()
-    roots = poly_roots(f)
     squarefree = f.gcd(f.derivative()).degree() == 0
     ordinary = squarefree and inf_mult <= 1
-    rational = len(roots) + (1 if inf_mult else 0)   # distinct rational lines
+    rational = f.gcd(x.powmod(F.order, f) - x).degree() + (1 if inf_mult else 0)
     return mult, ordinary, rational
 
 

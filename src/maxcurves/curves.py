@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from ._intfactor import check_divisor, split_prime_power
 from .errors import ConsistencyError
 from .fields import (
@@ -31,12 +33,11 @@ from .fields import (
     ExtField,
     FieldElement,
     FPoly,
-    TABLE_CAP,
     build_field,
     check_elem_cap,
     embed,
     find_root_of_unity,
-    poly_roots,
+    frobenius_kernel,
 )
 
 
@@ -424,31 +425,37 @@ def smooth_cyclic_model(sqrt_q: int) -> CurveModel:
 
 
 @lru_cache(maxsize=None)
+def _frame_kernel(sqrt_q: int) -> tuple:
+    """(z, z^(s - 1)) over the s^2 packed z of ker Tr_(s^3/s) (frobenius_kernel)."""
+    F3 = tower_field(sqrt_q, 3)
+    p, basis = F3.p, frobenius_kernel(F3, F3.k // 3, (1, 1, 1), 2 * F3.k // 3)
+    coords = np.arange(p ** len(basis))[:, None] // p ** np.arange(len(basis)) % p
+    zs = F3.pack_rows(coords @ basis % p)
+    return zs, F3.pow_v(zs, sqrt_q - 1)
+
+
+@lru_cache(maxsize=None)
 def frame_parameter(sqrt_q: int) -> FieldElement:
     """The canonical triangle-frame scaling constant a in F_{sqrt_q^3}.
 
-    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0; it
-    lies in F_{sqrt_q^3}, so a^(sqrt_q^3) = a holds by construction.  Every
-    return value is checked to satisfy a^(q + sqrt_q + 1) = 1, the two
-    vanishing frame sums and the nonvanishing third sum; frame_matrix checks
-    the determinant of the frame it spans.  Failure of any of these would
-    mean a bug in the tower arithmetic.
-
-    In odd characteristic, F_(sqrt_q^3) within TABLE_CAP builds its tables
-    first, so poly_roots multiplies by them; characteristic 2 keeps its
-    carry-less path, which is as fast there without the tables' memory.
+    a is the least root of X^(sqrt_q + 1) + X + 1 with a^2 + a + 1 != 0.
+    For z != 0 with Tr z = z + z^s + z^(s^2) = 0, x = z^(s - 1) has
+    x^(s + 1) + x + 1 = Tr(z) / z = 0, and the plane ker Tr over F_s has
+    s + 1 lines, so these s + 1 distinct x (_frame_kernel) are all the roots.
+    Every return value is checked to satisfy a^(q + sqrt_q + 1) = 1, the
+    two vanishing frame sums and the nonvanishing third sum; frame_matrix
+    checks the determinant of the frame it spans.  Failure of any of these
+    would mean a bug in the tower arithmetic.
     """
     q = sqrt_q * sqrt_q
     F3 = tower_field(sqrt_q, 3)
-    if F3.p != 2 and F3.order <= TABLE_CAP:
-        F3.ensure_tables()
-    f = FPoly(F3, [1, 1] + [0] * (sqrt_q - 1) + [1])  # X^(sqrt_q+1) + X + 1
-    roots = [r for r, _ in poly_roots(f)]
+    zs, xs = _frame_kernel(sqrt_q)
+    roots = set(xs[zs != 0].tolist())
     if len(roots) != sqrt_q + 1:
         raise ConsistencyError(
             f"frame polynomial should have {sqrt_q + 1} distinct roots, got {len(roots)}"
         )
-    admissible = [a for a in roots if (a * a + a + 1).value != 0]
+    admissible = [a for a in map(F3.elem, roots) if (a * a + a + 1).value != 0]
     if not admissible:
         raise ConsistencyError("no admissible frame root (a^2+a+1 != 0)")
     a = min(admissible)
@@ -512,7 +519,7 @@ def singer_frame(sqrt_q: int) -> ProjMatrix:
     of the Hermitian curve is diagonal, and the F_q-points of the plane are
     the Singer set {(z, z^q, z^(q^2))}.  The first entry of the circulant,
     kappa.rows[0][0], is a.  F_{q^3} is built first, so that the element
-    cap refuses it before the root finding of frame_parameter.
+    cap refuses it before frame_parameter's kernel.
     """
     Fq3 = tower_field(sqrt_q, 6)
     a = frame_parameter(sqrt_q)
@@ -568,9 +575,9 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
 
     Composes the frame-coordinates model with the Singer frame kappa over
     F_{q^3} (singer_frame), reads the frame constant a off kappa, rescales
-    by c with c^(s-1) = a, and pulls every coefficient back to F_q through
-    the embedding (ConsistencyError if one is not in F_q).  Expected genus
-    (q - s - 2)/6.
+    by the least c with c^(s-1) = a, and pulls every coefficient back to
+    F_q through the embedding (ConsistencyError if one is not in F_q).
+    Expected genus (q - s - 2)/6.
     """
     check_divisor(sqrt_q, 3)
     q = sqrt_q * sqrt_q
@@ -584,13 +591,13 @@ def quotient_model_rational(sqrt_q: int) -> CurveModel:
     for e, c in gprime.terms.items():
         if Fq3.frob_i(c, Fq.k) != Fq3.mul_i(twist, c):
             raise ConsistencyError("quotient model coefficients fail the Frobenius twist")
-    c_roots = poly_roots(
-        FPoly(Fq3, [(-a3).value] + [0] * (sqrt_q - 2) + [1])  # X^(s-1) - a
-    )
-    if not c_roots:
-        raise ConsistencyError("no scaling constant c with c^(s-1) = a in F_{q^3}")
-    c = c_roots[0][0]
-    final = gprime.scale(c)
+    # the (s-1)-th roots of unity in F_(q^3) are F_s*, so every c lies in ker Tr_(s^3/s)
+    F3 = tower_field(sqrt_q, 3)
+    zs, xs = _frame_kernel(sqrt_q)
+    cs = zs[xs == frame_parameter(sqrt_q).value].tolist()
+    if len(cs) != sqrt_q - 1:
+        raise ConsistencyError(f"{len(cs)} c with c^(s-1) = a in F_(q^3), expected {sqrt_q - 1}")
+    final = gprime.scale(min(embed(F3, Fq3).lift_i(F3, cs)))
     rational = embed(Fq, Fq3).descend_i(final.terms.values(), "quotient model")
     poly = HomPoly3(Fq, dict(zip(final.terms, rational)))
     return CurveModel(poly, "quotient-rational", sqrt_q,
@@ -610,22 +617,17 @@ def check_geer_vlugt(p: int, m: int, r: int) -> None:
 
 def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
     """Plane model of the fibre-product family: sum_{i<=r} y^(p^i) = b x^(s+1)
-    over F_{p^m}, s = p^(m/2), b nonzero with b^s + b = 0; genus (p^r-1)s/2.
-    Admitted exactly when m >= 2 is even, r >= 1 and L = 1 + T + ... + T^r
-    divides T^(m/2) - 1 in F_p[T], the (p, m, r) where it is maximal: additive
-    polynomials over F_p commute, so L N = T^(m/2) - 1 gives L(N(y)) = y^s - y,
-    and (x, y) -> (x, N(y)) maps y^s - y = b x^(s+1), Hermitian as
-    b^(s-1) = -1, onto the model, which is then maximal (Lachaud)."""
+    over F_{p^m}, s = p^(m/2), b the least nonzero b with b^s + b = 0; genus
+    (p^r-1)s/2.  Admitted exactly when m >= 2 is even, r >= 1 and L = 1 + T +
+    ... + T^r divides T^(m/2) - 1 in F_p[T], the (p, m, r) where it is maximal:
+    additive polynomials over F_p commute, so L N = T^(m/2) - 1 gives
+    L(N(y)) = y^s - y, and (x, y) -> (x, N(y)) maps y^s - y = b x^(s+1),
+    Hermitian as b^(s-1) = -1, onto the model, which is then maximal (Lachaud)."""
     check_elem_cap(p, m)
     check_geer_vlugt(p, m, r)
     field = build_field(p, m)
     sqrt_q = p ** (m // 2)
-    # b is the least nonzero root; poly_roots returns them sorted
-    roots = poly_roots(FPoly(field, [0, 1] + [0] * (sqrt_q - 2) + [1]))  # X^s + X
-    nonzero = [r.value for r, _ in roots if r.value]
-    if not nonzero:
-        raise ConsistencyError("no b with b^s + b = 0 found")
-    b = nonzero[0]
+    b = field.pack(frobenius_kernel(field, m // 2, (1, 1), m // 2)[-1])
     deg = sqrt_q + 1
     poly = HomPoly3(field, {(deg, 0, 0): field.neg_i(b), **_additive_terms(p, r, deg)})
     return CurveModel(poly, "geer-vlugt", sqrt_q, params=(p, m, r),

@@ -9,12 +9,11 @@ deterministic choice of root or generator is needed.
 
 Moduli are found by testing candidates in that order with Rabin's test, the
 powers X^(p^j) taken as row vectors times the Berlekamp Q-matrix over F_p.
-Embeddings between fields of the same characteristic are F_p-linear: the image
-of F_{p^a} is the kernel of Frob^a - 1 on the target, found by elimination mod
-p, and the source generator maps to the least root of the source modulus in
-that kernel.  Root finding (poly_roots) isolates the distinct roots by a gcd
-with X^|F| - X and separates them by seeded equal-degree splitting
-(Cantor-Zassenhaus), in every field.
+Every root the package takes lies in a kernel of an F_p-linear map
+sum_i c_i Frob^(e i), found by elimination mod p (frobenius_kernel): an
+embedding maps F_{p^a} onto the kernel of Frob^a - 1 on the target, and the
+source generator to the least root of the source modulus there.  poly_roots
+(seeded equal-degree splitting) is the reference the tests compare with.
 
 Discrete-log tables (exp, log and the Zech logarithm) are built by F_p-linear
 doubling (exp[m:2m] = exp[:m] * g^m).  build_field builds them at
@@ -582,7 +581,7 @@ class ExtField:
         arrays = np.broadcast_arrays(*(np.asarray(v, dtype=self._vdtype) for v in values))
         return arrays[0].shape, [x.reshape(-1) for x in arrays]
 
-    def _pack_rows(self, rows) -> np.ndarray:
+    def pack_rows(self, rows) -> np.ndarray:
         """The packed elements of an array of digit rows (last axis k)."""
         return rows @ np.array(self._ppows[:self.k], dtype=self._vdtype)
 
@@ -891,6 +890,22 @@ def check_table_cap(order: int) -> None:
         )
 
 
+def frobenius_kernel(field: ExtField, e: int, coeffs, dim: int) -> np.ndarray:
+    """The F_p-basis, as int64 digit rows, of {x : sum_i coeffs[i] x^(p^(e i))
+    = 0} in field, for integer coeffs: the left kernel of
+    sum_i coeffs[i] frob_matrix(e i), ConsistencyError unless it has
+    dimension dim over F_p.  The basis is in reduced echelon form with the
+    digits read top first, so its last row is the least nonzero element."""
+    mat = sum((c * field.frob_matrix(e * i) for i, c in enumerate(coeffs) if i),
+              coeffs[0] * np.eye(field.k, dtype=np.int64))
+    t, pivots = _rref(mat % field.p, field.p)
+    if len(t) - len(pivots) != dim:
+        raise ConsistencyError(f"the kernel of {list(coeffs)} in Frob^{e} has dimension "
+                               f"{len(t) - len(pivots)} in {field!r}, expected {dim}")
+    kernel = t[len(pivots):, ::-1].astype(np.int64)
+    return (_rref(kernel, field.p)[0] @ kernel % field.p)[:, ::-1]
+
+
 def _np_tables(L: ExtField):
     """(log, zech) of L as read-only int32 arrays over its stored tables,
     with -1 standing for the zero element.
@@ -1104,10 +1119,6 @@ class FPoly:
         return f"FPoly({self.field!r}, {list(self.coeffs)})"
 
 
-def _x_poly(field: ExtField) -> FPoly:
-    return FPoly._raw(field, [0, 1])
-
-
 def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
     """Roots of a monic squarefree product of distinct linear factors.
 
@@ -1123,7 +1134,6 @@ def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
     if _depth > 200:
         raise ConsistencyError("equal-degree splitting failed to converge")
     r = rng.randrange(F.order)
-    x_shift = FPoly._raw(F, [r, 1])
     if F.p == 2:
         # trace map over F_2: sum of (rX)^(2^i)
         rx = FPoly._raw(F, [0, r or 1])
@@ -1134,7 +1144,7 @@ def _split_roots(g: FPoly, rng: random.Random, _depth: int = 0) -> list[int]:
             acc = acc + term
         h = acc
     else:
-        h = x_shift.powmod((F.order - 1) // 2, g) - FPoly._raw(F, [1])
+        h = FPoly._raw(F, [r, 1]).powmod((F.order - 1) // 2, g) - FPoly._raw(F, [1])
     d1 = g.gcd(h)
     if 0 < d1.degree() < g.degree():
         return (_split_roots(d1, rng, _depth + 1)
@@ -1147,13 +1157,14 @@ def poly_roots(f: FPoly) -> list[tuple[FieldElement, int]]:
 
     Method: g = gcd(f, X^|F| - X) isolates the distinct roots, seeded
     equal-degree splitting separates them, and multiplicities are read off
-    by repeated division.
+    by repeated division.  No package path calls it: the tests compare
+    every frobenius_kernel root with it.
     """
     F = f.field
     if f.is_zero():
         raise ValueError("zero polynomial")
-    xq = _x_poly(F).powmod(F.order, f)
-    g = f.gcd(xq - _x_poly(F))
+    x = FPoly._raw(F, [0, 1])
+    g = f.gcd(x.powmod(F.order, f) - x)
     roots = sorted(_split_roots(g, random.Random(F.order)))
     out = []
     for r in roots:
@@ -1177,8 +1188,8 @@ def poly_roots(f: FPoly) -> list[tuple[FieldElement, int]]:
 class Embedding:
     """The canonical embedding F_{p^a} -> F_{p^b} for a | b.
 
-    The image of F_{p^a} is Fix(Frob^a), the left kernel of
-    frob_matrix(a) - I over F_p.  The source generator class X maps to the
+    The image of F_{p^a} is Fix(Frob^a), the kernel of Frob^a - 1
+    (frobenius_kernel).  The source generator class X maps to the
     least (packed) root of the source modulus in that kernel: the least
     conjugate r^(p^i) of the first root r found there.  The scan evaluates
     the modulus by batched Horner over its nonzero terms (pow_v, mul_v) on
@@ -1201,12 +1212,7 @@ class Embedding:
         self.target = target
         self._images = None
         p, a, k = target.p, source.k, target.k
-        t, pivots = _rref(target.frob_matrix(a) - np.eye(k, dtype=np.int64), p)
-        kernel = t[len(pivots):]
-        if len(kernel) != a:
-            raise ConsistencyError(
-                f"Frob^{a} fixes a subspace of dimension {len(kernel)} in {target!r}, "
-                f"expected {a}")
+        kernel = frobenius_kernel(target, a, (-1, 1), a)
         # the nonzero terms below the leading X^a, highest first
         terms = [(e, c) for e, c in enumerate(source.modulus[:-1]) if c][::-1]
 
@@ -1236,7 +1242,7 @@ class Embedding:
                  @ kernel[a - h:])
         r = None
         for prefix in itertools.product(range(p), repeat=a - h):
-            block = target._pack_rows((np.array(prefix, dtype=np.int64) @ kernel[:a - h]
+            block = target.pack_rows((np.array(prefix, dtype=np.int64) @ kernel[:a - h]
                                        + tails) % p)
             hits = np.flatnonzero(modulus_at(block) == 0)
             if hits.size:
@@ -1266,7 +1272,7 @@ class Embedding:
         # ints when the target is past int64)
         pw = np.array(source._ppows[:a], dtype=np.int64)
         digits = np.arange(source.order, dtype=np.int64)[:, None] // pw % p
-        self._images = target._pack_rows(digits @ self._matrix % p).tolist()
+        self._images = target.pack_rows(digits @ self._matrix % p).tolist()
         self._preimages = {y: x for x, y in enumerate(self._images)}
         if len(self._preimages) != source.order:
             raise ConsistencyError(f"the embedding of {source!r} is not injective")

@@ -54,11 +54,11 @@ from .curves import (
 from .fields import (
     ExtField,
     _np_tables,
-    _rref,
     build_field,
     check_table_cap,
     embed,
     find_root_of_unity,
+    frobenius_kernel,
 )
 
 # The largest lift order s for which the reference lang_solve builds
@@ -288,8 +288,8 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     z, a unit times log_lam z^((q^3 - 1)/n).  So N_j = n hist[u j] for a
     unit u of Z/n.
 
-    ker Tr is the left kernel of I + F + F^2 over F_p, F the q-power
-    Frobenius matrix; its q + 1 points over F_q are b1 and c b1 + b2.  They
+    ker Tr is the frobenius_kernel of 1 + Frob_q + Frob_q^2 over F_p; its
+    q + 1 points over F_q are b1 and c b1 + b2.  They
     are raised to the power in one pow_v, and the powers lam^j are built by
     doubling with mul_v; neither builds a discrete-log table of F_{q^3}.
     The histogram must be s + 1 zeros and every other residue once, which
@@ -307,13 +307,7 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     if fermat_poly(s + 1, F3).compose_linear(kappa.inverse()).proportional_to(
             cyclic_poly(s, F3)) is None:
         raise ConsistencyError("the Fermat form is not the cyclic form in the action's frame")
-    p, k = F3.p, F3.k
-    frob = F3.frob_matrix(qfrob)
-    t, pivots = _rref(np.eye(k, dtype=np.int64) + frob + frob @ frob, p)
-    kernel = [F3.pack(row) for row in t[len(pivots):].tolist()]
-    if len(kernel) != 2 * qfrob:
-        raise ConsistencyError(
-            f"ker Tr has dimension {len(kernel)} over F_{p}, expected {2 * qfrob}")
+    kernel = F3.pack_rows(frobenius_kernel(F3, qfrob, (1, 1, 1), 2 * qfrob)).tolist()
     b1 = kernel[0]
     b1_inv = F3.inv_i(b1)
     ratios = ((b, F3.mul_i(b, b1_inv)) for b in kernel[1:])

@@ -63,10 +63,10 @@ def test_the_battery_reads_no_private_name_of_the_kernel():
 
 
 # the reads of another module's _ name that the package makes on purpose:
-# the sweep kernels read the numpy tables, and quotients eliminates by _rref
+# the sweep kernels read the numpy tables
 ALLOWED_PRIVATE_READS = {
     "counting.py": ["_np_tables"],
-    "quotients.py": ["_np_tables", "_rref"],
+    "quotients.py": ["_np_tables"],
 }
 
 

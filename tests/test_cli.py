@@ -253,10 +253,10 @@ def test_model_constructors_take_exactly_their_flags():
 
 
 def test_pinned_signatures():
-    from maxcurves import cube_cover_identity, poly_roots
+    from maxcurves import cube_cover_identity
     from maxcurves._intfactor import factorize
 
-    for fn, params in ((poly_roots, ["f"]), (cube_cover_identity, ["sqrt_q"]),
+    for fn, params in ((cube_cover_identity, ["sqrt_q"]),
                        (emit, ["payload", "fmt"]), (factorize, ["n"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
 

@@ -564,13 +564,14 @@ def test_tangent_cone_refusals():
         counting.tangent_cone_data(poly, (0, 1, 0))
 
 
-def _node_form(L, cone, chart):
-    # X (c0 Y^2 + b YZ + a Z^2) + Y^3 + Z^3, whose point (1:0:0) is double
-    # with that tangent cone in u = Y, v = Z, with its coordinates rotated
-    # so that the node is the point of the given chart and the cone has the
-    # same coefficients in that chart's (u, v)
-    c0, b, a = cone
-    terms = {(1, 2, 0): c0, (1, 1, 1): b, (1, 0, 2): a, (0, 3, 0): 1, (0, 0, 3): 1}
+def _cone_form(L, cone, chart):
+    # X (sum_j cone[j] Y^(m-j) Z^j) + Y^(m+1) + Z^(m+1), whose point (1:0:0)
+    # has multiplicity m with that tangent cone in u = Y, v = Z (for a node,
+    # c0 Y^2 + b YZ + a Z^2), with its coordinates rotated so that the point
+    # is the point of the given chart and the cone has the same coefficients
+    # in that chart's (u, v)
+    m = len(cone) - 1
+    terms = {**{(1, m - j, j): c for j, c in enumerate(cone)}, (0, m + 1, 0): 1, (0, 0, m + 1): 1}
     move = [lambda i, j, k: (i, j, k), lambda i, j, k: (j, i, k), lambda i, j, k: (j, k, i)][chart]
     pt = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][chart]
     return HomPoly3(L, {move(*e): c for e, c in terms.items()}), pt
@@ -610,14 +611,40 @@ def _node_cases():
 def test_node_cones_on_hand_built_points(monkeypatch, L, cone, want, chart):
     # the m = 2 cone is decided by its discriminant (odd p) or by b and the
     # absolute trace of ac/b^2 (p = 2), with no root finding
-    poly, pt = _node_form(L, cone, chart)
+    poly, pt = _cone_form(L, cone, chart)
     want_data = _reference_tangent_cone_data(poly, pt)
 
-    def no_roots(f):
-        raise AssertionError("poly_roots called for a node")
+    def no_roots(*args):
+        raise AssertionError("the roots of a node's cone counted by a gcd with X^|F| - X")
 
-    monkeypatch.setattr(counting, "poly_roots", no_roots)
+    monkeypatch.setattr(FPoly, "powmod", no_roots)
     assert counting.tangent_cone_data(poly, pt) == want_data == (2, *want)
+
+
+def _triple_cases():
+    # (field, cone, rational tangents) for triple points with three, one and
+    # no rational tangent lines, the cone sum_j cone[j] u^(3-j) v^j: u v (u + v);
+    # u (u^2 + uv + v^2) over F_2 and v (u^2 - 2 v^2) over F_5, an irreducible
+    # quadratic times a line; u^3 + u v^2 + v^3, irreducible over both
+    F2, F5 = build_field(2, 1), build_field(5, 1)
+    return [
+        pytest.param(F2, (0, 1, 1, 0), 3, id="char2-three"),
+        pytest.param(F2, (1, 1, 1, 0), 1, id="char2-one"),
+        pytest.param(F2, (1, 0, 1, 1), 0, id="char2-none"),
+        pytest.param(F5, (0, 1, 1, 0), 3, id="odd-three"),
+        pytest.param(F5, (0, 1, 0, 3), 1, id="odd-one"),
+        pytest.param(F5, (1, 0, 1, 1), 0, id="odd-none"),
+    ]
+
+
+@pytest.mark.parametrize("L,cone,want", _triple_cases())
+@pytest.mark.parametrize("chart", [0, 1, 2])
+def test_triple_point_lines_match_the_root_finder(L, cone, want, chart):
+    # for m >= 3 the rational lines are counted as deg gcd(f, X^|F| - X),
+    # which must equal the number of roots poly_roots finds
+    poly, pt = _cone_form(L, cone, chart)
+    assert counting.tangent_cone_data(poly, pt) == _reference_tangent_cone_data(poly, pt)
+    assert counting.tangent_cone_data(poly, pt) == (3, True, want)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
@@ -627,7 +654,7 @@ def test_node_cones_on_every_quadratic(p, k):
     seen = set()
     for cone in itertools.product(range(L.order), repeat=3):
         if any(cone):
-            poly, pt = _node_form(L, cone, 0)
+            poly, pt = _cone_form(L, cone, 0)
             got = counting.tangent_cone_data(poly, pt)
             assert got == _reference_tangent_cone_data(poly, pt), cone
             seen.add(got)

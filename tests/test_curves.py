@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from maxcurves import (
@@ -32,6 +33,7 @@ from maxcurves import (
 )
 from maxcurves import curves
 from maxcurves._intfactor import is_prime
+from maxcurves.fields import TABLE_CAP, ExtField, FPoly, poly_roots
 from maxcurves.curves import (
     HomPoly3,
     cyclic_poly,
@@ -50,7 +52,10 @@ def test_hermitian_models_structure():
     assert h.expected_genus == f.expected_genus == 10
 
 
-@pytest.mark.parametrize("sq", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@pytest.mark.parametrize("sq", PRIME_POWERS_TO_32)
 def test_hermitian_models_are_the_t_1_family_members(sq):
     # the Hermitian curve and its Fermat form are the t = 1 members of the
     # Artin-Schreier and Fermat families: same form, field and genus
@@ -95,6 +100,74 @@ def test_diagonal_action_weights():
     assert env.compose_linear(diag) == env.scale(F.pow_i(lam, 2 * sq))
     cyc = cyclic_poly(sq, F)
     assert cyc.compose_linear(diag) == cyc.scale(F.pow_i(lam, sq))
+
+
+def _tabled_copy(F):
+    # an uncached copy of F, with its discrete-log tables when within
+    # TABLE_CAP, so that the reference root finder multiplies by lookups
+    # without tabling the shared field
+    T = ExtField(F.p, F.k, F.modulus)
+    if T.order <= TABLE_CAP:
+        T.ensure_tables()
+    return T
+
+
+@pytest.mark.parametrize("sq", PRIME_POWERS_TO_32)
+def test_frame_parameter_matches_the_root_finder(sq):
+    # a is the least root of X^(s+1) + X + 1 with a^2 + a + 1 != 0, by poly_roots
+    F3 = _tabled_copy(curves.tower_field(sq, 3))
+    roots = [r for r, _ in poly_roots(FPoly(F3, [1, 1] + [0] * (sq - 1) + [1]))]
+    assert len(roots) == sq + 1
+    assert frame_parameter(sq).value == min(r.value for r in roots if (r * r + r + 1).value)
+
+
+@pytest.mark.parametrize("sq", [s for s in PRIME_POWERS_TO_32 if (s + 1) % 3 == 0])
+def test_scaling_constant_matches_the_root_finder(sq, monkeypatch):
+    # quotient_model_rational scales by the least root c of X^(s-1) - a over
+    # F_(q^3), by poly_roots
+    scaled = []
+    scale = HomPoly3.scale
+    monkeypatch.setattr(HomPoly3, "scale", lambda f, c: scaled.append(c) or scale(f, c))
+    quotient_model_rational(sq)
+    a = frame_parameter(sq)
+    Fq3 = curves.tower_field(sq, 6)
+    T = _tabled_copy(Fq3)
+    roots = poly_roots(FPoly(T, [T.neg_i(embed(a.field, Fq3).apply_i(a.value))]
+                             + [0] * (sq - 2) + [1]))
+    assert len(roots) == sq - 1
+    assert scaled == [roots[0][0].value]
+
+
+def _admitted_geer_vlugt(bound):
+    # {(p, m): [r, ...]} for every admitted triple with p^m <= bound
+    out = {}
+    for p in filter(is_prime, range(2, bound)):
+        for m in range(2, bound.bit_length(), 2):
+            for r in range(1, m // 2 + 1):
+                if p**m <= bound and _admits(p, m, r):
+                    out.setdefault((p, m), []).append(r)
+    return out
+
+
+def _admits(p, m, r):
+    try:
+        curves.check_geer_vlugt(p, m, r)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p,m,rs", [pytest.param(p, m, rs, id=f"{p}-{m}")
+                                    for (p, m), rs in _admitted_geer_vlugt(1 << 16).items()])
+def test_geer_vlugt_b_matches_the_root_finder(p, m, rs):
+    # b is the least nonzero root of X^s + X over F_(p^m), by poly_roots, at
+    # every admitted triple with p^m <= 2^16
+    s = p ** (m // 2)
+    T = _tabled_copy(build_field(p, m))
+    want = next(r.value for r, _ in poly_roots(FPoly(T, [0, 1] + [0] * (s - 2) + [1])) if r.value)
+    for r in rs:
+        model = geer_vlugt_curve(p, m, r)
+        assert model.field.neg_i(model.poly.terms[(s + 1, 0, 0)]) == want
 
 
 def test_frame_matrix_det_identity_many_roots():
@@ -212,8 +285,9 @@ def test_quotient_model_rational_sq5():
 def test_quotient_model_refuses_a_coefficient_outside_f_q(monkeypatch):
     # a scaling constant c that is not a root of X^(s-1) - a leaves the
     # coefficients outside F_q; the descent must refuse them
-    curves.singer_frame(5)  # the frame parameter's roots come from the real root finder
-    monkeypatch.setattr(curves, "poly_roots", lambda f: [(f.field.generator, 1)])
+    a = frame_parameter(5)  # the frame parameter comes from the real ker Tr
+    bad = [a.field.generator.value] * 4
+    monkeypatch.setattr(curves, "_frame_kernel", lambda s: (np.array(bad), np.array([a.value] * 4)))
     with pytest.raises(ConsistencyError, match="quotient model does not descend"):
         quotient_model_rational(5)
 
@@ -532,7 +606,7 @@ def test_public_names():
         "hermitian_cyclic_action", "hermitian_fermat", "hermitian_point_semigroup",
         "hurwitz_check", "hurwitz_genus", "lang_solve", "linear_series_dim",
         "maximality_check", "mult_order", "orders_at_quotient_branch",
-        "orders_from_nongaps", "poly_roots", "quotient_model_rational",
+        "orders_from_nongaps", "quotient_model_rational",
         "quotient_plane_model", "quotient_semigroup", "quotients",
         "semigroup_from_generators", "semigroups", "singer_frame", "smooth_cyclic_model",
         "stohr_voloch_degrees", "twisted_fixed_count",

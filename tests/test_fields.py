@@ -18,12 +18,11 @@ from maxcurves import (
     frame_parameter,
     frame_scalars,
     mult_order,
-    poly_roots,
 )
 from maxcurves import fields
 from maxcurves.curves import frame_matrix
 from maxcurves.errors import ConsistencyError
-from maxcurves.fields import EAGER_TABLE_CAP, Embedding, ExtField
+from maxcurves.fields import EAGER_TABLE_CAP, Embedding, ExtField, frobenius_kernel, poly_roots
 from maxcurves.fields import (
     _is_irreducible,
     _lex_least_irreducible,
@@ -241,13 +240,45 @@ def test_frame_parameter_sq8():
     assert a.frobenius(9) == a  # fixed by the F_512 Frobenius
 
 
+@pytest.mark.parametrize("p,k,e,coeffs,dim", [
+    (2, 6, 2, (1, 1, 1), 4),    # ker Tr_(64/4)
+    (3, 6, 2, (1, 1, 1), 4),    # ker Tr_(729/9), where 1 + T + T^2 = (T - 1)^2
+    (2, 12, 4, (1, 1, 1), 8),
+    (5, 6, 3, (1, 1), 3),       # b^125 + b = 0
+    (5, 6, 3, (-1, 1), 3),      # Fix(Frob^3) = F_125
+    (3, 4, 2, (1, 1), 2),
+    (7, 4, 1, (-1, 1), 1),      # F_7
+    (7, 2, 1, (1, 1), 1),
+])
+def test_frobenius_kernel_is_the_stated_kernel(p, k, e, coeffs, dim):
+    # the basis has the stated dimension, every element of its span is a
+    # root of sum_i coeffs[i] x^(p^(e i)) by frob_i, no other element of the
+    # field is one, and the last row is the least nonzero root; a wrong
+    # dimension is refused
+    F = build_field(p, k)
+    basis = frobenius_kernel(F, e, coeffs, dim)
+    assert basis.shape == (dim, k)
+
+    def value(x):
+        acc = 0
+        for i, c in enumerate(coeffs):
+            acc = F.add_i(acc, F.mul_i(c % p, F.frob_i(x, e * i)))
+        return acc
+
+    span = {F.pack(np.array(v) @ basis % p) for v in itertools.product(range(p), repeat=dim)}
+    assert len(span) == p**dim and all(value(x) == 0 for x in span)
+    assert {x for x in range(F.order) if value(x) == 0} == span
+    assert F.pack(basis[-1]) == min(span - {0})
+    with pytest.raises(ConsistencyError, match=f"dimension {dim}.*expected {dim + 1}"):
+        frobenius_kernel(F, e, coeffs, dim + 1)
+
+
 @pytest.mark.parametrize("sq,want", [(27, 208), (29, 230), (31, 1746)])
 def test_frame_parameter_on_tables_keeps_the_root(sq, want):
-    # F_(sq^3) is past EAGER_TABLE_CAP and within TABLE_CAP: frame_parameter
-    # builds its tables before poly_roots, and finds the same packed root as
-    # the polynomial path did
+    # F_(sq^3) is past EAGER_TABLE_CAP and within TABLE_CAP: the root taken
+    # from ker Tr is the packed root that the tabled root finder found
     a = frame_parameter(sq)
-    assert a.field.order == sq**3 and a.field._log is not None
+    assert a.field.order == sq**3
     assert a.value == want
 
 

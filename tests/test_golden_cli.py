@@ -97,6 +97,12 @@ GOLDEN = {
     "census-32-json": "census --sqrt-q 32",
     "census-64-json": "census --sqrt-q 64",
     "quotient-64-37": "quotient --sqrt-q 64 --d 37",
+    # roots taken as Frobenius kernels: the odd-p frame field past the
+    # discrete-log table cap, the scaling constant c over F_(q^3) without
+    # tables, and b in F_(2^20)
+    "census-67-json": "census --sqrt-q 67",
+    "count-quotient-rational-29": "count --model quotient-rational --sqrt-q 29",
+    "construct-geer-vlugt-2-20-1": "construct --model geer-vlugt --p 2 --m 20 --r 1",
     "dim-d-5-7": "dim-d --sqrt-q 5 --d 7",
     "dim-d-8-19": "dim-d --sqrt-q 8 --d 19",
     "sv-hermitian-5": "sv --g 10 --degd 6 --r 2 --eps 0,1,5 --nu 0,5 --q 25",

@@ -320,8 +320,7 @@ def tangent_cone_data(poly: HomPoly3, pt: tuple[int, int, int], forms: dict | No
     ordinary point biject with rational tangent directions.
     rational_tangents counts the distinct rational tangent lines, a
     repeated one once, on every chart alike.  A node (m = 2) is decided by
-    its discriminant (_node_lines), and for m >= 3 deg gcd(f, X^|F| - X)
-    counts the finite lines.
+    its discriminant (_node_lines); for m >= 3 deg gcd(f, X^|F| - X) counts them.
 
     The derivative forms depend only on the chart, not on the point: forms
     is the caller's memo of them for this poly, keyed by (u axis, v axis,

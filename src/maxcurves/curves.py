@@ -33,6 +33,7 @@ from .fields import (
     ExtField,
     FieldElement,
     FPoly,
+    _rref,
     build_field,
     check_elem_cap,
     embed,
@@ -627,7 +628,9 @@ def geer_vlugt_curve(p: int, m: int, r: int) -> CurveModel:
     check_geer_vlugt(p, m, r)
     field = build_field(p, m)
     sqrt_q = p ** (m // 2)
-    b = field.pack(frobenius_kernel(field, m // 2, (1, 1), m // 2)[-1])
+    # the least nonzero element: the last reduced echelon row, digits top first
+    rows = frobenius_kernel(field, m // 2, (1, 1), m // 2)[:, ::-1]
+    b = field.pack((_rref(rows, p)[0] @ rows % p)[-1][::-1])
     deg = sqrt_q + 1
     poly = HomPoly3(field, {(deg, 0, 0): field.neg_i(b), **_additive_terms(p, r, deg)})
     return CurveModel(poly, "geer-vlugt", sqrt_q, params=(p, m, r),

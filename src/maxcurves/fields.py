@@ -893,17 +893,15 @@ def check_table_cap(order: int) -> None:
 def frobenius_kernel(field: ExtField, e: int, coeffs, dim: int) -> np.ndarray:
     """The F_p-basis, as int64 digit rows, of {x : sum_i coeffs[i] x^(p^(e i))
     = 0} in field, for integer coeffs: the left kernel of
-    sum_i coeffs[i] frob_matrix(e i), ConsistencyError unless it has
-    dimension dim over F_p.  The basis is in reduced echelon form with the
-    digits read top first, so its last row is the least nonzero element."""
+    sum_i coeffs[i] frob_matrix(e i) by _rref, ConsistencyError unless it
+    has dimension dim over F_p."""
     mat = sum((c * field.frob_matrix(e * i) for i, c in enumerate(coeffs) if i),
               coeffs[0] * np.eye(field.k, dtype=np.int64))
     t, pivots = _rref(mat % field.p, field.p)
     if len(t) - len(pivots) != dim:
         raise ConsistencyError(f"the kernel of {list(coeffs)} in Frob^{e} has dimension "
                                f"{len(t) - len(pivots)} in {field!r}, expected {dim}")
-    kernel = t[len(pivots):, ::-1].astype(np.int64)
-    return (_rref(kernel, field.p)[0] @ kernel % field.p)[:, ::-1]
+    return t[len(pivots):].astype(np.int64)
 
 
 def _np_tables(L: ExtField):

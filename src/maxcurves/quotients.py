@@ -289,9 +289,9 @@ def trace_line_histogram(sqrt_q: int) -> tuple:
     unit u of Z/n.
 
     ker Tr is the frobenius_kernel of 1 + Frob_q + Frob_q^2 over F_p; its
-    q + 1 points over F_q are b1 and c b1 + b2.  They
-    are raised to the power in one pow_v, and the powers lam^j are built by
-    doubling with mul_v; neither builds a discrete-log table of F_{q^3}.
+    q + 1 points over F_q are b1 and c b1 + b2.  They are raised to the
+    power in one pow_v, and the powers lam^j are built by doubling with
+    mul_v; neither builds a discrete-log table of F_{q^3}.
     The histogram must be s + 1 zeros and every other residue once, which
     is Lefschetz: g^j (j != 0) fixes only the triangle, so it has trace -1
     on H^1, where Frobenius of the maximal curve acts as -s, and N_j = n.

@@ -615,7 +615,7 @@ def test_node_cones_on_hand_built_points(monkeypatch, L, cone, want, chart):
     want_data = _reference_tangent_cone_data(poly, pt)
 
     def no_roots(*args):
-        raise AssertionError("the roots of a node's cone counted by a gcd with X^|F| - X")
+        raise AssertionError("a node's cone took a gcd with X^|F| - X")
 
     monkeypatch.setattr(FPoly, "powmod", no_roots)
     assert counting.tangent_cone_data(poly, pt) == want_data == (2, *want)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -141,7 +142,7 @@ def test_scaling_constant_matches_the_root_finder(sq, monkeypatch):
 def _admitted_geer_vlugt(bound):
     # {(p, m): [r, ...]} for every admitted triple with p^m <= bound
     out = {}
-    for p in filter(is_prime, range(2, bound)):
+    for p in filter(is_prime, range(2, math.isqrt(bound) + 1)):
         for m in range(2, bound.bit_length(), 2):
             for r in range(1, m // 2 + 1):
                 if p**m <= bound and _admits(p, m, r):
